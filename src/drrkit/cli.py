@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .io import (FormatError, Mask2D, ValidationError, View, load_label_volume,
                  load_mask, load_volume, save_mask, save_projection)
-from .measurement import (Condition, Grade, cardiothoracic_ratio, compose_thorax,
-                          kyphosis_angle, scoliosis_angle)
+from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
+                          compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
 from .projection import ProjectionConfig, project_study
 from .stats import (confusion_from_labels, ordinal_metrics,
@@ -59,12 +59,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _atomic_write_bytes(data: bytes, target: Path) -> None:
+def _provenance(command: str, **fields) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "tool": "drrkit",
+            "version": __version__, "command": command, **fields}
+
+
+def _atomic_write_text(text: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.write(text.encode("utf-8"))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,8 +77,21 @@ def _atomic_write_bytes(data: bytes, target: Path) -> None:
         raise
 
 
-def _atomic_write_text(text: str, target: Path) -> None:
-    _atomic_write_bytes(text.encode("utf-8"), target)
+def _replace_dir(new: Path, target: Path) -> None:
+    """Move directory new into place as target. An existing target is renamed
+    aside first and only deleted once new is in place, so a failed swap
+    leaves the earlier output where it was."""
+    if not target.exists():
+        os.replace(new, target)
+        return
+    aside = new.with_name(new.name + ".old")
+    os.replace(target, aside)
+    try:
+        os.replace(new, target)
+    except BaseException:
+        os.replace(aside, target)
+        raise
+    shutil.rmtree(aside)
 
 
 def _load_json_file(path: Path):
@@ -95,15 +113,16 @@ def _load_config_section(config_path: str | None, section: str) -> dict:
     return sect
 
 
-def _merged(defaults: dict, file_cfg: dict, flag_cfg: dict) -> dict:
-    # Precedence: CLI flags > config file > defaults. Flags are only
-    # present in flag_cfg when the user actually passed them.
+def _effective_config(config_path: str | None, section: str, defaults: dict,
+                      flags: dict) -> dict:
+    # Precedence: CLI flags > config file > defaults. argparse leaves a flag
+    # None unless the user passed it.
     out = dict(defaults)
-    for key, value in file_cfg.items():
+    for key, value in _load_config_section(config_path, section).items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
         out[key] = value
-    out.update(flag_cfg)
+    out.update({key: value for key, value in flags.items() if value is not None})
     return out
 
 
@@ -192,16 +211,9 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig,
 
     result = project_study(vol, labels, config)
 
-    provenance = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "drrkit",
-        "version": __version__,
-        "command": "project",
-        "study_id": study["id"],
-        "seed": seed,
-        "config": {"projection": config.to_dict(), "jobs": jobs},
-        "inputs": hashes,
-    }
+    provenance = _provenance(
+        "project", study_id=study["id"], seed=seed,
+        config={"projection": config.to_dict(), "jobs": jobs}, inputs=hashes)
 
     target = out_root / study["id"]
     tmp = Path(tempfile.mkdtemp(prefix=f".{study['id']}.tmp-", dir=out_root))
@@ -214,9 +226,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig,
                 for label_id in sorted(result.masks[view]):
                     save_mask(result.masks[view][label_id], view_dir / f"{label_id}.pgm")
         (tmp / "provenance.json").write_text(_dump_json(provenance))
-        if target.exists():
-            shutil.rmtree(target)
-        os.replace(tmp, target)
+        _replace_dir(tmp, target)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -224,14 +234,10 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig,
 
 def cmd_project(args) -> int:
     manifest = _load_manifest(Path(args.manifest))
-    file_cfg = _load_config_section(args.config, "projection")
-    flag_cfg = {}
-    if args.target_spacing is not None:
-        flag_cfg["target_pixel_spacing"] = args.target_spacing
-    if args.output_size is not None:
-        flag_cfg["output_size"] = args.output_size
-    base = ProjectionConfig().to_dict()
-    config = ProjectionConfig.from_dict(_merged(base, file_cfg, flag_cfg))
+    config = ProjectionConfig.from_dict(_effective_config(
+        args.config, "projection", ProjectionConfig().to_dict(),
+        {"target_pixel_spacing": args.target_spacing,
+         "output_size": args.output_size}))
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -305,11 +311,6 @@ def _union_mask(masks: list[Mask2D], view: View) -> Mask2D | None:
     return Mask2D(data=arr, view=view, spacing=masks[0].spacing)
 
 
-def _excluded_report(condition: Condition, reason: str) -> dict:
-    return {"condition": condition.value, "value": None, "grade": None,
-            "excluded": True, "exclusion_reason": reason, "evidence": {}}
-
-
 def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
                        hashes: dict) -> dict:
@@ -322,9 +323,9 @@ def _measure_condition(condition: Condition, study_dir: Path,
         heart = _union_mask(_load_role_masks(study_dir, view, mapping["heart"], hashes), view)
         thorax_parts = _load_role_masks(study_dir, view, mapping["thorax"], hashes)
         if heart is None:
-            return _excluded_report(condition, "no heart mask found in study")
+            return _excluded(condition, "no heart mask found in study").to_json_dict()
         if not thorax_parts:
-            return _excluded_report(condition, "no thorax masks found in study")
+            return _excluded(condition, "no thorax masks found in study").to_json_dict()
         thorax = Mask2D(data=compose_thorax(thorax_parts), view=view,
                         spacing=thorax_parts[0].spacing)
         if heart.data.shape != thorax.data.shape:
@@ -336,7 +337,8 @@ def _measure_condition(condition: Condition, study_dir: Path,
 
     vertebrae = _load_role_masks(study_dir, view, mapping["vertebrae"], hashes)
     if not vertebrae:
-        return _excluded_report(condition, f"no vertebral masks found in {view.value} view")
+        reason = f"no vertebral masks found in {view.value} view"
+        return _excluded(condition, reason).to_json_dict()
     shapes = {m.data.shape for m in vertebrae}
     if len(shapes) > 1:
         raise ValidationError(f"vertebral masks differ in shape: {sorted(shapes)}")
@@ -353,12 +355,8 @@ def cmd_measure(args) -> int:
         raise FileNotFoundError(f"study directory not found: {study_dir}")
     mapping = _load_mapping(Path(args.mapping))
 
-    defaults = {"min_component_px": 8}
-    file_cfg = _load_config_section(args.config, "measure")
-    flag_cfg = {}
-    if args.min_component_px is not None:
-        flag_cfg["min_component_px"] = args.min_component_px
-    eff = _merged(defaults, file_cfg, flag_cfg)
+    eff = _effective_config(args.config, "measure", {"min_component_px": 8},
+                            {"min_component_px": args.min_component_px})
     min_px = int(eff["min_component_px"])
 
     conditions = []
@@ -378,17 +376,12 @@ def cmd_measure(args) -> int:
                                                 min_px, hashes)
 
     out_dir = Path(args.out)
-    provenance = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "drrkit",
-        "version": __version__,
-        "command": "measure",
-        "seed": args.seed,
-        "config": {"measure": {"min_component_px": min_px},
-                   "conditions": [c.value for c in conditions],
-                   "mapping": {k: mapping[k] for k in sorted(mapping)}},
-        "inputs": {"mapping.json": mapping_hash, **hashes},
-    }
+    provenance = _provenance(
+        "measure", seed=args.seed,
+        config={"measure": {"min_component_px": min_px},
+                "conditions": [c.value for c in conditions],
+                "mapping": {k: mapping[k] for k in sorted(mapping)}},
+        inputs={"mapping.json": mapping_hash, **hashes})
     for condition, report in reports.items():
         report["schema_version"] = SCHEMA_VERSION
         _atomic_write_text(_dump_json(report), out_dir / f"{condition.value}.json")
@@ -406,17 +399,11 @@ def cmd_evaluate(args) -> int:
     if not isinstance(doc, list) or not doc:
         raise ValidationError(f"{manifest_path}: expected a nonempty JSON list of "
                               "{class_id, pred_path, ref_path}")
-    defaults = {"nsd_tolerance_px": 2.0, "match_iou": 0.5,
-                "n_resamples": 10000, "level": 0.95}
-    file_cfg = _load_config_section(args.config, "evaluate")
-    flag_cfg = {}
-    if args.nsd_tolerance is not None:
-        flag_cfg["nsd_tolerance_px"] = args.nsd_tolerance
-    if args.match_iou is not None:
-        flag_cfg["match_iou"] = args.match_iou
-    if args.resamples is not None:
-        flag_cfg["n_resamples"] = args.resamples
-    eff = _merged(defaults, file_cfg, flag_cfg)
+    eff = _effective_config(
+        args.config, "evaluate",
+        {"nsd_tolerance_px": 2.0, "match_iou": 0.5, "n_resamples": 10000, "level": 0.95},
+        {"nsd_tolerance_px": args.nsd_tolerance, "match_iou": args.match_iou,
+         "n_resamples": args.resamples})
 
     base = manifest_path.parent
     hashes = {}
@@ -447,16 +434,9 @@ def cmd_evaluate(args) -> int:
         match_iou=float(eff["match_iou"]), n_resamples=int(eff["n_resamples"]),
         level=float(eff["level"]), seed=args.seed)
 
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "drrkit",
-        "version": __version__,
-        "command": "evaluate",
-        "seed": args.seed,
-        "config": {"evaluate": {k: eff[k] for k in sorted(eff)}},
-        "inputs": hashes,
-        **report.to_json_dict(),
-    }
+    out = _provenance("evaluate", seed=args.seed,
+                      config={"evaluate": {k: eff[k] for k in sorted(eff)}},
+                      inputs=hashes, **report.to_json_dict())
     _atomic_write_text(_dump_json(out), Path(args.out))
     return 0
 
@@ -512,28 +492,19 @@ def _parse_grade_list(values, name: str) -> list[int]:
     return out
 
 
-def _pairwise_csv(comparisons) -> str:
+def _csv_text(header: list[str], rows) -> str:
+    # Floats are written with repr so they round-trip; csv writes None empty.
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["first", "second", "n_effective", "statistic", "p_value",
-                     "p_bonferroni", "cohens_d", "rank_biserial", "significant",
-                     "method"])
-    for c in comparisons:
-        writer.writerow([c.first, c.second, c.n_effective, repr(c.statistic),
-                         repr(c.p_value), repr(c.p_bonferroni),
-                         "" if c.cohens_d is None else repr(c.cohens_d),
-                         "" if c.rank_biserial is None else repr(c.rank_biserial),
-                         str(c.significant).lower(), c.method])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
 def cmd_stats(args) -> int:
-    defaults = {"alpha": 0.05, "n_classes": 4}
-    file_cfg = _load_config_section(args.config, "stats")
-    flag_cfg = {}
-    if args.alpha is not None:
-        flag_cfg["alpha"] = args.alpha
-    eff = _merged(defaults, file_cfg, flag_cfg)
+    eff = _effective_config(args.config, "stats", {"alpha": 0.05, "n_classes": 4},
+                            {"alpha": args.alpha})
     alpha = float(eff["alpha"])
     scores_path = Path(args.scores)
     scores_hash = _sha256(scores_path)
@@ -542,19 +513,18 @@ def cmd_stats(args) -> int:
         scores = _read_scores(scores_path)
         comparisons = pairwise_model_comparison(scores, alpha=alpha)
         if args.format == "csv":
-            _atomic_write_text(_pairwise_csv(comparisons), Path(args.out))
+            _atomic_write_text(_csv_text(
+                ["first", "second", "n_effective", "statistic", "p_value",
+                 "p_bonferroni", "cohens_d", "rank_biserial", "significant", "method"],
+                ([c.first, c.second, c.n_effective, c.statistic, c.p_value,
+                  c.p_bonferroni, c.cohens_d, c.rank_biserial,
+                  str(c.significant).lower(), c.method] for c in comparisons)),
+                Path(args.out))
             return 0
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "drrkit",
-            "version": __version__,
-            "command": "stats",
-            "mode": "pairwise",
-            "config": {"stats": {"alpha": alpha}},
-            "inputs": {str(args.scores): scores_hash},
-            "n_comparisons": len(comparisons),
-            "comparisons": [c.to_json_dict() for c in comparisons],
-        }
+        out = _provenance("stats", mode="pairwise", config={"stats": {"alpha": alpha}},
+                          inputs={str(args.scores): scores_hash},
+                          n_comparisons=len(comparisons),
+                          comparisons=[c.to_json_dict() for c in comparisons])
         _atomic_write_text(_dump_json(out), Path(args.out))
         return 0
 
@@ -573,32 +543,19 @@ def cmd_stats(args) -> int:
     metrics = ordinal_metrics(matrix)
     kappa_lin = weighted_kappa(matrix, "linear")
     kappa_quad = weighted_kappa(matrix, "quadratic")
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "drrkit",
-        "version": __version__,
-        "command": "stats",
-        "mode": "ordinal",
-        "config": {"stats": {"n_classes": n_classes}},
-        "inputs": {str(args.scores): scores_hash},
-        "confusion": matrix.tolist(),
-        "ordinal": metrics.to_json_dict(),
-        "kappa_linear": kappa_lin.to_json_dict(),
-        "kappa_quadratic": kappa_quad.to_json_dict(),
-    }
     if args.format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for key, value in (("accuracy", metrics.accuracy),
-                           ("off_by_one", metrics.off_by_one),
-                           ("macro_f1", metrics.macro_f1),
-                           ("weighted_f1", metrics.weighted_f1),
-                           ("kappa_linear", kappa_lin.kappa),
-                           ("kappa_quadratic", kappa_quad.kappa)):
-            writer.writerow([key, "" if value is None else repr(value)])
-        _atomic_write_text(buf.getvalue(), Path(args.out))
+        _atomic_write_text(_csv_text(
+            ["metric", "value"],
+            [("accuracy", metrics.accuracy), ("off_by_one", metrics.off_by_one),
+             ("macro_f1", metrics.macro_f1), ("weighted_f1", metrics.weighted_f1),
+             ("kappa_linear", kappa_lin.kappa), ("kappa_quadratic", kappa_quad.kappa)]),
+            Path(args.out))
         return 0
+    out = _provenance("stats", mode="ordinal", config={"stats": {"n_classes": n_classes}},
+                      inputs={str(args.scores): scores_hash},
+                      confusion=matrix.tolist(), ordinal=metrics.to_json_dict(),
+                      kappa_linear=kappa_lin.to_json_dict(),
+                      kappa_quadratic=kappa_quad.to_json_dict())
     _atomic_write_text(_dump_json(out), Path(args.out))
     return 0
 
@@ -611,8 +568,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="seed for any randomized step (default 0)")
     sub.add_argument("--config", default=None,
                      help="JSON config file; flags override its values")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent studies (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,6 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="isotropic output pixel spacing in mm")
     p.add_argument("--output-size", type=int, nargs=2, metavar=("W", "H"),
                    default=None, dest="output_size", help="final resize, width height")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for independent studies (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_project)
 

@@ -149,6 +149,17 @@ class Mask2D:
         object.__setattr__(self, "label_id", int(self.label_id))
 
 
+_EIGHT_CONN = np.ones((3, 3), dtype=int)
+
+
+def _as_binary(mask, name: str = "mask") -> np.ndarray:
+    """Boolean foreground of a Mask2D or 2D array; any nonzero pixel counts."""
+    arr = mask.data if isinstance(mask, Mask2D) else np.asarray(mask)
+    if arr.ndim != 2 or min(arr.shape) < 1:
+        raise ValidationError(f"{name} must be nonempty 2D, got shape {arr.shape}")
+    return arr != 0
+
+
 # ---------------------------------------------------------------------------
 # volume files: <name>.json sidecar + <name>.raw payload
 

@@ -18,9 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .io import Mask2D, ValidationError
-
-_EIGHT_CONN = np.ones((3, 3), dtype=int)
+from .io import _EIGHT_CONN, ValidationError, _as_binary
 
 
 class Condition(str, Enum):
@@ -108,16 +106,9 @@ def _measured(condition: Condition, value: float, evidence: dict) -> Measurement
                              exclusion_reason=None, evidence=evidence)
 
 
-def _as_array(mask) -> np.ndarray:
-    arr = mask.data if isinstance(mask, Mask2D) else np.asarray(mask)
-    if arr.ndim != 2:
-        raise ValidationError(f"mask must be 2D, got shape {arr.shape}")
-    return (arr != 0).astype(np.uint8)
-
-
 def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
     """Drop 8-connected components smaller than min_component_px pixels."""
-    arr = _as_array(mask)
+    arr = _as_binary(mask).astype(np.uint8)
     if min_component_px <= 1 or not arr.any():
         return arr
     labeled, n = ndimage.label(arr, structure=_EIGHT_CONN)
@@ -131,7 +122,7 @@ def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
 
 def centroid(mask) -> tuple[float, float]:
     """Mean foreground position as (x, y). Empty masks have no centroid."""
-    arr = _as_array(mask)
+    arr = _as_binary(mask)
     ys, xs = np.nonzero(arr)
     if len(xs) == 0:
         raise ValidationError("centroid of an empty mask is undefined")
@@ -144,7 +135,7 @@ def max_row_width(mask) -> tuple[float, int]:
     The extent is an index difference, so a single pixel has width 0.
     Ties keep the topmost row.
     """
-    arr = _as_array(mask)
+    arr = _as_binary(mask)
     best_w, best_row = -1.0, -1
     for r in np.nonzero(arr.any(axis=1))[0]:
         xs = np.nonzero(arr[r])[0]
@@ -164,12 +155,12 @@ def compose_thorax(masks: Sequence) -> np.ndarray:
     """
     if not masks:
         raise ValidationError("thorax composition needs at least one mask")
-    arrs = [_as_array(m) for m in masks]
+    arrs = [_as_binary(m) for m in masks]
     shape = arrs[0].shape
     for a in arrs[1:]:
         if a.shape != shape:
             raise ValidationError(f"mask shapes differ: {a.shape} vs {shape}")
-    union = np.zeros(shape, dtype=np.uint8)
+    union = np.zeros(shape, dtype=bool)
     for a in arrs:
         union |= a
     out = np.zeros(shape, dtype=np.uint8)

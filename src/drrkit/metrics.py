@@ -15,10 +15,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .io import Mask2D, ValidationError
+from .io import _EIGHT_CONN, ValidationError, _as_binary
 from .stats import BootstrapCI, bootstrap_ci
-
-_EIGHT_CONN = np.ones((3, 3), dtype=int)
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
                      "precision", "recall", "f1")
@@ -53,16 +51,9 @@ class MetricsReport:
         }
 
 
-def _as_binary(mask, name: str) -> np.ndarray:
-    arr = mask.data if isinstance(mask, Mask2D) else np.asarray(mask)
-    if arr.ndim != 2 or min(arr.shape) < 1:
-        raise ValidationError(f"{name} mask must be nonempty 2D, got shape {arr.shape}")
-    return arr != 0
-
-
 def _check_pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_binary(pred, "predicted")
-    r = _as_binary(ref, "reference")
+    p = _as_binary(pred, "predicted mask")
+    r = _as_binary(ref, "reference mask")
     if p.shape != r.shape:
         raise ValidationError(
             f"mask geometry mismatch: predicted {p.shape} vs reference {r.shape}")
@@ -85,7 +76,7 @@ def dice_iou(pred, ref) -> tuple[float, float]:
 def boundary_pixels(mask) -> np.ndarray:
     """Boolean map of foreground pixels with a 4-neighbour background pixel
     or lying on the image edge."""
-    fg = _as_binary(mask, "input")
+    fg = _as_binary(mask, "input mask")
     pad = np.pad(fg, 1, constant_values=False)
     interior = (pad[1:-1, :-2] & pad[1:-1, 2:] & pad[:-2, 1:-1] & pad[2:, 1:-1])
     return fg & ~interior

@@ -9,7 +9,6 @@ nearest-neighbour sampling so they stay binary.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -257,14 +256,8 @@ class StudyProjection:
 
 
 def project_study(vol: Volume, labels: Sequence[LabelVolume],
-                  config: ProjectionConfig | None = None,
-                  max_workers: int | None = None) -> StudyProjection:
-    """Project a volume and its label set into every configured view.
-
-    Mask projection across (view, label) pairs can run on a thread pool;
-    results are assembled in deterministic (view order, label order) so the
-    worker count never changes the output.
-    """
+                  config: ProjectionConfig | None = None) -> StudyProjection:
+    """Project a volume and its label set into every configured view."""
     config = config or ProjectionConfig()
     ids = [lab.label_id for lab in labels]
     if len(set(ids)) != len(ids):
@@ -276,17 +269,9 @@ def project_study(vol: Volume, labels: Sequence[LabelVolume],
         raw = project_image(mu, view)
         images[view] = normalize_to_8bit(resample_and_orient(raw, config))
 
-    def one_mask(view: View, lab: LabelVolume) -> Mask2D:
-        return resample_and_orient(project_mask(lab, view, spacing=vol.spacing), config)
-
-    tasks = [(view, lab) for view in config.views for lab in labels]
-    if max_workers is not None and max_workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda vl: one_mask(*vl), tasks))
-    else:
-        results = [one_mask(view, lab) for view, lab in tasks]
-
     masks: dict[View, dict[int, Mask2D]] = {view: {} for view in config.views}
-    for (view, lab), mask in zip(tasks, results):
-        masks[view][lab.label_id] = mask
+    for view in config.views:
+        for lab in labels:
+            footprint = project_mask(lab, view, spacing=vol.spacing)
+            masks[view][lab.label_id] = resample_and_orient(footprint, config)
     return StudyProjection(images=images, masks=masks)

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .io import ValidationError
 
@@ -50,6 +49,34 @@ class PairedSample:
     @property
     def differences(self) -> np.ndarray:
         return self.a - self.b
+
+
+def _differences(a, b) -> np.ndarray:
+    # A PairedSample, two aligned score arrays, or a bare difference array.
+    if isinstance(a, PairedSample):
+        return a.differences
+    if b is not None:
+        return PairedSample(a=np.asarray(a, dtype=np.float64),
+                            b=np.asarray(b, dtype=np.float64)).differences
+    return _as_1d(a, "differences")
+
+
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of x with ties sharing their mean rank, plus the size of
+    each tie group in ascending value order."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    counts = np.diff(np.append(starts, x.size))
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, counts
+
+
+def _signed_rank_sums(d: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(W+, W-, ranks of |d|, tie-group sizes) for nonzero differences d."""
+    ranks, tie_counts = _average_ranks(np.abs(d))
+    return float(ranks[d > 0].sum()), float(ranks[d < 0].sum()), ranks, tie_counts
 
 
 @dataclass(frozen=True)
@@ -126,25 +153,15 @@ def wilcoxon_signed_rank(a, b=None, *, exact_max_n: int = 25) -> WilcoxonResult:
     with tie correction and a 0.5 continuity shift. All pairs tying to zero
     is reported as degenerate with p = 1.
     """
-    if isinstance(a, PairedSample):
-        d = a.differences
-    elif b is not None:
-        pair = PairedSample(a=np.asarray(a, dtype=np.float64),
-                            b=np.asarray(b, dtype=np.float64))
-        d = pair.differences
-    else:
-        d = _as_1d(a, "differences")
+    d = _differences(a, b)
     d = d[d != 0]
     n = d.size
     if n == 0:
         return WilcoxonResult(statistic=0.0, w_plus=0.0, w_minus=0.0,
                               n_effective=0, p_value=1.0, method="degenerate")
-    ranks = rankdata(np.abs(d), method="average")
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
+    w_plus, w_minus, ranks, tie_counts = _signed_rank_sums(d)
     stat = min(w_plus, w_minus)
 
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     has_ties = bool(np.any(tie_counts > 1))
     if not has_ties and n <= exact_max_n:
         p = _exact_signed_rank_p(ranks, w_plus)
@@ -185,14 +202,7 @@ def effect_sizes(a, b=None) -> EffectSizes:
 
     Accepts a PairedSample, two score arrays, or a bare difference array.
     """
-    if isinstance(a, PairedSample):
-        d = a.differences
-    elif b is not None:
-        pair = PairedSample(a=np.asarray(a, dtype=np.float64),
-                            b=np.asarray(b, dtype=np.float64))
-        d = pair.differences
-    else:
-        d = _as_1d(a, "differences")
+    d = _differences(a, b)
     flags = []
 
     cohens: float | None
@@ -209,9 +219,7 @@ def effect_sizes(a, b=None) -> EffectSizes:
         biserial = None
         flags.append("all_zero_differences")
     else:
-        ranks = rankdata(np.abs(nz), method="average")
-        w_plus = float(ranks[nz > 0].sum())
-        w_minus = float(ranks[nz < 0].sum())
+        w_plus, w_minus, _, _ = _signed_rank_sums(nz)
         biserial = (w_plus - w_minus) / (w_plus + w_minus)
     return EffectSizes(cohens_d=cohens, rank_biserial=biserial, flags=tuple(flags))
 

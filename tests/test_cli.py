@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: layouts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drrkit
 from drrkit import (LabelVolume, Mask2D, View, Volume, cli, save_label_volume,
                     save_mask, save_volume)
 
@@ -99,6 +104,29 @@ def test_project_missing_label_exits_2_without_partial_study(tmp_path):
     assert not list(out.glob(".case01.tmp-*"))
 
 
+def test_project_failed_swap_keeps_previous_study(tmp_path, monkeypatch):
+    manifest = _write_study_inputs(tmp_path, n_labels=1)
+    out = tmp_path / "out"
+    argv = ["project", "--manifest", str(manifest), "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = _collect_bytes(out)
+    real_replace = os.replace
+    failed = []
+
+    def replace(src, dst):
+        # Fail the first move onto the study path: the new study's swap.
+        if Path(dst) == out / "case01" and not failed:
+            failed.append(src)
+            raise OSError("simulated failure swapping in the study")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main(argv + ["--target-spacing", "2.0"]) == 2
+    assert failed
+    assert _collect_bytes(out) == before
+    assert [p.name for p in out.iterdir()] == ["case01"]
+
+
 def test_project_missing_manifest_exits_2(tmp_path):
     rc = cli.main(["project", "--manifest", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
@@ -159,6 +187,16 @@ def test_project_unknown_config_key_exits_1(tmp_path):
 def test_usage_error_exits_1(capsys):
     assert cli.main(["project", "--out", "somewhere"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would add most of a second to every CLI call's start-up.
+    code = ("import sys, drrkit.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- measure ---------------------------------------------------------------

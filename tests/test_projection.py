@@ -291,19 +291,6 @@ def test_project_study_duplicate_label_ids_rejected():
         project_study(vol, labs)
 
 
-def test_project_study_worker_count_irrelevant():
-    rng = np.random.default_rng(29)
-    vol = _random_volume(rng, max_dim=5)
-    labs = [_random_label(rng, vol.shape, label_id=i) for i in range(1, 5)]
-    seq = project_study(vol, labs)
-    par = project_study(vol, labs, max_workers=4)
-    for view in (View.PA, View.LL):
-        assert np.array_equal(seq.images[view].data, par.images[view].data)
-        for lab_id in seq.masks[view]:
-            assert np.array_equal(seq.masks[view][lab_id].data,
-                                  par.masks[view][lab_id].data)
-
-
 def test_union_distributivity_through_pipeline():
     rng = np.random.default_rng(31)
     cfg = ProjectionConfig(target_pixel_spacing=0.7)

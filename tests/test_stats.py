@@ -150,16 +150,23 @@ def test_effect_sizes_balanced():
 
 def test_effect_sizes_match_hand_formula():
     rng = np.random.default_rng(47)
-    for _ in range(10):
+    for i in range(30):
         d = rng.normal(size=8)
+        if i % 3 == 1:
+            d = np.round(d, 1)                  # ties, possibly zeros
+        elif i % 3 == 2:
+            d = rng.choice([-2.0, -0.5, 0.5, 1.0, 2.0], size=12)  # repeated magnitudes
         res = effect_sizes(d)
         sd = np.std(d, ddof=1)
         assert res.cohens_d == pytest.approx(float(np.mean(d) / sd), abs=1e-12)
-        ranks = oracles.average_ranks(list(np.abs(d)))
-        w_plus = sum(r for r, x in zip(ranks, d) if x > 0)
-        w_minus = sum(r for r, x in zip(ranks, d) if x < 0)
+        nz = [x for x in d if x != 0]
+        ranks = oracles.average_ranks([abs(x) for x in nz])
+        w_plus = sum(r for r, x in zip(ranks, nz) if x > 0)
+        w_minus = sum(r for r, x in zip(ranks, nz) if x < 0)
         assert res.rank_biserial == pytest.approx(
             (w_plus - w_minus) / (w_plus + w_minus), abs=1e-12)
+        test = wilcoxon_signed_rank(d)
+        assert (test.w_plus, test.w_minus) == (w_plus, w_minus)
 
 
 def test_effect_sizes_all_zero_differences():
