@@ -1,10 +1,10 @@
 """Command-line front end: project studies, measure, evaluate, run stats.
 
-Every command is deterministic given (inputs, config, seed). Study outputs
-are built in a temp directory and moved into place atomically, so a failure
-never leaves a half-written study behind. Each output carries a provenance
-record: the effective config after precedence (flags > config file >
-defaults) plus SHA-256 hashes of every input file.
+Every command is deterministic given its inputs and config (and evaluate's
+seed). Study outputs are built in a temp directory and moved into place
+atomically, so a failure never leaves a half-written study behind. Each output
+carries a provenance record: the effective config after precedence (flags >
+config file > defaults) plus SHA-256 hashes of every input file.
 
 Exit codes: 0 success, 1 validation error, 2 I/O failure, 3 internal error.
 """
@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .io import (FormatError, Mask2D, ValidationError, View, load_label_volume,
-                 load_mask, load_volume, save_mask, save_projection)
+from .io import (FormatError, Mask2D, ValidationError, View, _sidecar_paths,
+                 load_label_volume, load_mask, load_volume, save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
@@ -116,12 +116,18 @@ def _load_config_section(config_path: str | None, section: str) -> dict:
 def _effective_config(config_path: str | None, section: str, defaults: dict,
                       flags: dict) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
-    # None unless the user passed it.
+    # None unless the user passed it, and types it when passed; a file value
+    # takes the type of a numeric default here, so no command casts again.
     out = dict(defaults)
     for key, value in _load_config_section(config_path, section).items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
-        out[key] = value
+        kind = type(defaults[key])
+        try:
+            out[key] = kind(value) if kind in (int, float) else value
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"config {section}.{key} must be a number, "
+                                  f"got {value!r}") from None
     out.update({key: value for key, value in flags.items() if value is not None})
     return out
 
@@ -139,17 +145,17 @@ def _check_study_id(study_id) -> str:
 
 
 def _parse_label_entry(entry) -> tuple[int | None, str]:
-    if isinstance(entry, str):
+    if isinstance(entry, str) and entry:
         return None, entry
     if isinstance(entry, dict):
         extra = set(entry) - {"label_id", "path"}
-        if extra or "path" not in entry:
+        if extra or not isinstance(entry.get("path"), str) or not entry["path"]:
             raise ValidationError(f"label entry must be a path or {{label_id, path}}: {entry}")
         lid = entry.get("label_id")
         if lid is not None and (not isinstance(lid, int) or lid < 0):
             raise ValidationError(f"label_id must be a nonnegative integer: {entry}")
         return lid, entry["path"]
-    raise ValidationError(f"label entry must be a path or object, got {type(entry).__name__}")
+    raise ValidationError(f"label entry must be a nonempty path or object, got {entry!r}")
 
 
 def _load_manifest(path: Path) -> list[dict]:
@@ -170,8 +176,8 @@ def _load_manifest(path: Path) -> list[dict]:
         if study_id in seen:
             raise ValidationError(f"{path}: duplicate study id {study_id!r}")
         seen.add(study_id)
-        if "volume" not in entry:
-            raise ValidationError(f"{path}: study {study_id!r} has no volume")
+        if not isinstance(entry.get("volume"), str) or not entry["volume"]:
+            raise ValidationError(f"{path}: study {study_id!r} needs a nonempty volume path")
         labels = [_parse_label_entry(e) for e in entry.get("labels", [])]
         out.append({"id": study_id,
                     "volume": entry["volume"],
@@ -181,16 +187,12 @@ def _load_manifest(path: Path) -> list[dict]:
 
 
 def _hash_volume_inputs(declared: str, path: Path) -> dict[str, str]:
-    stem = path.with_suffix("") if path.suffix in (".json", ".raw") else path
-    rel = declared
-    if rel.endswith(".json") or rel.endswith(".raw"):
-        rel = rel.rsplit(".", 1)[0]
-    return {rel + ".json": _sha256(stem.with_suffix(".json")),
-            rel + ".raw": _sha256(stem.with_suffix(".raw"))}
+    # Declared names and the files read both come from io's sidecar naming.
+    return {str(name): _sha256(file)
+            for name, file in zip(_sidecar_paths(declared), _sidecar_paths(path))}
 
 
-def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig,
-                       seed: int, jobs: int) -> None:
+def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
     # Load and hash every input before writing anything: a missing or bad
     # file must not leave partial outputs.
     vol = load_volume(study["volume_path"])
@@ -211,9 +213,8 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig,
 
     result = project_study(vol, labels, config)
 
-    provenance = _provenance(
-        "project", study_id=study["id"], seed=seed,
-        config={"projection": config.to_dict(), "jobs": jobs}, inputs=hashes)
+    provenance = _provenance("project", study_id=study["id"],
+                             config={"projection": config.to_dict()}, inputs=hashes)
 
     target = out_root / study["id"]
     tmp = Path(tempfile.mkdtemp(prefix=f".{study['id']}.tmp-", dir=out_root))
@@ -241,17 +242,13 @@ def cmd_project(args) -> int:
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(manifest) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_project_one_study, study, out_root,
-                                   config, args.seed, jobs)
-                       for study in manifest]
-            for fut in futures:
-                fut.result()
-    else:
-        for study in manifest:
-            _project_one_study(study, out_root, config, args.seed, jobs)
+    # Every study runs and results are read in manifest order, so --jobs cannot
+    # change the outputs or the error; Executor.map would cancel pending studies.
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        futures = [pool.submit(_project_one_study, study, out_root, config)
+                   for study in manifest]
+        for fut in futures:
+            fut.result()
     return 0
 
 
@@ -357,7 +354,7 @@ def cmd_measure(args) -> int:
 
     eff = _effective_config(args.config, "measure", {"min_component_px": 8},
                             {"min_component_px": args.min_component_px})
-    min_px = int(eff["min_component_px"])
+    min_px = eff["min_component_px"]
 
     conditions = []
     for name in args.conditions or [c.value for c in Condition]:
@@ -377,7 +374,7 @@ def cmd_measure(args) -> int:
 
     out_dir = Path(args.out)
     provenance = _provenance(
-        "measure", seed=args.seed,
+        "measure",
         config={"measure": {"min_component_px": min_px},
                 "conditions": [c.value for c in conditions],
                 "mapping": {k: mapping[k] for k in sorted(mapping)}},
@@ -429,10 +426,7 @@ def cmd_evaluate(args) -> int:
         hashes[entry["ref_path"]] = _sha256(ref_p)
         pairs.append((class_id, pred, ref))
 
-    report = evaluate_class_set(
-        pairs, nsd_tolerance_px=float(eff["nsd_tolerance_px"]),
-        match_iou=float(eff["match_iou"]), n_resamples=int(eff["n_resamples"]),
-        level=float(eff["level"]), seed=args.seed)
+    report = evaluate_class_set(pairs, **eff, seed=args.seed)
 
     out = _provenance("evaluate", seed=args.seed,
                       config={"evaluate": {k: eff[k] for k in sorted(eff)}},
@@ -505,7 +499,7 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_stats(args) -> int:
     eff = _effective_config(args.config, "stats", {"alpha": 0.05, "n_classes": 4},
                             {"alpha": args.alpha})
-    alpha = float(eff["alpha"])
+    alpha = eff["alpha"]
     scores_path = Path(args.scores)
     scores_hash = _sha256(scores_path)
 
@@ -530,7 +524,7 @@ def cmd_stats(args) -> int:
 
     # ordinal mode
     doc = _load_json_file(scores_path)
-    n_classes = int(eff["n_classes"])
+    n_classes = eff["n_classes"]
     if isinstance(doc, dict) and "matrix" in doc:
         matrix = np.asarray(doc["matrix"], dtype=np.int64)
     elif isinstance(doc, dict) and {"truth", "pred"} <= set(doc):
@@ -563,13 +557,6 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized step (default 0)")
-    sub.add_argument("--config", default=None,
-                     help="JSON config file; flags override its values")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="drrkit",
                      description="Project CT volumes to PA/LL radiographs, "
@@ -586,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, dest="output_size", help="final resize, width height")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for independent studies (default 1)")
-    _add_common(p)
     p.set_defaults(func=cmd_project)
 
     m = subs.add_parser("measure", help="derive graded measurements from a projected study")
@@ -598,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", required=True, help="output directory for report JSONs")
     m.add_argument("--min-component-px", type=int, default=None, dest="min_component_px",
                    help="mask cleaning threshold in pixels")
-    _add_common(m)
     m.set_defaults(func=cmd_measure)
 
     e = subs.add_parser("evaluate", help="score predicted masks against references")
@@ -611,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="component match threshold (default 0.5)")
     e.add_argument("--resamples", type=int, default=None,
                    help="bootstrap resample count (default 10000)")
-    _add_common(e)
+    e.add_argument("--seed", type=int, default=0,
+                   help="bootstrap seed (default 0)")
     e.set_defaults(func=cmd_evaluate)
 
     s = subs.add_parser("stats", help="pairwise model comparison or ordinal agreement")
@@ -624,8 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="significance level after correction (default 0.05)")
     s.add_argument("--format", choices=["json", "csv"], default="json",
                    help="output format (default json)")
-    _add_common(s)
     s.set_defaults(func=cmd_stats)
+    for sub in subs.choices.values():
+        sub.add_argument("--config", default=None,
+                         help="JSON config file; flags override its values")
     return parser
 
 

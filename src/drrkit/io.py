@@ -165,10 +165,11 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
 
 
 def _sidecar_paths(path) -> tuple[Path, Path]:
+    # Suffixes are appended, not substituted, so a stem like case.01 keeps its dots.
     p = Path(path)
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
-    return p.with_suffix(".json"), p.with_suffix(".raw")
+    return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
 def _read_sidecar(json_path: Path) -> dict:

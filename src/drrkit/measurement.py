@@ -129,22 +129,27 @@ def centroid(mask) -> tuple[float, float]:
     return float(xs.mean()), float(ys.mean())
 
 
+def _row_extents(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows holding foreground, with the first and last foreground column of each."""
+    rows = np.nonzero(arr.any(axis=1))[0]
+    hit = arr[rows]
+    first = hit.argmax(axis=1)
+    last = arr.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
+    return rows, first, last
+
+
 def max_row_width(mask) -> tuple[float, int]:
     """Largest horizontal extent over rows: (max_x - min_x, row index).
 
     The extent is an index difference, so a single pixel has width 0.
     Ties keep the topmost row.
     """
-    arr = _as_binary(mask)
-    best_w, best_row = -1.0, -1
-    for r in np.nonzero(arr.any(axis=1))[0]:
-        xs = np.nonzero(arr[r])[0]
-        w = float(xs[-1] - xs[0])
-        if w > best_w:
-            best_w, best_row = w, int(r)
-    if best_row < 0:
+    rows, first, last = _row_extents(_as_binary(mask))
+    if not len(rows):
         raise ValidationError("row width of an empty mask is undefined")
-    return best_w, best_row
+    widths = last - first
+    best = int(np.argmax(widths))   # first max is the topmost tie
+    return float(widths[best]), int(rows[best])
 
 
 def compose_thorax(masks: Sequence) -> np.ndarray:
@@ -160,13 +165,10 @@ def compose_thorax(masks: Sequence) -> np.ndarray:
     for a in arrs[1:]:
         if a.shape != shape:
             raise ValidationError(f"mask shapes differ: {a.shape} vs {shape}")
-    union = np.zeros(shape, dtype=bool)
-    for a in arrs:
-        union |= a
+    rows, first, last = _row_extents(np.logical_or.reduce(arrs))
+    cols = np.arange(shape[1])
     out = np.zeros(shape, dtype=np.uint8)
-    for r in np.nonzero(union.any(axis=1))[0]:
-        xs = np.nonzero(union[r])[0]
-        out[r, xs[0]:xs[-1] + 1] = 1
+    out[rows] = (cols >= first[:, None]) & (cols <= last[:, None])
     return out
 
 

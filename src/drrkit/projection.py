@@ -85,16 +85,10 @@ class ProjectionConfig:
         unknown = set(d) - known
         if unknown:
             raise ValidationError(f"unknown projection config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "views" in d:
-            kwargs["views"] = tuple(View(v) for v in d["views"])
-        if "target_pixel_spacing" in d:
-            kwargs["target_pixel_spacing"] = d["target_pixel_spacing"]
-        if d.get("output_size") is not None:
-            kwargs["output_size"] = tuple(d["output_size"])
-        if "orientation" in d:
-            kwargs["orientation"] = {View(v): tuple(ops) for v, ops in d["orientation"].items()}
-        return cls(**kwargs)
+        try:
+            return cls(**d)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"invalid projection config: {exc}") from exc
 
 
 def attenuation_transform(vol: Volume) -> Volume:
@@ -103,8 +97,25 @@ def attenuation_transform(vol: Volume) -> Volume:
     Water (0 HU) maps to 1, air (-1000 HU) to 0, and anything below air
     clamps to 0.
     """
-    mu = np.maximum(1.0 + vol.data.astype(np.float64) / 1000.0, 0.0)
+    # Updated in place, so a study never holds more than one float64 copy of
+    # the volume.
+    mu = vol.data.astype(np.float64)
+    mu /= 1000.0
+    mu += 1.0
+    np.maximum(mu, 0.0, out=mu)
     return Volume(data=mu, spacing=vol.spacing)
+
+
+# The volume axis each view collapses: PA collapses the anterior-posterior
+# axis j, LL the right-left axis i. The two remaining axes, in order, are the
+# rows and columns of the projected grid.
+_COLLAPSED_AXIS = {View.PA: 1, View.LL: 0}
+
+
+def _view_geometry(view: View, spacing) -> tuple[int, float, tuple[float, float]]:
+    """(collapsed axis, its spacing, in-plane (row, col) spacing) of a view."""
+    axis = _COLLAPSED_AXIS[View(view)]
+    return axis, spacing[axis], tuple(s for a, s in enumerate(spacing) if a != axis)
 
 
 def project_image(mu: Volume, view: View) -> Projection:
@@ -114,15 +125,9 @@ def project_image(mu: Volume, view: View) -> Projection:
     collapses the right-left axis i and scales by s_x, so values are
     path integrals in millimetre units.
     """
-    view = View(view)
-    sx, sy, sz = mu.spacing
-    if view is View.PA:
-        data = mu.data.astype(np.float64).sum(axis=1) * sy
-        spacing = (sx, sz)      # rows follow i, columns follow k
-    else:
-        data = mu.data.astype(np.float64).sum(axis=0) * sx
-        spacing = (sy, sz)      # rows follow j, columns follow k
-    return Projection(data=data, view=view, spacing=spacing, normalized=False)
+    axis, depth, in_plane = _view_geometry(view, mu.spacing)
+    data = mu.data.astype(np.float64, copy=False).sum(axis=axis) * depth
+    return Projection(data=data, view=view, spacing=in_plane, normalized=False)
 
 
 def project_mask(lab: LabelVolume, view: View,
@@ -132,12 +137,9 @@ def project_mask(lab: LabelVolume, view: View,
     Label volumes carry no spacing of their own, so the owning volume's
     spacing is passed in to keep the 2D grid consistent with the image.
     """
-    view = View(view)
-    sx, sy, sz = (float(s) for s in spacing)
-    axis = 1 if view is View.PA else 0
-    data = lab.data.max(axis=axis)
-    sp2 = (sx, sz) if view is View.PA else (sy, sz)
-    return Mask2D(data=data, view=view, spacing=sp2, label_id=lab.label_id)
+    axis, _, in_plane = _view_geometry(view, spacing)
+    return Mask2D(data=lab.data.max(axis=axis), view=view, spacing=in_plane,
+                  label_id=lab.label_id)
 
 
 def _sample_coords(n_in: int, n_out: int) -> np.ndarray:
@@ -157,9 +159,8 @@ def _resample_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     c1 = np.minimum(c0 + 1, c_in - 1)
     fr = (sr - r0)[:, None]
     fc = (sc - c0)[None, :]
-    a = arr.astype(np.float64)
-    return ((a[np.ix_(r0, c0)] * (1 - fr) + a[np.ix_(r1, c0)] * fr) * (1 - fc)
-            + (a[np.ix_(r0, c1)] * (1 - fr) + a[np.ix_(r1, c1)] * fr) * fc)
+    return ((arr[np.ix_(r0, c0)] * (1 - fr) + arr[np.ix_(r1, c0)] * fr) * (1 - fc)
+            + (arr[np.ix_(r0, c1)] * (1 - fr) + arr[np.ix_(r1, c1)] * fr) * fc)
 
 
 def _resample_nearest(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -192,23 +193,22 @@ def _apply_orientation(arr: np.ndarray, spacing: tuple[float, float],
 def resample_and_orient(obj, config: ProjectionConfig):
     """Resample to isotropic target spacing, orient, then apply output_size.
 
-    Grayscale projections use bilinear sampling; masks use nearest neighbour
-    and are re-binarized so they stay strictly {0, 1}. Returns the same
+    Grayscale projections use bilinear sampling; masks use nearest neighbour,
+    which only copies pixels, so they stay strictly {0, 1}. Returns the same
     container type that was passed in.
     """
     is_mask = isinstance(obj, Mask2D)
     if not is_mask and obj.normalized:
         raise ValidationError("resampling operates on raw projections, normalize afterwards")
+    resample = _resample_nearest if is_mask else _resample_bilinear
     arr = obj.data
     rm, cm = obj.spacing
     t = config.target_pixel_spacing
 
     shape = (_out_count(arr.shape[0], rm, t), _out_count(arr.shape[1], cm, t))
     if shape != arr.shape:
-        resample = _resample_nearest if is_mask else _resample_bilinear
-        new = resample(arr, shape)
         spacing = (rm * arr.shape[0] / shape[0], cm * arr.shape[1] / shape[1])
-        arr = new
+        arr = resample(arr, shape)
     else:
         spacing = (rm, cm)
 
@@ -217,12 +217,10 @@ def resample_and_orient(obj, config: ProjectionConfig):
     if config.output_size is not None:
         w, h = config.output_size
         if (h, w) != arr.shape:
-            resample = _resample_nearest if is_mask else _resample_bilinear
             spacing = (spacing[0] * arr.shape[0] / h, spacing[1] * arr.shape[1] / w)
             arr = resample(arr, (h, w))
 
     if is_mask:
-        arr = (arr >= 0.5).astype(np.uint8)
         return Mask2D(data=arr, view=obj.view, spacing=spacing, label_id=obj.label_id)
     return Projection(data=arr, view=obj.view, spacing=spacing, normalized=False)
 

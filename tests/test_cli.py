@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: layouts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,63 @@ def test_project_failed_swap_keeps_previous_study(tmp_path, monkeypatch):
     assert [p.name for p in out.iterdir()] == ["case01"]
 
 
+def _write_cohort(root, n_studies=3):
+    """Studies s01, s02, ... each with its own volume and one box label."""
+    rng = np.random.default_rng(1)
+    studies = []
+    for i in range(1, n_studies + 1):
+        sid = f"s{i:02d}"
+        vol = rng.integers(-1000, 1500, size=(6, 5, 4)).astype(np.int16)
+        save_volume(Volume(data=vol, spacing=(1.0, 1.5, 2.0)), root / f"{sid}.json")
+        lab = np.zeros((6, 5, 4), dtype=np.uint8)
+        lab[1:4, 1:4, i % 4] = 1
+        save_label_volume(LabelVolume(data=lab, label_id=1), root / f"{sid}_lab.json")
+        studies.append({"id": sid, "volume": f"{sid}.json", "labels": [f"{sid}_lab.json"]})
+    path = root / "manifest.json"
+    path.write_text(json.dumps({"studies": studies}))
+    return path
+
+
+def test_project_jobs_changes_nothing_but_speed(tmp_path):
+    manifest = _write_cohort(tmp_path)
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                         "--jobs", jobs]) == 0
+        trees.append(_collect_bytes(out))
+    assert sorted({Path(name).parts[0] for name in trees[0]}) == ["s01", "s02", "s03"]
+    assert trees[0] == trees[1]
+
+
+def test_project_failure_leaves_same_studies_for_any_jobs(tmp_path):
+    manifest = _write_cohort(tmp_path)
+    (tmp_path / "s01_lab.json").unlink()
+    left = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                         "--jobs", jobs]) == 2
+        left.append(sorted(p.name for p in out.iterdir()))
+    # Every other study is still attempted, and no temp or set-aside dir stays.
+    assert left[0] == left[1] == ["s02", "s03"]
+
+
+def test_project_dotted_volume_names_hash_their_own_files(tmp_path):
+    manifest = _write_study_inputs(tmp_path, n_labels=0)
+    for suffix in (".json", ".raw"):
+        (tmp_path / f"vol{suffix}").rename(tmp_path / f"case.01{suffix}")
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["volume"] = "case.01.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 0
+    prov = json.loads((out / "case01" / "provenance.json").read_text())
+    assert sorted(prov["inputs"]) == ["case.01.json", "case.01.raw"]
+    for name, digest in prov["inputs"].items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
 def test_project_missing_manifest_exits_2(tmp_path):
     rc = cli.main(["project", "--manifest", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
@@ -139,6 +197,18 @@ def test_project_malformed_manifest_exits_1(tmp_path, capsys):
     rc = cli.main(["project", "--manifest", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("volume", ""), ("volume", 5), ("labels", [""]), ("labels", [{"path": 5}])])
+def test_project_bad_manifest_path_exits_1(tmp_path, field, value):
+    manifest_path = _write_study_inputs(tmp_path, n_labels=0)
+    doc = json.loads(manifest_path.read_text())
+    doc["studies"][0][field] = value
+    manifest_path.write_text(json.dumps(doc))
+    rc = cli.main(["project", "--manifest", str(manifest_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
 
 
 def test_project_duplicate_study_id_exits_1(tmp_path):
@@ -419,3 +489,43 @@ def test_stats_ordinal_bad_grade_exits_1(tmp_path, capsys):
                    "--out", str(tmp_path / "o.json")])
     assert rc == 1
     assert "huge" in capsys.readouterr().err
+
+
+# --- config values ----------------------------------------------------------
+
+_BAD_CONFIG_VALUES = [
+    {"projection": {"views": ["AP"]}},
+    {"projection": {"views": None}},
+    {"projection": {"output_size": [1]}},
+    {"projection": {"target_pixel_spacing": "x"}},
+    {"measure": {"min_component_px": "x"}},
+    {"measure": {"min_component_px": float("inf")}},
+    {"evaluate": {"n_resamples": "x"}},
+    {"evaluate": {"match_iou": None}},
+    {"stats": {"alpha": "x"}},
+]
+
+
+@pytest.mark.parametrize("config", _BAD_CONFIG_VALUES,
+                         ids=[json.dumps(c) for c in _BAD_CONFIG_VALUES])
+def test_bad_config_value_exits_1(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    (section,) = config
+    if section == "projection":
+        argv = ["project", "--manifest", str(_write_study_inputs(tmp_path)),
+                "--out", str(tmp_path / "out")]
+    elif section == "measure":
+        study, mapping = _make_measure_study(tmp_path)
+        argv = ["measure", "--study", str(study), "--mapping", str(mapping),
+                "--out", str(tmp_path / "r")]
+    elif section == "evaluate":
+        argv = ["evaluate", "--manifest", str(_make_eval_inputs(tmp_path)),
+                "--out", str(tmp_path / "r.json")]
+    else:
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}))
+        argv = ["stats", "--mode", "pairwise", "--scores", str(scores),
+                "--out", str(tmp_path / "p.json")]
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -223,3 +223,10 @@ def test_sidecar_json_is_valid_json(tmp_path):
     assert meta["dims"] == [2, 3, 4]
     assert meta["dtype"] == "i16"
     assert meta["spacing_mm"] == [1.0, 2.0, 3.0]
+
+
+def test_save_volume_dotted_name_keeps_every_dot(tmp_path):
+    vol = Volume(data=np.arange(24, dtype=np.int16).reshape(2, 3, 4), spacing=(1, 1, 1))
+    save_volume(vol, tmp_path / "s.01.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.01.json", "s.01.raw"]
+    np.testing.assert_array_equal(load_volume(tmp_path / "s.01").data, vol.data)
