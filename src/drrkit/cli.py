@@ -193,25 +193,28 @@ def _hash_volume_inputs(declared: str, path: Path) -> dict[str, str]:
 
 
 def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
-    # Load and hash every input before writing anything: a missing or bad
-    # file must not leave partial outputs.
+    # Labels are loaded, checked and hashed one at a time as project_study
+    # consumes them. Nothing is written before it returns, so a missing or bad
+    # file leaves no partial output.
     vol = load_volume(study["volume_path"])
     hashes = _hash_volume_inputs(study["volume"], study["volume_path"])
-    labels = []
-    for declared_id, rel, lpath in study["labels"]:
-        lab = load_label_volume(lpath)
-        if declared_id is not None and declared_id != lab.label_id:
-            raise ValidationError(
-                f"study {study['id']}: manifest says label_id {declared_id} "
-                f"but {rel} holds {lab.label_id}")
-        if lab.shape != vol.shape:
-            raise ValidationError(
-                f"study {study['id']}: label {lab.label_id} dims {lab.shape} "
-                f"do not match volume dims {vol.shape}")
-        labels.append(lab)
-        hashes.update(_hash_volume_inputs(rel, lpath))
 
-    result = project_study(vol, labels, config)
+    def labels():
+        for declared_id, rel, lpath in study["labels"]:
+            lab = load_label_volume(lpath)
+            if declared_id is not None and declared_id != lab.label_id:
+                raise ValidationError(
+                    f"study {study['id']}: manifest says label_id {declared_id} "
+                    f"but {rel} holds {lab.label_id}")
+            if lab.shape != vol.shape:
+                raise ValidationError(
+                    f"study {study['id']}: label {lab.label_id} dims {lab.shape} "
+                    f"do not match volume dims {vol.shape}")
+            hashes.update(_hash_volume_inputs(rel, lpath))
+            yield lab
+            del lab     # release it before the next label is read
+
+    result = project_study(vol, labels(), config)
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_dict()}, inputs=hashes)

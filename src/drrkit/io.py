@@ -31,9 +31,11 @@ class View(str, Enum):
 
 
 def _freeze(obj, name: str, arr: np.ndarray) -> None:
-    # Containers are immutable by contract; a read-only buffer enforces it.
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
+    # Containers are immutable by contract; a read-only view enforces it
+    # without copying and without locking the caller's own array.
+    view = arr.view()
+    view.setflags(write=False)
+    object.__setattr__(obj, name, view)
 
 
 def _check_spacing(spacing, n: int) -> tuple[float, ...]:
@@ -65,7 +67,9 @@ class Volume:
             raise ValidationError("volume axes must all be nonempty")
         if not np.issubdtype(arr.dtype, np.number):
             raise ValidationError(f"volume dtype must be numeric, got {arr.dtype}")
-        if not np.all(np.isfinite(arr)):
+        # Only float and complex values can be non-finite; the scan allocates
+        # one bool per voxel, so integer volumes skip it.
+        if np.issubdtype(arr.dtype, np.inexact) and not np.all(np.isfinite(arr)):
             raise ValidationError("volume contains non-finite values")
         _freeze(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, 3))
@@ -238,7 +242,8 @@ def load_label_volume(path) -> LabelVolume:
     if not isinstance(label_id, int) or label_id < 0:
         raise FormatError(f"{json_path}: 'label_id' must be a nonnegative integer")
     data = _read_raw(raw_path, meta["dims"], "u1")
-    return LabelVolume(data=(data != 0).astype(np.uint8), label_id=label_id)
+    # The bool result read as uint8 is already {0, 1}: no second full-size copy.
+    return LabelVolume(data=np.not_equal(data, 0).view(np.uint8), label_id=label_id)
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:

@@ -165,9 +165,18 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     return precision, recall, f1, n_p, n_r, matched
 
 
+def _check_thresholds(nsd_tolerance_px: float, match_iou: float) -> None:
+    if not (np.isfinite(nsd_tolerance_px) and nsd_tolerance_px >= 0):
+        raise ValidationError(
+            f"nsd_tolerance_px must be finite and nonnegative, got {nsd_tolerance_px}")
+    if not 0 <= match_iou <= 1:
+        raise ValidationError(f"match_iou must be in [0, 1], got {match_iou}")
+
+
 def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
                   match_iou: float = 0.5) -> MetricsReport:
     """Full metric set for one mask pair, including degenerate conventions."""
+    _check_thresholds(nsd_tolerance_px, match_iou)
     p, r = _check_pair(pred, ref)
     p_empty, r_empty = not p.any(), not r.any()
     if p_empty and r_empty:
@@ -220,6 +229,7 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
     """
     if not pairs:
         raise ValidationError("no mask pairs to evaluate")
+    _check_thresholds(nsd_tolerance_px, match_iou)
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:
         class_id = int(class_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -253,23 +253,50 @@ class StudyProjection:
     masks: Mapping[View, Mapping[int, Mask2D]]
 
 
-def project_study(vol: Volume, labels: Sequence[LabelVolume],
+# Slices per k-slab, at least. Neither view collapses k, so every output
+# element is still one sequential sum over the collapsed axis and the slabs
+# reproduce the whole-volume line integrals bit for bit. A 1-slice slab would
+# not: numpy sums a (H, W, 1) array pairwise along j, which moves PA's last
+# bits. Slabs are never thinner than this, unless the volume is.
+_MIN_SLAB_DEPTH = 16
+
+
+def _line_integrals(vol: Volume, views: Sequence[View]) -> dict[View, Projection]:
+    """project_image(attenuation_transform(vol), view) for each view, computed
+    over k-slabs so only one slab of the float64 attenuation exists at a time."""
+    depth = vol.shape[2]
+    n = max(1, depth // _MIN_SLAB_DEPTH)
+    edges = [depth * s // n for s in range(n + 1)]
+    parts: dict[View, list[Projection]] = {view: [] for view in views}
+    for lo, hi in zip(edges, edges[1:]):
+        mu = attenuation_transform(Volume(data=vol.data[:, :, lo:hi], spacing=vol.spacing))
+        for view in views:
+            parts[view].append(project_image(mu, view))
+    return {view: Projection(data=np.concatenate([p.data for p in slabs], axis=1),
+                             view=view, spacing=slabs[0].spacing, normalized=False)
+            for view, slabs in parts.items()}
+
+
+def project_study(vol: Volume, labels: Iterable[LabelVolume],
                   config: ProjectionConfig | None = None) -> StudyProjection:
-    """Project a volume and its label set into every configured view."""
+    """Project a volume and its label set into every configured view.
+
+    ``labels`` may be any iterable, a generator included. It is consumed once,
+    and each label volume is released as soon as its footprints are built, so
+    a study holds one label volume at a time if the iterable does.
+    """
     config = config or ProjectionConfig()
-    ids = [lab.label_id for lab in labels]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate label ids in study: {ids}")
-
-    mu = attenuation_transform(vol)
-    images = {}
-    for view in config.views:
-        raw = project_image(mu, view)
-        images[view] = normalize_to_8bit(resample_and_orient(raw, config))
-
     masks: dict[View, dict[int, Mask2D]] = {view: {} for view in config.views}
-    for view in config.views:
-        for lab in labels:
+    seen: set[int] = set()
+    for lab in labels:
+        if lab.label_id in seen:
+            raise ValidationError(f"duplicate label id {lab.label_id} in study")
+        seen.add(lab.label_id)
+        for view in config.views:
             footprint = project_mask(lab, view, spacing=vol.spacing)
             masks[view][lab.label_id] = resample_and_orient(footprint, config)
+        del lab     # the iterable may build the next label before the loop rebinds it
+
+    images = {view: normalize_to_8bit(resample_and_orient(raw, config))
+              for view, raw in _line_integrals(vol, config.views).items()}
     return StudyProjection(images=images, masks=masks)

@@ -361,6 +361,8 @@ def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
 
     Models are ordered by name; effect sizes are signed first minus second.
     """
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     names = sorted(scores)
     if len(names) < 2:
         raise ValidationError("need at least two models to compare")

@@ -105,6 +105,31 @@ def test_project_missing_label_exits_2_without_partial_study(tmp_path):
     assert not list(out.glob(".case01.tmp-*"))
 
 
+@pytest.mark.parametrize("bad,code,message", [
+    ("missing.json", 2, "missing.json"),
+    ({"label_id": 9, "path": "lab2.json"}, 1, "label_id 9"),
+    ("short.json", 1, "do not match volume dims"),
+    ("lab1.json", 1, "duplicate label id 1"),
+], ids=["missing", "wrong_id", "wrong_dims", "duplicate_id"])
+def test_project_bad_label_keeps_earlier_study(tmp_path, capsys, bad, code, message):
+    manifest = _write_study_inputs(tmp_path, n_labels=2)
+    save_label_volume(LabelVolume(data=np.zeros((6, 5, 3), dtype=np.uint8), label_id=7),
+                      tmp_path / "short.json")
+    out = tmp_path / "out"
+    argv = ["project", "--manifest", str(manifest), "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = _collect_bytes(out)
+    # The bad label follows a good one, which is already projected when it is read.
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["labels"] = [{"label_id": 1, "path": "lab1.json"}, bad]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+    assert _collect_bytes(out) == before
+    assert [p.name for p in out.iterdir()] == ["case01"]
+
+
 def test_project_failed_swap_keeps_previous_study(tmp_path, monkeypatch):
     manifest = _write_study_inputs(tmp_path, n_labels=1)
     out = tmp_path / "out"
@@ -529,3 +554,41 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
                 "--out", str(tmp_path / "p.json")]
     assert cli.main(argv + ["--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+_OUT_OF_RANGE = [
+    ("evaluate", "match_iou", "--match-iou", -0.1),
+    ("evaluate", "match_iou", "--match-iou", 1.5),
+    ("evaluate", "match_iou", "--match-iou", float("nan")),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", -1.0),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("inf")),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("nan")),
+    ("stats", "alpha", "--alpha", 0.0),
+    ("stats", "alpha", "--alpha", 1.0),
+    ("stats", "alpha", "--alpha", 2.0),
+    ("stats", "alpha", "--alpha", float("nan")),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("section,key,flag,value", _OUT_OF_RANGE,
+                         ids=[f"{k}={v}" for _, k, _, v in _OUT_OF_RANGE])
+def test_out_of_range_setting_exits_1(tmp_path, capsys, section, key, flag, value,
+                                      source):
+    if section == "evaluate":
+        argv = ["evaluate", "--manifest", str(_make_eval_inputs(tmp_path))]
+    else:
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}))
+        argv = ["stats", "--mode", "pairwise", "--scores", str(scores)]
+    out = tmp_path / "r.json"
+    argv += ["--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))    # NaN/Infinity literals
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [flag, str(value)]
+    assert cli.main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -76,6 +76,7 @@ def test_label_volume_load_maps_nonzero_to_one(tmp_path):
     (tmp_path / "l.json").write_text('{"dims": [1, 1, 3], "dtype": "u8", "label_id": 4}')
     (tmp_path / "l.raw").write_bytes(b"\x00\x07\xff")
     lab = load_label_volume(tmp_path / "l.json")
+    assert lab.data.dtype == np.uint8
     assert lab.data.tolist() == [[[0, 1, 1]]]
 
 
@@ -101,8 +102,11 @@ def test_sidecar_validation(tmp_path):
 def test_volume_constructor_validation():
     with pytest.raises(ValidationError):
         Volume(data=np.zeros((2, 2)), spacing=(1, 1, 1))
-    with pytest.raises(ValidationError):
-        Volume(data=np.full((1, 1, 1), np.nan), spacing=(1, 1, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(ValidationError, match="non-finite"):
+                Volume(data=np.array([0, bad], dtype=dtype).reshape(2, 1, 1),
+                       spacing=(1, 1, 1))
     with pytest.raises(ValidationError):
         Volume(data=np.zeros((1, 1, 1)), spacing=(1, -1, 1))
     with pytest.raises(ValidationError):
@@ -118,6 +122,28 @@ def test_containers_are_immutable():
     mask = Mask2D(data=np.zeros((2, 2), dtype=np.uint8), view=View.PA, spacing=(1, 1))
     with pytest.raises((ValueError, RuntimeError)):
         mask.data[0, 0] = 1
+
+
+def test_containers_leave_the_callers_array_writable():
+    arrays = {
+        "volume": np.zeros((2, 2, 2), dtype=np.int16),
+        "label": np.zeros((2, 2, 2), dtype=np.uint8),
+        "projection": np.zeros((2, 2)),
+        "mask": np.zeros((2, 2), dtype=np.uint8),
+    }
+    containers = {
+        "volume": Volume(data=arrays["volume"], spacing=(1, 1, 1)),
+        "label": LabelVolume(data=arrays["label"], label_id=1),
+        "projection": Projection(data=arrays["projection"], view=View.PA, spacing=(1, 1)),
+        "mask": Mask2D(data=arrays["mask"], view=View.LL, spacing=(1, 1)),
+    }
+    for name, arr in arrays.items():
+        data = containers[name].data
+        assert np.shares_memory(data, arr), name      # frozen without a copy
+        assert not data.flags.writeable, name
+        with pytest.raises(ValueError):
+            data[(0,) * arr.ndim] = 1
+        arr[(0,) * arr.ndim] = 1                      # the caller's array is still theirs
 
 
 def test_save_volume_range_checks(tmp_path):

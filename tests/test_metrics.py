@@ -224,6 +224,20 @@ def test_evaluate_pair_one_empty_convention():
     assert "pred_empty" in rep.flags or "ref_empty" in rep.flags
 
 
+@pytest.mark.parametrize("settings", [
+    {"match_iou": -0.1}, {"match_iou": 1.5}, {"match_iou": float("nan")},
+    {"nsd_tolerance_px": -1.0}, {"nsd_tolerance_px": float("inf")},
+    {"nsd_tolerance_px": float("nan")},
+])
+def test_evaluate_pair_rejects_out_of_range_settings(settings):
+    # Both-empty masks use neither setting, and are still refused.
+    z = np.zeros((3, 3), dtype=np.uint8)
+    with pytest.raises(ValidationError, match=next(iter(settings))):
+        evaluate_pair(z, z, **settings)
+    with pytest.raises(ValidationError, match=next(iter(settings))):
+        evaluate_class_set([(0, z, z)], **settings)
+
+
 def test_evaluate_pair_json_round_trip_keys():
     m = np.zeros((6, 6), dtype=np.uint8)
     m[1:4, 1:4] = 1

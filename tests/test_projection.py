@@ -1,5 +1,7 @@
 """Projection pipeline: attenuation, axis collapse, resampling, normalization."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     ValidationError, View, Volume, attenuation_transform,
                     normalize_to_8bit, project_image, project_mask,
                     project_study, resample_and_orient)
+from drrkit.projection import _line_integrals
 
 NO_ORIENT = {View.PA: (), View.LL: ()}
 
@@ -289,6 +292,56 @@ def test_project_study_duplicate_label_ids_rejected():
             for _ in range(2)]
     with pytest.raises(ValidationError, match="duplicate"):
         project_study(vol, labs)
+
+    def stream():
+        yield from labs
+        raise AssertionError("read past the duplicate")
+
+    # The check runs as labels arrive, before the rest of the stream is read.
+    with pytest.raises(ValidationError, match="duplicate"):
+        project_study(vol, stream())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 15, 16, 17, 33, 64])
+def test_slab_line_integrals_match_whole_volume(depth):
+    rng = np.random.default_rng(depth)
+    views = (View.PA, View.LL)
+    for _ in range(6):
+        h, w = (int(d) for d in rng.integers(2, 40, size=2))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
+        vol = Volume(data=rng.integers(-1500, 2000, size=(h, w, depth)).astype(np.int16),
+                     spacing=spacing)
+        slabbed = _line_integrals(vol, views)
+        mu = attenuation_transform(vol)
+        for view in views:
+            whole = project_image(mu, view)
+            assert np.array_equal(slabbed[view].data, whole.data), (h, w, depth, view)
+            assert slabbed[view].spacing == whole.spacing
+        cfg = ProjectionConfig(target_pixel_spacing=0.9)
+        for view, img in project_study(vol, [], cfg).images.items():
+            ref = normalize_to_8bit(resample_and_orient(project_image(mu, view), cfg))
+            assert np.array_equal(img.data, ref.data)
+
+
+def test_project_study_holds_one_label_at_a_time():
+    rng = np.random.default_rng(5)
+    vol = _random_volume(rng, max_dim=6)
+    alive_at_next = []
+
+    def stream():
+        previous = None
+        for label_id in range(1, 5):
+            if previous is not None:
+                alive_at_next.append(previous() is not None)
+            lab = _random_label(rng, vol.shape, label_id)
+            previous = weakref.ref(lab)
+            yield lab
+            del lab
+
+    result = project_study(vol, stream())
+    assert alive_at_next == [False, False, False]
+    for view in (View.PA, View.LL):
+        assert sorted(result.masks[view]) == [1, 2, 3, 4]
 
 
 def test_union_distributivity_through_pipeline():

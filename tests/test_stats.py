@@ -321,6 +321,9 @@ def test_pairwise_validation():
         pairwise_model_comparison({"only": [1.0, 2.0]})
     with pytest.raises(ValidationError):
         pairwise_model_comparison({"a": [1.0, 2.0], "b": [1.0]})
+    for alpha in (0.0, 1.0, 2.0, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="alpha"):
+            pairwise_model_comparison({"a": [1.0, 2.0], "b": [2.0, 1.0]}, alpha=alpha)
 
 
 # --- containers -----------------------------------------------------------------------
