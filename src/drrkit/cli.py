@@ -96,9 +96,34 @@ def _replace_dir(new: Path, target: Path) -> None:
 
 def _load_json_file(path: Path):
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # A lone surrogate escape such as "\ud800" loads, but no path or CSV
+        # built from it can be encoded; reject it here with the rest.
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    return doc
+
+
+# One check per kind of field read from a manifest, mapping or score file.
+
+def _nonneg_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _path_str(value, what: str) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValidationError(f"{what} must be a nonempty path, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str, *, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        kind = "a nonempty JSON list" if nonempty else "a JSON list"
+        raise ValidationError(f"{what} must be {kind}, got {type(value).__name__}")
+    return value
 
 
 def _load_config_section(config_path: str | None, section: str) -> dict:
@@ -137,35 +162,27 @@ def _effective_config(config_path: str | None, section: str, defaults: dict,
 
 
 def _check_study_id(study_id) -> str:
-    if not isinstance(study_id, str) or not study_id:
-        raise ValidationError("study id must be a nonempty string")
+    if not isinstance(study_id, str) or study_id in ("", ".", ".."):
+        raise ValidationError(f"study id must be a nonempty name, got {study_id!r}")
     if not set(study_id) <= _ID_CHARS:
         raise ValidationError(f"study id {study_id!r} has characters outside [A-Za-z0-9._-]")
     return study_id
 
 
 def _parse_label_entry(entry) -> tuple[int | None, str]:
-    if isinstance(entry, str) and entry:
-        return None, entry
-    if isinstance(entry, dict):
-        extra = set(entry) - {"label_id", "path"}
-        if extra or not isinstance(entry.get("path"), str) or not entry["path"]:
-            raise ValidationError(f"label entry must be a path or {{label_id, path}}: {entry}")
-        lid = entry.get("label_id")
-        if lid is not None and (not isinstance(lid, int) or lid < 0):
-            raise ValidationError(f"label_id must be a nonnegative integer: {entry}")
-        return lid, entry["path"]
-    raise ValidationError(f"label entry must be a nonempty path or object, got {entry!r}")
+    if isinstance(entry, str):
+        return None, _path_str(entry, "label path")
+    if not isinstance(entry, dict) or set(entry) - {"label_id", "path"}:
+        raise ValidationError(f"label entry must be a path or {{label_id, path}}, got {entry!r}")
+    lid = entry.get("label_id")
+    return (None if lid is None else _nonneg_int(lid, "label_id"),
+            _path_str(entry.get("path"), "label path"))
 
 
 def _load_manifest(path: Path) -> list[dict]:
     doc = _load_json_file(path)
-    if isinstance(doc, dict):
-        studies = doc.get("studies")
-    else:
-        studies = doc
-    if not isinstance(studies, list) or not studies:
-        raise ValidationError(f"{path}: manifest must contain a nonempty 'studies' list")
+    studies = _json_list(doc.get("studies") if isinstance(doc, dict) else doc,
+                         f"{path}: manifest 'studies'", nonempty=True)
     seen = set()
     base = path.parent
     out = []
@@ -176,12 +193,12 @@ def _load_manifest(path: Path) -> list[dict]:
         if study_id in seen:
             raise ValidationError(f"{path}: duplicate study id {study_id!r}")
         seen.add(study_id)
-        if not isinstance(entry.get("volume"), str) or not entry["volume"]:
-            raise ValidationError(f"{path}: study {study_id!r} needs a nonempty volume path")
-        labels = [_parse_label_entry(e) for e in entry.get("labels", [])]
+        volume = _path_str(entry.get("volume"), f"study {study_id!r} volume")
+        labels = [_parse_label_entry(e) for e in
+                  _json_list(entry.get("labels", []), f"study {study_id!r} labels")]
         out.append({"id": study_id,
-                    "volume": entry["volume"],
-                    "volume_path": base / entry["volume"],
+                    "volume": volume,
+                    "volume_path": base / volume,
                     "labels": [(lid, rel, base / rel) for lid, rel in labels]})
     return out
 
@@ -259,17 +276,13 @@ def cmd_project(args) -> int:
 # measure
 
 
-_ROLE_KEYS = {"heart", "thorax", "vertebrae"}
-_CONDITION_ROLES = {
-    Condition.CARDIOMEGALY: ("heart", "thorax"),
-    Condition.SCOLIOSIS: ("vertebrae",),
-    Condition.KYPHOSIS: ("vertebrae",),
+# What each condition reads: its view and the mapping roles whose masks it needs.
+_CONDITION_INPUTS = {
+    Condition.CARDIOMEGALY: (View.PA, ("heart", "thorax")),
+    Condition.SCOLIOSIS: (View.PA, ("vertebrae",)),
+    Condition.KYPHOSIS: (View.LL, ("vertebrae",)),
 }
-_CONDITION_VIEW = {
-    Condition.CARDIOMEGALY: View.PA,
-    Condition.SCOLIOSIS: View.PA,
-    Condition.KYPHOSIS: View.LL,
-}
+_ROLE_KEYS = {role for _, roles in _CONDITION_INPUTS.values() for role in roles}
 
 
 def _load_mapping(path: Path) -> dict[str, list[int]]:
@@ -279,73 +292,53 @@ def _load_mapping(path: Path) -> dict[str, list[int]]:
     unknown = set(doc) - _ROLE_KEYS
     if unknown:
         raise ValidationError(f"{path}: unknown roles {sorted(unknown)}")
-    out = {}
-    for role, ids in doc.items():
-        if not isinstance(ids, list) or not all(isinstance(i, int) and i >= 0 for i in ids):
-            raise ValidationError(f"{path}: role {role!r} must list nonnegative label ids")
-        out[role] = ids
-    return out
-
-
-def _load_role_masks(study_dir: Path, view: View, ids: list[int],
-                     hashes: dict) -> list[Mask2D]:
-    masks = []
-    for label_id in ids:
-        p = study_dir / view.value / f"{label_id}.pgm"
-        if not p.exists():
-            continue
-        masks.append(load_mask(p, view=view, label_id=label_id))
-        hashes[str(p.relative_to(study_dir))] = _sha256(p)
-    return masks
-
-
-def _union_mask(masks: list[Mask2D], view: View) -> Mask2D | None:
-    if not masks:
-        return None
-    arr = masks[0].data.copy()
-    for m in masks[1:]:
-        if m.data.shape != arr.shape:
-            raise ValidationError(
-                f"mask shapes differ within a role: {m.data.shape} vs {arr.shape}")
-        arr |= m.data
-    return Mask2D(data=arr, view=view, spacing=masks[0].spacing)
+    return {role: [_nonneg_int(i, f"{path}: role {role!r} label id")
+                   for i in _json_list(ids, f"{path}: role {role!r}")]
+            for role, ids in doc.items()}
 
 
 def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
                        hashes: dict) -> dict:
-    for role in _CONDITION_ROLES[condition]:
+    view, roles = _CONDITION_INPUTS[condition]
+    for role in roles:
         if role not in mapping:
             raise ValidationError(
                 f"condition {condition.value!r} needs role {role!r} in the mapping")
-    view = _CONDITION_VIEW[condition]
-    if condition is Condition.CARDIOMEGALY:
-        heart = _union_mask(_load_role_masks(study_dir, view, mapping["heart"], hashes), view)
-        thorax_parts = _load_role_masks(study_dir, view, mapping["thorax"], hashes)
-        if heart is None:
-            return _excluded(condition, "no heart mask found in study").to_json_dict()
-        if not thorax_parts:
-            return _excluded(condition, "no thorax masks found in study").to_json_dict()
-        thorax = Mask2D(data=compose_thorax(thorax_parts), view=view,
-                        spacing=thorax_parts[0].spacing)
-        if heart.data.shape != thorax.data.shape:
-            raise ValidationError(
-                f"heart and thorax masks differ in shape: "
-                f"{heart.data.shape} vs {thorax.data.shape}")
-        result = cardiothoracic_ratio(heart, thorax, min_component_px=min_component_px)
-        return result.to_json_dict()
+    # Every mask the condition reads must share the first one's grid; a
+    # missing mask file is skipped, and a role left empty excludes below.
+    masks: dict[str, list[Mask2D]] = {}
+    shape = None
+    for role in roles:
+        masks[role] = []
+        for label_id in mapping[role]:
+            p = study_dir / view.value / f"{label_id}.pgm"
+            if not p.exists():
+                continue
+            mask = load_mask(p, view=view, label_id=label_id)
+            shape = shape or mask.data.shape
+            if mask.data.shape != shape:
+                raise ValidationError(
+                    f"{condition.value}: masks differ in shape: "
+                    f"{p.relative_to(study_dir)} is {mask.data.shape}, not {shape}")
+            hashes[str(p.relative_to(study_dir))] = _sha256(p)
+            masks[role].append(mask)
 
-    vertebrae = _load_role_masks(study_dir, view, mapping["vertebrae"], hashes)
-    if not vertebrae:
+    if condition is Condition.CARDIOMEGALY:
+        if not masks["heart"]:
+            return _excluded(condition, "no heart mask found in study").to_json_dict()
+        if not masks["thorax"]:
+            return _excluded(condition, "no thorax masks found in study").to_json_dict()
+        heart = np.logical_or.reduce([m.data for m in masks["heart"]])
+        result = cardiothoracic_ratio(heart, compose_thorax(masks["thorax"]),
+                                      min_component_px=min_component_px)
+    elif not masks["vertebrae"]:
         reason = f"no vertebral masks found in {view.value} view"
         return _excluded(condition, reason).to_json_dict()
-    shapes = {m.data.shape for m in vertebrae}
-    if len(shapes) > 1:
-        raise ValidationError(f"vertebral masks differ in shape: {sorted(shapes)}")
-    if condition is Condition.SCOLIOSIS:
-        result = scoliosis_angle(vertebrae, min_component_px=min_component_px)
+    elif condition is Condition.SCOLIOSIS:
+        result = scoliosis_angle(masks["vertebrae"], min_component_px=min_component_px)
     else:
-        result = kyphosis_angle(vertebrae, min_component_px=min_component_px)
+        result = kyphosis_angle(masks["vertebrae"], min_component_px=min_component_px)
     return result.to_json_dict()
 
 
@@ -358,22 +351,14 @@ def cmd_measure(args) -> int:
     eff = _effective_config(args.config, "measure", {"min_component_px": 8},
                             {"min_component_px": args.min_component_px})
     min_px = eff["min_component_px"]
-
-    conditions = []
-    for name in args.conditions or [c.value for c in Condition]:
-        try:
-            conditions.append(Condition(name.lower()))
-        except ValueError:
-            raise ValidationError(
-                f"unknown condition {name!r}; expected one of "
-                f"{[c.value for c in Condition]}") from None
+    # argparse lower-cased and checked each name; a repeated one counts once.
+    conditions = [Condition(name) for name in
+                  dict.fromkeys(args.conditions or [c.value for c in Condition])]
 
     hashes: dict[str, str] = {}
     mapping_hash = _sha256(Path(args.mapping))
-    reports = {}
-    for condition in conditions:
-        reports[condition] = _measure_condition(condition, study_dir, mapping,
-                                                min_px, hashes)
+    reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes)
+               for c in conditions}
 
     out_dir = Path(args.out)
     provenance = _provenance(
@@ -395,10 +380,9 @@ def cmd_measure(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest_path = Path(args.manifest)
-    doc = _load_json_file(manifest_path)
-    if not isinstance(doc, list) or not doc:
-        raise ValidationError(f"{manifest_path}: expected a nonempty JSON list of "
-                              "{class_id, pred_path, ref_path}")
+    doc = _json_list(_load_json_file(manifest_path),
+                     f"{manifest_path}: manifest of {{class_id, pred_path, ref_path}}",
+                     nonempty=True)
     eff = _effective_config(
         args.config, "evaluate",
         {"nsd_tolerance_px": 2.0, "match_iou": 0.5, "n_resamples": 10000, "level": 0.95},
@@ -412,22 +396,16 @@ def cmd_evaluate(args) -> int:
         if not isinstance(entry, dict) or not {"class_id", "pred_path", "ref_path"} <= set(entry):
             raise ValidationError(
                 f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
-        class_id = entry["class_id"]
-        if not isinstance(class_id, int) or class_id < 0:
-            raise ValidationError(f"class_id must be a nonnegative integer: {entry}")
-        pred_p, ref_p = base / entry["pred_path"], base / entry["ref_path"]
-        try:
-            pred = load_mask(pred_p, view=View.PA, label_id=class_id)
-            ref = load_mask(ref_p, view=View.PA, label_id=class_id)
-        except ValidationError as exc:
-            raise ValidationError(f"class {class_id}: {exc}") from exc
-        if pred.data.shape != ref.data.shape:
-            raise ValidationError(
-                f"class {class_id}: geometry mismatch, predicted "
-                f"{pred.data.shape} vs reference {ref.data.shape}")
-        hashes[entry["pred_path"]] = _sha256(pred_p)
-        hashes[entry["ref_path"]] = _sha256(ref_p)
-        pairs.append((class_id, pred, ref))
+        class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
+        masks = []
+        for key in ("pred_path", "ref_path"):
+            rel = _path_str(entry[key], f"class {class_id}: {key}")
+            try:
+                masks.append(load_mask(base / rel, view=View.PA, label_id=class_id))
+            except ValidationError as exc:
+                raise ValidationError(f"class {class_id}: {exc}") from exc
+            hashes[rel] = _sha256(base / rel)
+        pairs.append((class_id, *masks))
 
     report = evaluate_class_set(pairs, **eff, seed=args.seed)
 
@@ -442,10 +420,13 @@ def cmd_evaluate(args) -> int:
 # stats
 
 
-def _read_scores(path: Path) -> dict[str, list[float]]:
+def _read_scores(path: Path) -> dict:
     if path.suffix.lower() == ".csv":
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+        try:
+            with open(path, newline="", encoding="utf-8") as f:
+                rows = list(csv.reader(f))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
         if len(rows) < 2:
             raise ValidationError(f"{path}: CSV needs a header and at least one row")
         header = rows[0]
@@ -468,7 +449,7 @@ def _read_scores(path: Path) -> dict[str, list[float]]:
         doc = doc["models"]
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
-    return {str(k): list(v) for k, v in doc.items()}
+    return doc      # stats checks each score list
 
 
 _GRADE_NAMES = {g.label: int(g) for g in Grade}
@@ -476,17 +457,34 @@ _GRADE_NAMES = {g.label: int(g) for g in Grade}
 
 def _parse_grade_list(values, name: str) -> list[int]:
     out = []
-    for v in values:
-        if isinstance(v, bool):
-            raise ValidationError(f"{name}: booleans are not grades")
-        if isinstance(v, int):
-            out.append(v)
-        elif isinstance(v, str) and v.lower() in _GRADE_NAMES:
+    for v in _json_list(values, name):
+        if isinstance(v, str) and v.lower() in _GRADE_NAMES:
             out.append(_GRADE_NAMES[v.lower()])
+        elif type(v) is int and 0 <= v < len(Grade):     # bool is not a grade
+            out.append(v)
         else:
             raise ValidationError(
-                f"{name}: grades must be integers or one of {sorted(_GRADE_NAMES)}, got {v!r}")
+                f"{name}: grades must be integers 0-{len(Grade) - 1} or one of "
+                f"{sorted(_GRADE_NAMES)}, got {v!r}")
     return out
+
+
+def _read_ordinal(path: Path) -> np.ndarray:
+    """Truth-by-prediction counts: a given matrix, or tallied from grade lists."""
+    doc = _load_json_file(path)
+    if isinstance(doc, dict) and "matrix" in doc:
+        try:
+            matrix = np.asarray(doc["matrix"], dtype=np.int64)
+            exact = np.array_equal(matrix, np.asarray(doc["matrix"], dtype=np.float64))
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValidationError(f"{path}: 'matrix' must be a table of integer counts")
+        return matrix
+    if isinstance(doc, dict) and {"truth", "pred"} <= set(doc):
+        return confusion_from_labels(_parse_grade_list(doc["truth"], "truth"),
+                                     _parse_grade_list(doc["pred"], "pred"), len(Grade))
+    raise ValidationError(f"{path}: ordinal input needs either 'matrix' or 'truth'+'pred'")
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -500,60 +498,43 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def cmd_stats(args) -> int:
-    eff = _effective_config(args.config, "stats", {"alpha": 0.05, "n_classes": 4},
-                            {"alpha": args.alpha})
-    alpha = eff["alpha"]
+    alpha = _effective_config(args.config, "stats", {"alpha": 0.05},
+                              {"alpha": args.alpha})["alpha"]
     scores_path = Path(args.scores)
     scores_hash = _sha256(scores_path)
 
+    # Each mode builds its report fields, echoed config and CSV table; one
+    # writer below emits whichever --format asks for.
     if args.mode == "pairwise":
-        scores = _read_scores(scores_path)
-        comparisons = pairwise_model_comparison(scores, alpha=alpha)
-        if args.format == "csv":
-            _atomic_write_text(_csv_text(
-                ["first", "second", "n_effective", "statistic", "p_value",
-                 "p_bonferroni", "cohens_d", "rank_biserial", "significant", "method"],
-                ([c.first, c.second, c.n_effective, c.statistic, c.p_value,
-                  c.p_bonferroni, c.cohens_d, c.rank_biserial,
-                  str(c.significant).lower(), c.method] for c in comparisons)),
-                Path(args.out))
-            return 0
-        out = _provenance("stats", mode="pairwise", config={"stats": {"alpha": alpha}},
-                          inputs={str(args.scores): scores_hash},
-                          n_comparisons=len(comparisons),
-                          comparisons=[c.to_json_dict() for c in comparisons])
-        _atomic_write_text(_dump_json(out), Path(args.out))
-        return 0
-
-    # ordinal mode
-    doc = _load_json_file(scores_path)
-    n_classes = eff["n_classes"]
-    if isinstance(doc, dict) and "matrix" in doc:
-        matrix = np.asarray(doc["matrix"], dtype=np.int64)
-    elif isinstance(doc, dict) and {"truth", "pred"} <= set(doc):
-        truth = _parse_grade_list(doc["truth"], "truth")
-        pred = _parse_grade_list(doc["pred"], "pred")
-        matrix = confusion_from_labels(truth, pred, n_classes)
+        comparisons = pairwise_model_comparison(_read_scores(scores_path), alpha=alpha)
+        config = {"alpha": alpha}
+        fields = {"n_comparisons": len(comparisons),
+                  "comparisons": [c.to_json_dict() for c in comparisons]}
+        header = ["first", "second", "n_effective", "statistic", "p_value",
+                  "p_bonferroni", "cohens_d", "rank_biserial", "significant", "method"]
+        rows = [[c.first, c.second, c.n_effective, c.statistic, c.p_value,
+                 c.p_bonferroni, c.cohens_d, c.rank_biserial,
+                 str(c.significant).lower(), c.method] for c in comparisons]
     else:
-        raise ValidationError(
-            f"{scores_path}: ordinal input needs either 'matrix' or 'truth'+'pred'")
-    metrics = ordinal_metrics(matrix)
-    kappa_lin = weighted_kappa(matrix, "linear")
-    kappa_quad = weighted_kappa(matrix, "quadratic")
+        matrix = _read_ordinal(scores_path)
+        metrics = ordinal_metrics(matrix)
+        kappa_lin = weighted_kappa(matrix, "linear")
+        kappa_quad = weighted_kappa(matrix, "quadratic")
+        config = {"n_classes": len(Grade)}
+        fields = {"confusion": matrix.tolist(), "ordinal": metrics.to_json_dict(),
+                  "kappa_linear": kappa_lin.to_json_dict(),
+                  "kappa_quadratic": kappa_quad.to_json_dict()}
+        header = ["metric", "value"]
+        rows = [("accuracy", metrics.accuracy), ("off_by_one", metrics.off_by_one),
+                ("macro_f1", metrics.macro_f1), ("weighted_f1", metrics.weighted_f1),
+                ("kappa_linear", kappa_lin.kappa), ("kappa_quadratic", kappa_quad.kappa)]
+
     if args.format == "csv":
-        _atomic_write_text(_csv_text(
-            ["metric", "value"],
-            [("accuracy", metrics.accuracy), ("off_by_one", metrics.off_by_one),
-             ("macro_f1", metrics.macro_f1), ("weighted_f1", metrics.weighted_f1),
-             ("kappa_linear", kappa_lin.kappa), ("kappa_quadratic", kappa_quad.kappa)]),
-            Path(args.out))
-        return 0
-    out = _provenance("stats", mode="ordinal", config={"stats": {"n_classes": n_classes}},
-                      inputs={str(args.scores): scores_hash},
-                      confusion=matrix.tolist(), ordinal=metrics.to_json_dict(),
-                      kappa_linear=kappa_lin.to_json_dict(),
-                      kappa_quadratic=kappa_quad.to_json_dict())
-    _atomic_write_text(_dump_json(out), Path(args.out))
+        text = _csv_text(header, rows)
+    else:
+        text = _dump_json(_provenance("stats", mode=args.mode, config={"stats": config},
+                                      inputs={str(args.scores): scores_hash}, **fields))
+    _atomic_write_text(text, Path(args.out))
     return 0
 
 
@@ -582,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--study", required=True, help="projected study directory")
     m.add_argument("--mapping", required=True,
                    help="JSON mapping of roles (heart/thorax/vertebrae) to label ids")
-    m.add_argument("--conditions", nargs="*", default=None,
+    m.add_argument("--conditions", nargs="*", default=None, type=str.lower,
+                   choices=[c.value for c in Condition],
                    help="subset of: cardiomegaly scoliosis kyphosis (default all)")
     m.add_argument("--out", required=True, help="output directory for report JSONs")
     m.add_argument("--min-component-px", type=int, default=None, dest="min_component_px",

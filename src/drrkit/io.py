@@ -164,6 +164,12 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
     return arr != 0
 
 
+def _binary_u8(arr: np.ndarray) -> np.ndarray:
+    """{0, 1} uint8 of any nonzero element, as loaded labels and masks store it.
+    The bool result read as uint8 is already {0, 1}: no second full-size copy."""
+    return np.not_equal(arr, 0).view(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # volume files: <name>.json sidecar + <name>.raw payload
 
@@ -242,8 +248,7 @@ def load_label_volume(path) -> LabelVolume:
     if not isinstance(label_id, int) or label_id < 0:
         raise FormatError(f"{json_path}: 'label_id' must be a nonnegative integer")
     data = _read_raw(raw_path, meta["dims"], "u1")
-    # The bool result read as uint8 is already {0, 1}: no second full-size copy.
-    return LabelVolume(data=np.not_equal(data, 0).view(np.uint8), label_id=label_id)
+    return LabelVolume(data=_binary_u8(data), label_id=label_id)
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:
@@ -319,8 +324,7 @@ def save_projection(proj: Projection, path) -> None:
 def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0)) -> Mask2D:
     """Load a PGM mask; any nonzero pixel counts as foreground."""
     arr = _parse_pgm(Path(path).read_bytes(), str(path))
-    return Mask2D(data=(arr != 0).astype(np.uint8), view=view,
-                  spacing=spacing, label_id=label_id)
+    return Mask2D(data=_binary_u8(arr), view=view, spacing=spacing, label_id=label_id)
 
 
 def save_mask(mask: Mask2D, path) -> None:

@@ -11,6 +11,7 @@ of producing a junk number.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
@@ -38,13 +39,13 @@ class Grade(IntEnum):
         return self.name.lower()
 
 
-# (t1, t2, t3, upper_inclusive): upper_inclusive means bins close on the
+# ((t1, t2, t3), upper_inclusive): upper_inclusive means bins close on the
 # right (value <= t1 is negative), otherwise they close on the left
 # (value < t1 is negative).
 _THRESHOLDS = {
-    Condition.CARDIOMEGALY: (0.50, 0.55, 0.60, True),
-    Condition.SCOLIOSIS: (10.0, 25.0, 45.0, False),
-    Condition.KYPHOSIS: (50.0, 60.0, 70.0, False),
+    Condition.CARDIOMEGALY: ((0.50, 0.55, 0.60), True),
+    Condition.SCOLIOSIS: ((10.0, 25.0, 45.0), False),
+    Condition.KYPHOSIS: ((50.0, 60.0, 70.0), False),
 }
 
 
@@ -54,22 +55,11 @@ def grade(condition: Condition, value: float) -> Grade:
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"cannot grade non-finite value {value}")
-    t1, t2, t3, upper_inclusive = _THRESHOLDS[condition]
-    if upper_inclusive:
-        if value <= t1:
-            return Grade.NEGATIVE
-        if value <= t2:
-            return Grade.MILD
-        if value <= t3:
-            return Grade.MODERATE
-        return Grade.SEVERE
-    if value < t1:
-        return Grade.NEGATIVE
-    if value < t2:
-        return Grade.MILD
-    if value < t3:
-        return Grade.MODERATE
-    return Grade.SEVERE
+    thresholds, upper_inclusive = _THRESHOLDS[condition]
+    # The grade is the number of thresholds below the value (right-closed
+    # bins) or at or below it (left-closed bins).
+    count = bisect_left if upper_inclusive else bisect_right
+    return Grade(count(thresholds, value))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError
+from .io import ValidationError, _freeze
 
 
 def _as_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        # Ragged or non-numeric sequences, and integers beyond float range.
+        raise ValidationError(f"{name} must be a sequence of numbers") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -41,10 +45,8 @@ class PairedSample:
         b = _as_1d(self.b, "b")
         if a.shape != b.shape:
             raise ValidationError(f"paired samples differ in length: {a.size} vs {b.size}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _freeze(self, "a", a)
+        _freeze(self, "b", b)
 
     @property
     def differences(self) -> np.ndarray:
@@ -56,8 +58,7 @@ def _differences(a, b) -> np.ndarray:
     if isinstance(a, PairedSample):
         return a.differences
     if b is not None:
-        return PairedSample(a=np.asarray(a, dtype=np.float64),
-                            b=np.asarray(b, dtype=np.float64)).differences
+        return PairedSample(a=a, b=b).differences
     return _as_1d(a, "differences")
 
 
@@ -77,6 +78,9 @@ def _signed_rank_sums(d: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarr
     """(W+, W-, ranks of |d|, tie-group sizes) for nonzero differences d."""
     ranks, tie_counts = _average_ranks(np.abs(d))
     return float(ranks[d > 0].sum()), float(ranks[d < 0].sum()), ranks, tie_counts
+
+
+_BOOTSTRAP_CHUNK = 1 << 20     # resample indices held at once
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,15 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
         raise ValidationError(f"level must be in (0, 1), got {level}")
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be positive, got {n_resamples}")
+    # Rows are drawn a chunk at a time; successive integers() calls continue
+    # one PCG64 stream, so the means equal those of a single (B, n) draw.
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    rows = max(1, _BOOTSTRAP_CHUNK // arr.size)
+    means = np.empty(n_resamples, dtype=np.float64)
+    for start in range(0, n_resamples, rows):
+        stop = min(start + rows, n_resamples)
+        idx = rng.integers(0, arr.size, size=(stop - start, arr.size))
+        means[start:stop] = arr[idx].mean(axis=1)
     alpha = (1.0 - level) / 2.0
     lower, upper = np.percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return BootstrapCI(mean=float(arr.mean()), lower=float(lower),

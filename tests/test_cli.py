@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drrkit
 from drrkit import (LabelVolume, Mask2D, View, Volume, cli, save_label_volume,
@@ -381,6 +383,54 @@ def test_measure_rerun_byte_identical(tmp_path):
     assert _collect_bytes(out) == first
 
 
+def test_measure_conditions_case_insensitive_and_collapsed(tmp_path):
+    study, mapping = _make_measure_study(tmp_path)
+    out = tmp_path / "reports"
+    rc = cli.main(["measure", "--study", str(study), "--mapping", str(mapping),
+                   "--conditions", "Kyphosis", "CARDIOMEGALY", "kyphosis",
+                   "--out", str(out)])
+    assert rc == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["config"]["conditions"] == ["kyphosis", "cardiomegaly"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cardiomegaly.json", "kyphosis.json", "provenance.json"]
+
+
+@pytest.mark.parametrize("label_id,condition", [
+    (1, "cardiomegaly"),    # heart vs thorax
+    (3, "cardiomegaly"),    # second heart part
+    (4, "scoliosis"),       # one vertebra
+    (2, "kyphosis"),        # not read by kyphosis: no error
+])
+def test_measure_masks_of_one_condition_share_a_grid(tmp_path, capsys, label_id,
+                                                     condition):
+    study, mapping = _make_measure_study(tmp_path)
+    mapping.write_text(json.dumps(
+        {"heart": [1, 3], "thorax": [2], "vertebrae": [4, 5, 6, 7, 8]}))
+    _save_pgm_mask(_rect((64, 128), 20, 40, 40, 86), study / "PA" / "3.pgm")
+    _save_pgm_mask(_rect((64, 120), 20, 40, 40, 86), study / "PA" / f"{label_id}.pgm")
+    out = tmp_path / "reports"
+    rc = cli.main(["measure", "--study", str(study), "--mapping", str(mapping),
+                   "--conditions", condition, "--out", str(out)])
+    if condition == "kyphosis":
+        assert rc == 0
+        return
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{condition}: masks differ in shape" in err and "(64, 120)" in err
+    assert not out.exists()
+
+
+def test_measure_shape_mismatch_precedes_exclusion(tmp_path):
+    # No heart mask would exclude cardiomegaly, but its thorax parts disagree.
+    study, mapping = _make_measure_study(tmp_path)
+    mapping.write_text(json.dumps({"heart": [], "thorax": [1, 2]}))
+    _save_pgm_mask(_rect((64, 120), 20, 40, 40, 86), study / "PA" / "1.pgm")
+    rc = cli.main(["measure", "--study", str(study), "--mapping", str(mapping),
+                   "--conditions", "cardiomegaly", "--out", str(tmp_path / "r")])
+    assert rc == 1
+
+
 # --- evaluate ----------------------------------------------------------------
 
 def _make_eval_inputs(tmp_path, ref2_shape=(16, 16)):
@@ -476,6 +526,18 @@ def test_stats_pairwise_csv(tmp_path):
     assert lines[0].startswith("first,second,n_effective")
     assert lines[1].startswith("modelA,modelB")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("blob", [
+    b"class,a,b\n1,0.9,\xff\n",
+    b"a,b\n1,\"" + b"9" * 200_000 + b"\"\n",     # past csv's field size limit
+], ids=["not-utf8", "field-over-limit"])
+def test_stats_unreadable_csv_exits_1(tmp_path, blob):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(blob)
+    rc = cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
+                   "--out", str(tmp_path / "p.json")])
+    assert rc == 1
 
 
 def test_stats_ordinal_from_grades(tmp_path):
@@ -592,3 +654,159 @@ def test_out_of_range_setting_exits_1(tmp_path, capsys, section, key, flag, valu
     assert cli.main(argv) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- bad documents ------------------------------------------------------------
+
+def _cli_input(tmp_path, command):
+    """argv, the input document's path and a valid document for one command."""
+    out = tmp_path / "out"
+    if command == "project":
+        path = _write_study_inputs(tmp_path, n_labels=1)
+        return (["project", "--manifest", str(path), "--out", str(out)], path,
+                json.loads(path.read_text()))
+    if command == "measure":
+        study, path = _make_measure_study(tmp_path)
+        return (["measure", "--study", str(study), "--mapping", str(path),
+                 "--out", str(out)], path, json.loads(path.read_text()))
+    if command == "evaluate":
+        path = _make_eval_inputs(tmp_path)
+        return (["evaluate", "--manifest", str(path), "--out", str(out),
+                 "--resamples", "50"], path, json.loads(path.read_text()))
+    path = tmp_path / "scores.json"
+    if command == "pairwise":
+        doc = {"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}
+    else:
+        doc = {"truth": [0, 1, 2, 3], "pred": [0, 1, 3, 3]}
+    return ["stats", "--mode", command, "--scores", str(path), "--out", str(out)], path, doc
+
+
+def _studies(**fields):
+    return lambda doc: doc["studies"][0].update(fields)
+
+
+def _entry(**fields):
+    return lambda doc: doc[0].update(fields)
+
+
+# (command, the bad document: raw bytes, a whole document, or an edit of the
+# valid one). Without the shared field checks each of these exits 2 or 3, or
+# is accepted.
+_BAD_DOCUMENTS = {
+    "labels-scalar": ("project", _studies(labels=5)),
+    "labels-null": ("project", _studies(labels=None)),
+    "label-id-bool": ("project", _studies(labels=[{"label_id": True, "path": "lab1.json"}])),
+    "study-id-dotdot": ("project", _studies(id="..")),
+    "volume-nul": ("project", _studies(volume="vol\0.json")),
+    "volume-lone-surrogate": ("project", _studies(volume="\ud800.json")),
+    "manifest-not-utf8": ("project", b'{"studies": "\xff"}'),
+    "role-id-bool": ("measure", {"heart": [True], "thorax": [2], "vertebrae": [4, 5]}),
+    "pred-path-int": ("evaluate", _entry(pred_path=5)),
+    "pred-path-empty": ("evaluate", _entry(pred_path="")),
+    "class-id-bool": ("evaluate", _entry(class_id=True)),
+    "scores-scalar": ("pairwise", {"a": 5, "b": [0.5, 0.4, 0.6]}),
+    "scores-string": ("pairwise", {"a": "abc", "b": "def"}),
+    "scores-ragged": ("pairwise", {"a": [[0.9, 0.8], [0.7]], "b": [0.5, 0.4]}),
+    "scores-overflow": ("pairwise", {"a": [10 ** 400, 1, 2], "b": [0.5, 0.4, 0.6]}),
+    "matrix-ragged": ("ordinal", {"matrix": [[1, 2], [3]]}),
+    "matrix-fraction": ("ordinal", {"matrix": [[1.7, 1], [1, 1]]}),
+    "matrix-text": ("ordinal", {"matrix": [["a", 1], [1, 1]]}),
+    "matrix-nan": ("ordinal", {"matrix": [[float("nan"), 1], [1, 1]]}),
+    "truth-scalar": ("ordinal", {"truth": 3, "pred": [3]}),
+    "truth-huge": ("ordinal", {"truth": [10 ** 30], "pred": [3]}),
+}
+
+
+@pytest.mark.parametrize("command,bad", _BAD_DOCUMENTS.values(), ids=_BAD_DOCUMENTS)
+def test_bad_document_exits_1(tmp_path, capsys, command, bad):
+    argv, path, doc = _cli_input(tmp_path, command)
+    if callable(bad):
+        bad(doc)
+        bad = doc
+    path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_stats_n_classes_key_is_gone(tmp_path, capsys):
+    # Ordinal grades are the 4-level Grade scale; the knob that restated it is gone.
+    argv, path, doc = _cli_input(tmp_path, "ordinal")
+    path.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stats": {"n_classes": 4}}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown config key 'n_classes'" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    prov = json.loads((tmp_path / "out").read_text())
+    assert prov["config"] == {"stats": {"n_classes": 4}}
+
+
+# --- fuzzed documents ---------------------------------------------------------
+
+# Any JSON value, lone surrogates and NUL included in its strings.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=8),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=12)
+
+
+def _or_json(*values):
+    """One of the given well-formed values, or any JSON value."""
+    return st.sampled_from(values) | _JSON
+
+
+def _fuzzed_study():
+    label = _or_json("lab1.json", "missing.json") | st.fixed_dictionaries(
+        {"label_id": _or_json(0, 1, 2), "path": _or_json("lab1.json", "vol.json")})
+    return st.fixed_dictionaries({
+        "id": _or_json("case01", "c.2"), "volume": _or_json("vol.json", "vol", "lab1.json"),
+        "labels": st.lists(label, max_size=3) | _JSON})
+
+
+def _square_counts():
+    return st.integers(1, 5).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 9) | _JSON, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+def _paired_scores():
+    return st.integers(1, 8).flatmap(lambda n: st.dictionaries(
+        st.text(max_size=4), st.lists(st.floats() | st.integers() | _JSON,
+                                      min_size=n, max_size=n) | _JSON,
+        min_size=1, max_size=4))
+
+
+_ROLES = ["heart", "thorax", "vertebrae"]
+_ROLE_IDS = st.lists(_or_json(1, 2, 4, 5, 6, 7, 8), max_size=6) | _JSON
+_GRADES = st.lists(_or_json(0, 1, 2, 3, "mild", "Severe"), min_size=1, max_size=6)
+
+_FUZZED_DOCUMENTS = {
+    "project": _JSON | st.lists(_fuzzed_study(), max_size=2)
+    | st.fixed_dictionaries({"studies": st.lists(_fuzzed_study(), max_size=2) | _JSON}),
+    "measure": _JSON | st.fixed_dictionaries({role: _ROLE_IDS for role in _ROLES})
+    | st.dictionaries(st.sampled_from(_ROLES) | st.text(max_size=6), _ROLE_IDS, max_size=3),
+    "evaluate": _JSON | st.lists(st.fixed_dictionaries({
+        "class_id": _or_json(1, 2), "pred_path": _or_json("pred1.pgm", "ref2.pgm"),
+        "ref_path": _or_json("ref1.pgm", "eval.json")}), max_size=3),
+    "pairwise": _JSON | _paired_scores() | st.fixed_dictionaries({"models": _paired_scores()}),
+    "ordinal": _JSON | st.fixed_dictionaries({"matrix": _square_counts() | _JSON})
+    | st.fixed_dictionaries({"truth": _GRADES | _JSON, "pred": _GRADES | _JSON}),
+}
+
+# Derandomized, so the suite runs the same examples every time.
+_FUZZ_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@pytest.mark.parametrize("command", _FUZZED_DOCUMENTS)
+def test_fuzzed_document_exits_0_1_or_2(tmp_path, command):
+    argv, path, _ = _cli_input(tmp_path, command)
+
+    @_FUZZ_SETTINGS
+    @given(_FUZZED_DOCUMENTS[command])
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        assert cli.main(argv) in (0, 1, 2)
+
+    run()

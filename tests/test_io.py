@@ -215,9 +215,10 @@ def test_mask_foreground_stored_as_255(tmp_path):
 
 
 def test_mask_load_maps_any_nonzero_to_one(tmp_path):
-    (tmp_path / "m.pgm").write_bytes(b"P5\n3 1\n255\n" + bytes([0, 7, 200]))
+    (tmp_path / "m.pgm").write_bytes(b"P5\n4 1\n255\n" + bytes([0, 7, 200, 255]))
     back = load_mask(tmp_path / "m.pgm", view=View.PA)
-    assert back.data.tolist() == [[0, 1, 1]]
+    assert back.data.dtype == np.uint8
+    assert back.data.tolist() == [[0, 1, 1, 1]]
 
 
 def test_pgm_malformed_headers(tmp_path):

@@ -54,6 +54,28 @@ def test_bootstrap_rejects_empty_and_bad_level():
         bootstrap_ci([1.0, 2.0], n_resamples=10, level=1.5, seed=0)
 
 
+def test_bootstrap_chunks_match_one_draw():
+    # 300001 values give 3 resample rows per chunk, so 8 rows span 3 chunks
+    # whose index counts are odd; the CI must equal the single (B, n) draw.
+    values = np.random.default_rng(41).normal(size=300_001)
+    idx = np.random.default_rng(5).integers(0, values.size, size=(8, values.size))
+    lower, upper = np.percentile(values[idx].mean(axis=1), [5.0, 95.0])
+    ci = bootstrap_ci(values, n_resamples=8, level=0.9, seed=5)
+    assert (ci.lower, ci.upper) == (lower, upper)
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], ["a", "b"], [{}, 1.0],
+                                    [10 ** 400, 1.0], "abc", 5.0],
+                         ids=["ragged", "strings", "object", "overflow", "string", "scalar"])
+def test_score_coercion_errors_are_validation_errors(values):
+    with pytest.raises(ValidationError):
+        bootstrap_ci(values, n_resamples=10)
+    with pytest.raises(ValidationError):
+        pairwise_model_comparison({"a": values, "b": [1.0, 2.0]})
+    with pytest.raises(ValidationError):
+        wilcoxon_signed_rank(values, [1.0, 2.0])
+
+
 # --- Wilcoxon ------------------------------------------------------------------
 
 def test_wilcoxon_identical_samples_degenerate():
@@ -335,6 +357,15 @@ def test_paired_sample_validation():
         PairedSample(a=np.array([]), b=np.array([]))
     with pytest.raises(ValidationError):
         PairedSample(a=np.array([np.nan, 1.0]), b=np.array([0.0, 1.0]))
+
+
+def test_paired_sample_leaves_the_callers_arrays_writable():
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.5, 1.0])
+    sample = PairedSample(a=a, b=b)
+    wilcoxon_signed_rank(a, b)
+    a[0] = b[0] = 9.0
+    with pytest.raises(ValueError):
+        sample.a[0] = 0.0
 
 
 def test_result_json_dicts_serializable():
