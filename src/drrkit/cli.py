@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io as _io
 import json
 import os
@@ -26,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .io import (FormatError, Mask2D, ValidationError, View, _sidecar_paths,
-                 load_label_volume, load_mask, load_volume, save_mask, save_projection)
+from .io import (FormatError, Mask2D, ValidationError, View, _load_json_file, _nonneg_int,
+                 _read_input, load_label_volume, load_mask, load_volume, save_mask,
+                 save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
@@ -47,16 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # A NaN or infinity that slipped past the checks fails here, not in the file.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _provenance(command: str, **fields) -> dict:
@@ -94,24 +87,8 @@ def _replace_dir(new: Path, target: Path) -> None:
     shutil.rmtree(aside)
 
 
-def _load_json_file(path: Path):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        # A lone surrogate escape such as "\ud800" loads, but no path or CSV
-        # built from it can be encoded; reject it here with the rest.
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return doc
-
-
-# One check per kind of field read from a manifest, mapping or score file.
-
-def _nonneg_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
-    return value
-
+# One check per kind of field read from a manifest, mapping or score file;
+# ids go through io._nonneg_int, which sidecars share.
 
 def _path_str(value, what: str) -> str:
     if not isinstance(value, str) or not value or "\0" in value:
@@ -129,7 +106,7 @@ def _json_list(value, what: str, *, nonempty: bool = False) -> list:
 def _load_config_section(config_path: str | None, section: str) -> dict:
     if not config_path:
         return {}
-    cfg = _load_json_file(Path(config_path))
+    cfg = _load_json_file(config_path)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{config_path}: config file must be a JSON object")
     sect = cfg.get(section, {})
@@ -203,22 +180,16 @@ def _load_manifest(path: Path) -> list[dict]:
     return out
 
 
-def _hash_volume_inputs(declared: str, path: Path) -> dict[str, str]:
-    # Declared names and the files read both come from io's sidecar naming.
-    return {str(name): _sha256(file)
-            for name, file in zip(_sidecar_paths(declared), _sidecar_paths(path))}
-
-
 def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
-    # Labels are loaded, checked and hashed one at a time as project_study
+    # Labels are loaded, hashed and checked one at a time as project_study
     # consumes them. Nothing is written before it returns, so a missing or bad
     # file leaves no partial output.
-    vol = load_volume(study["volume_path"])
-    hashes = _hash_volume_inputs(study["volume"], study["volume_path"])
+    hashes: dict[str, str] = {}
+    vol = load_volume(study["volume_path"], _digests=hashes, _name=study["volume"])
 
     def labels():
         for declared_id, rel, lpath in study["labels"]:
-            lab = load_label_volume(lpath)
+            lab = load_label_volume(lpath, _digests=hashes, _name=rel)
             if declared_id is not None and declared_id != lab.label_id:
                 raise ValidationError(
                     f"study {study['id']}: manifest says label_id {declared_id} "
@@ -227,7 +198,6 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
                 raise ValidationError(
                     f"study {study['id']}: label {lab.label_id} dims {lab.shape} "
                     f"do not match volume dims {vol.shape}")
-            hashes.update(_hash_volume_inputs(rel, lpath))
             yield lab
             del lab     # release it before the next label is read
 
@@ -285,8 +255,8 @@ _CONDITION_INPUTS = {
 _ROLE_KEYS = {role for _, roles in _CONDITION_INPUTS.values() for role in roles}
 
 
-def _load_mapping(path: Path) -> dict[str, list[int]]:
-    doc = _load_json_file(path)
+def _load_mapping(path: Path, hashes: dict) -> dict[str, list[int]]:
+    doc = _load_json_file(path, hashes, "mapping.json")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: mapping must be a JSON object")
     unknown = set(doc) - _ROLE_KEYS
@@ -315,13 +285,13 @@ def _measure_condition(condition: Condition, study_dir: Path,
             p = study_dir / view.value / f"{label_id}.pgm"
             if not p.exists():
                 continue
-            mask = load_mask(p, view=view, label_id=label_id)
+            mask = load_mask(p, view=view, label_id=label_id, _digests=hashes,
+                             _name=p.relative_to(study_dir))
             shape = shape or mask.data.shape
             if mask.data.shape != shape:
                 raise ValidationError(
                     f"{condition.value}: masks differ in shape: "
                     f"{p.relative_to(study_dir)} is {mask.data.shape}, not {shape}")
-            hashes[str(p.relative_to(study_dir))] = _sha256(p)
             masks[role].append(mask)
 
     if condition is Condition.CARDIOMEGALY:
@@ -346,7 +316,8 @@ def cmd_measure(args) -> int:
     study_dir = Path(args.study)
     if not study_dir.is_dir():
         raise FileNotFoundError(f"study directory not found: {study_dir}")
-    mapping = _load_mapping(Path(args.mapping))
+    hashes: dict[str, str] = {}
+    mapping = _load_mapping(Path(args.mapping), hashes)
 
     eff = _effective_config(args.config, "measure", {"min_component_px": 8},
                             {"min_component_px": args.min_component_px})
@@ -355,8 +326,6 @@ def cmd_measure(args) -> int:
     conditions = [Condition(name) for name in
                   dict.fromkeys(args.conditions or [c.value for c in Condition])]
 
-    hashes: dict[str, str] = {}
-    mapping_hash = _sha256(Path(args.mapping))
     reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes)
                for c in conditions}
 
@@ -366,7 +335,7 @@ def cmd_measure(args) -> int:
         config={"measure": {"min_component_px": min_px},
                 "conditions": [c.value for c in conditions],
                 "mapping": {k: mapping[k] for k in sorted(mapping)}},
-        inputs={"mapping.json": mapping_hash, **hashes})
+        inputs=hashes)
     for condition, report in reports.items():
         report["schema_version"] = SCHEMA_VERSION
         _atomic_write_text(_dump_json(report), out_dir / f"{condition.value}.json")
@@ -401,10 +370,10 @@ def cmd_evaluate(args) -> int:
         for key in ("pred_path", "ref_path"):
             rel = _path_str(entry[key], f"class {class_id}: {key}")
             try:
-                masks.append(load_mask(base / rel, view=View.PA, label_id=class_id))
+                masks.append(load_mask(base / rel, view=View.PA, label_id=class_id,
+                                       _digests=hashes, _name=rel))
             except ValidationError as exc:
                 raise ValidationError(f"class {class_id}: {exc}") from exc
-            hashes[rel] = _sha256(base / rel)
         pairs.append((class_id, *masks))
 
     report = evaluate_class_set(pairs, **eff, seed=args.seed)
@@ -420,11 +389,11 @@ def cmd_evaluate(args) -> int:
 # stats
 
 
-def _read_scores(path: Path) -> dict:
-    if path.suffix.lower() == ".csv":
+def _read_scores(path: str, hashes: dict) -> dict:
+    if Path(path).suffix.lower() == ".csv":
+        blob = _read_input(path, hashes)
         try:
-            with open(path, newline="", encoding="utf-8") as f:
-                rows = list(csv.reader(f))
+            rows = list(csv.reader(_io.StringIO(blob.decode("utf-8"), newline="")))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
         if len(rows) < 2:
@@ -444,7 +413,7 @@ def _read_scores(path: Path) -> dict:
                 except ValueError:
                     raise ValidationError(f"{path}: non-numeric score {cell!r}") from None
         return scores
-    doc = _load_json_file(path)
+    doc = _load_json_file(path, hashes)
     if isinstance(doc, dict) and isinstance(doc.get("models"), dict):
         doc = doc["models"]
     if not isinstance(doc, dict) or not doc:
@@ -469,9 +438,9 @@ def _parse_grade_list(values, name: str) -> list[int]:
     return out
 
 
-def _read_ordinal(path: Path) -> np.ndarray:
+def _read_ordinal(path: str, hashes: dict) -> np.ndarray:
     """Truth-by-prediction counts: a given matrix, or tallied from grade lists."""
-    doc = _load_json_file(path)
+    doc = _load_json_file(path, hashes)
     if isinstance(doc, dict) and "matrix" in doc:
         try:
             matrix = np.asarray(doc["matrix"], dtype=np.int64)
@@ -500,13 +469,12 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_stats(args) -> int:
     alpha = _effective_config(args.config, "stats", {"alpha": 0.05},
                               {"alpha": args.alpha})["alpha"]
-    scores_path = Path(args.scores)
-    scores_hash = _sha256(scores_path)
+    hashes: dict[str, str] = {}
 
     # Each mode builds its report fields, echoed config and CSV table; one
     # writer below emits whichever --format asks for.
     if args.mode == "pairwise":
-        comparisons = pairwise_model_comparison(_read_scores(scores_path), alpha=alpha)
+        comparisons = pairwise_model_comparison(_read_scores(args.scores, hashes), alpha=alpha)
         config = {"alpha": alpha}
         fields = {"n_comparisons": len(comparisons),
                   "comparisons": [c.to_json_dict() for c in comparisons]}
@@ -516,7 +484,7 @@ def cmd_stats(args) -> int:
                  c.p_bonferroni, c.cohens_d, c.rank_biserial,
                  str(c.significant).lower(), c.method] for c in comparisons]
     else:
-        matrix = _read_ordinal(scores_path)
+        matrix = _read_ordinal(args.scores, hashes)
         metrics = ordinal_metrics(matrix)
         kappa_lin = weighted_kappa(matrix, "linear")
         kappa_quad = weighted_kappa(matrix, "quadratic")
@@ -533,7 +501,7 @@ def cmd_stats(args) -> int:
         text = _csv_text(header, rows)
     else:
         text = _dump_json(_provenance("stats", mode=args.mode, config={"stats": config},
-                                      inputs={str(args.scores): scores_hash}, **fields))
+                                      inputs=hashes, **fields))
     _atomic_write_text(text, Path(args.out))
     return 0
 

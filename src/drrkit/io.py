@@ -7,6 +7,7 @@ so loaders take the view and label id as parameters.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +40,13 @@ def _freeze(obj, name: str, arr: np.ndarray) -> None:
 
 
 def _check_spacing(spacing, n: int) -> tuple[float, ...]:
-    sp = tuple(float(s) for s in spacing)
+    # float() also takes "1.5" and True, but text and booleans are not lengths.
+    try:
+        if any(isinstance(s, (str, bool)) for s in spacing):
+            raise TypeError
+        sp = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"spacing must be {n} numbers, got {spacing!r}") from None
     if len(sp) != n:
         raise ValidationError(f"expected {n} spacing entries, got {len(sp)}")
     if not all(np.isfinite(s) and s > 0 for s in sp):
@@ -171,6 +178,38 @@ def _binary_u8(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# input files: each is read once, and its digest is taken of the bytes parsed
+
+
+def _read_input(path, digests: dict | None = None, name=None) -> bytes:
+    """The bytes of one input file; their SHA-256 goes into ``digests``, if
+    given, under the declared ``name`` or else the path as given."""
+    blob = Path(path).read_bytes()
+    if digests is not None:
+        digests[str(path if name is None else name)] = hashlib.sha256(blob).hexdigest()
+    return blob
+
+
+def _load_json_file(path, digests: dict | None = None, name=None):
+    """The one JSON decoder of input files: strict UTF-8, bounded nesting."""
+    try:
+        doc = json.loads(_read_input(path, digests, name).decode("utf-8"))
+        # A lone surrogate escape such as "\ud800" loads, but no path or CSV
+        # built from it can be encoded; reject it here with the rest.
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    return doc
+
+
+def _nonneg_int(value, what: str) -> int:
+    # The one rule for ids in sidecars, manifests and mappings: true is not 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # volume files: <name>.json sidecar + <name>.raw payload
 
 
@@ -182,46 +221,46 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
     return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
-def _read_sidecar(json_path: Path) -> dict:
-    try:
-        meta = json.loads(json_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{json_path}: sidecar is not valid JSON: {exc}") from exc
+# Sidecar dtype -> what the pair holds and the dtype of its payload.
+_PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
+
+
+def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray]:
+    """The checked sidecar and the (H, W, D) payload of one volume file pair.
+    Each file is read once and hashed under the pair that ``name`` declares."""
+    json_path, raw_path = _sidecar_paths(path)
+    json_name, raw_name = _sidecar_paths(path if name is None else name)
+    meta = _load_json_file(json_path, digests, json_name)
     if not isinstance(meta, dict):
         raise FormatError(f"{json_path}: sidecar must be a JSON object")
     dims = meta.get("dims")
     if (not isinstance(dims, list) or len(dims) != 3
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(type(d) is int and d >= 1 for d in dims)):    # true is not 1
         raise FormatError(f"{json_path}: 'dims' must be three positive integers")
-    return meta
-
-
-def _read_raw(raw_path: Path, dims: list[int], dtype: str) -> np.ndarray:
-    itemsize = np.dtype(dtype).itemsize
-    expected = dims[0] * dims[1] * dims[2] * itemsize
-    blob = raw_path.read_bytes()
+    kind, payload_dtype = _PAYLOADS[dtype]
+    if meta.get("dtype") != dtype:
+        raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
+                          f"got {meta.get('dtype')!r}")
+    blob = _read_input(raw_path, digests, raw_name)
+    expected = dims[0] * dims[1] * dims[2] * np.dtype(payload_dtype).itemsize
     if len(blob) != expected:
         raise FormatError(
             f"{raw_path}: payload is {len(blob)} bytes, sidecar dims imply {expected}")
-    # C order with k fastest, matching the (H, W, D) reshape below.
-    return np.frombuffer(blob, dtype=dtype).reshape(dims)
+    # C order with k fastest, matching the (H, W, D) reshape.
+    return meta, np.frombuffer(blob, dtype=payload_dtype).reshape(dims)
 
 
-def load_volume(path, spacing=None) -> Volume:
+def load_volume(path, spacing=None, *, _digests=None, _name=None) -> Volume:
     """Load an int16 attenuation volume from its sidecar (or stem) path.
 
     ``spacing`` overrides the sidecar's ``spacing_mm`` when given.
     """
-    json_path, raw_path = _sidecar_paths(path)
-    meta = _read_sidecar(json_path)
-    if meta.get("dtype") != "i16":
-        raise FormatError(f"{json_path}: volume dtype must be 'i16', got {meta.get('dtype')!r}")
+    meta, data = _read_volume_pair(path, "i16", _digests, _name)
     if spacing is None:
         spacing = meta.get("spacing_mm")
         if spacing is None:
-            raise FormatError(f"{json_path}: missing 'spacing_mm'")
-    data = _read_raw(raw_path, meta["dims"], "<i2")
-    return Volume(data=data, spacing=_check_spacing(spacing, 3))
+            raise FormatError(f"{_sidecar_paths(path)[0]}: missing 'spacing_mm'")
+    return Volume(data=data, spacing=spacing)
 
 
 def save_volume(vol: Volume, path) -> None:
@@ -238,16 +277,10 @@ def save_volume(vol: Volume, path) -> None:
     raw_path.write_bytes(np.ascontiguousarray(data, dtype="<i2").tobytes())
 
 
-def load_label_volume(path) -> LabelVolume:
+def load_label_volume(path, *, _digests=None, _name=None) -> LabelVolume:
     """Load a uint8 binary label volume; nonzero voxels map to 1."""
-    json_path, raw_path = _sidecar_paths(path)
-    meta = _read_sidecar(json_path)
-    if meta.get("dtype") != "u8":
-        raise FormatError(f"{json_path}: label dtype must be 'u8', got {meta.get('dtype')!r}")
-    label_id = meta.get("label_id")
-    if not isinstance(label_id, int) or label_id < 0:
-        raise FormatError(f"{json_path}: 'label_id' must be a nonnegative integer")
-    data = _read_raw(raw_path, meta["dims"], "u1")
+    meta, data = _read_volume_pair(path, "u8", _digests, _name)
+    label_id = _nonneg_int(meta.get("label_id"), f"{_sidecar_paths(path)[0]}: 'label_id'")
     return LabelVolume(data=_binary_u8(data), label_id=label_id)
 
 
@@ -311,7 +344,7 @@ def _encode_pgm(arr: np.ndarray) -> bytes:
 
 
 def load_projection(path, view: View, spacing=(1.0, 1.0)) -> Projection:
-    arr = _parse_pgm(Path(path).read_bytes(), str(path))
+    arr = _parse_pgm(_read_input(path), str(path))
     return Projection(data=arr, view=view, spacing=spacing, normalized=True)
 
 
@@ -321,9 +354,10 @@ def save_projection(proj: Projection, path) -> None:
     Path(path).write_bytes(_encode_pgm(proj.data))
 
 
-def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0)) -> Mask2D:
+def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0), *,
+              _digests=None, _name=None) -> Mask2D:
     """Load a PGM mask; any nonzero pixel counts as foreground."""
-    arr = _parse_pgm(Path(path).read_bytes(), str(path))
+    arr = _parse_pgm(_read_input(path, _digests, _name), str(path))
     return Mask2D(data=_binary_u8(arr), view=view, spacing=spacing, label_id=label_id)
 
 

@@ -212,16 +212,21 @@ def effect_sizes(a, b=None) -> EffectSizes:
 
     Accepts a PairedSample, two score arrays, or a bare difference array.
     """
-    d = _differences(a, b)
+    # Finite scores can still differ, sum or spread beyond float64.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _differences(a, b)
+        mean = float(d.mean())
+        sd = float(d.std(ddof=1)) if d.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValidationError("score differences, their mean or their SD overflow float64")
     flags = []
 
     cohens: float | None
-    sd = float(d.std(ddof=1)) if d.size > 1 else 0.0
     if sd == 0.0:
         cohens = None
         flags.append("zero_variance")
     else:
-        cohens = float(d.mean() / sd)
+        cohens = mean / sd
 
     nz = d[d != 0]
     biserial: float | None
@@ -387,8 +392,8 @@ def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
     results = []
     for first, second in pairs:
         sample = PairedSample(a=arrays[first], b=arrays[second])
+        eff = effect_sizes(sample)      # first: it rejects overflowing differences
         test = wilcoxon_signed_rank(sample, exact_max_n=exact_max_n)
-        eff = effect_sizes(arrays[first], arrays[second])
         p_adj = bonferroni(test.p_value, len(pairs))
         results.append(PairwiseComparison(
             first=first, second=second, n_effective=test.n_effective,

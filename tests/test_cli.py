@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: layouts, exit codes, determinism."""
 
+import builtins
+import collections
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -661,9 +664,10 @@ def test_out_of_range_setting_exits_1(tmp_path, capsys, section, key, flag, valu
 def _cli_input(tmp_path, command):
     """argv, the input document's path and a valid document for one command."""
     out = tmp_path / "out"
-    if command == "project":
-        path = _write_study_inputs(tmp_path, n_labels=1)
-        return (["project", "--manifest", str(path), "--out", str(out)], path,
+    if command in ("project", "sidecar"):
+        manifest = _write_study_inputs(tmp_path, n_labels=1)
+        path = manifest if command == "project" else tmp_path / "vol.json"
+        return (["project", "--manifest", str(manifest), "--out", str(out)], path,
                 json.loads(path.read_text()))
     if command == "measure":
         study, path = _make_measure_study(tmp_path)
@@ -708,6 +712,10 @@ _BAD_DOCUMENTS = {
     "scores-string": ("pairwise", {"a": "abc", "b": "def"}),
     "scores-ragged": ("pairwise", {"a": [[0.9, 0.8], [0.7]], "b": [0.5, 0.4]}),
     "scores-overflow": ("pairwise", {"a": [10 ** 400, 1, 2], "b": [0.5, 0.4, 0.6]}),
+    "differences-overflow": ("pairwise", {"a": [1e308, -1e308, 1e308],
+                                          "b": [-1e308, 1e308, -1e308]}),
+    "mean-overflow": ("pairwise", {"a": [1e308] * 3, "b": [-5e307, -5e307, -4e307]}),
+    "sd-overflow": ("pairwise", {"a": [1.7e308, 0, 1.7e308], "b": [0, 1.7e308, 0]}),
     "matrix-ragged": ("ordinal", {"matrix": [[1, 2], [3]]}),
     "matrix-fraction": ("ordinal", {"matrix": [[1.7, 1], [1, 1]]}),
     "matrix-text": ("ordinal", {"matrix": [["a", 1], [1, 1]]}),
@@ -740,6 +748,56 @@ def test_stats_n_classes_key_is_gone(tmp_path, capsys):
     assert cli.main(argv) == 0
     prov = json.loads((tmp_path / "out").read_text())
     assert prov["config"] == {"stats": {"n_classes": 4}}
+
+
+# --- input reads ----------------------------------------------------------------
+
+def test_each_input_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
+    # Every command opens each input file once, and provenance.json holds the
+    # SHA-256 of the bytes that one read returned.
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and not set(mode) & set("wax+"):
+            opened[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+
+    (tmp_path / "p").mkdir()
+    manifest = _write_study_inputs(tmp_path / "p", n_labels=2)
+    study, mapping = _make_measure_study(tmp_path / "m")
+    (tmp_path / "e").mkdir()
+    eval_manifest = _make_eval_inputs(tmp_path / "e")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("class,a,b\n1,0.9,0.8\n2,0.85,0.7\n3,0.92,0.81\n")
+    out = tmp_path / "out"
+    # argv, its provenance.json, where a provenance input name points, and
+    # the inputs read but not hashed.
+    runs = [
+        (["project", "--manifest", str(manifest), "--out", str(out / "p")],
+         out / "p" / "case01" / "provenance.json", lambda name: tmp_path / "p" / name,
+         [manifest]),
+        (["measure", "--study", str(study), "--mapping", str(mapping), "--out", str(out / "m")],
+         out / "m" / "provenance.json",
+         lambda name: mapping if name == "mapping.json" else study / name, []),
+        (["evaluate", "--manifest", str(eval_manifest), "--out", str(out / "e.json"),
+          "--resamples", "50"],
+         out / "e.json", lambda name: tmp_path / "e" / name, [eval_manifest]),
+        (["stats", "--mode", "pairwise", "--scores", str(scores), "--out", str(out / "s.json")],
+         out / "s.json", Path, []),
+    ]
+    for argv, provenance, where, unhashed in runs:
+        opened.clear()
+        assert cli.main(argv) == 0
+        reads = dict(opened)
+        inputs = json.loads(provenance.read_bytes())["inputs"]
+        files = [where(name) for name in inputs] + unhashed
+        assert inputs and reads == {path.resolve(): 1 for path in files}, argv[0]
+        for name, digest in inputs.items():
+            assert digest == hashlib.sha256(where(name).read_bytes()).hexdigest()
 
 
 # --- fuzzed documents ---------------------------------------------------------
@@ -785,6 +843,10 @@ _GRADES = st.lists(_or_json(0, 1, 2, 3, "mild", "Severe"), min_size=1, max_size=
 _FUZZED_DOCUMENTS = {
     "project": _JSON | st.lists(_fuzzed_study(), max_size=2)
     | st.fixed_dictionaries({"studies": st.lists(_fuzzed_study(), max_size=2) | _JSON}),
+    "sidecar": _JSON | st.fixed_dictionaries({
+        "dims": st.just([6, 5, 4]) | st.lists(_or_json(6, 5, 4), min_size=3, max_size=3),
+        "dtype": _or_json("i16"),
+        "spacing_mm": st.lists(_or_json(1.0, 2), min_size=3, max_size=3) | _JSON}),
     "measure": _JSON | st.fixed_dictionaries({role: _ROLE_IDS for role in _ROLES})
     | st.dictionaries(st.sampled_from(_ROLES) | st.text(max_size=6), _ROLE_IDS, max_size=3),
     "evaluate": _JSON | st.lists(st.fixed_dictionaries({

@@ -83,20 +83,31 @@ def test_label_volume_load_maps_nonzero_to_one(tmp_path):
 def test_sidecar_validation(tmp_path):
     (tmp_path / "v.raw").write_bytes(b"\x00\x00")
     bad = [
-        '{"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "f32"}',
-        '{"dims": [1, 1], "spacing_mm": [1, 1, 1], "dtype": "i16"}',
-        '{"dims": [1, 1, 1], "dtype": "i16"}',
-        '[1, 2, 3]',
-        'not json at all',
+        b'{"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "f32"}',
+        b'{"dims": [1, 1], "spacing_mm": [1, 1, 1], "dtype": "i16"}',
+        b'{"dims": [1, 1, true], "spacing_mm": [1, 1, 1], "dtype": "i16"}',
+        b'{"dims": [1, 1, 1], "dtype": "i16"}',
+        b'[1, 2, 3]',
+        b'not json at all',
+        b'{"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "i16", "note": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
     ]
-    for text in bad:
-        (tmp_path / "v.json").write_text(text)
+    for blob in bad:
+        (tmp_path / "v.json").write_bytes(blob)
         with pytest.raises(FormatError):
             load_volume(tmp_path / "v.json")
-    (tmp_path / "v.json").write_text(
-        '{"dims": [1, 1, 1], "spacing_mm": [1.0, 0.0, 1.0], "dtype": "i16"}')
-    with pytest.raises(ValidationError):
-        load_volume(tmp_path / "v.json")
+    for spacing in ([1.0, 0.0, 1.0], "abc", "123", 5, [1, None, 1], [True, 1, 1],
+                    [10 ** 400, 1, 1]):
+        (tmp_path / "v.json").write_text(json.dumps(
+            {"dims": [1, 1, 1], "spacing_mm": spacing, "dtype": "i16"}))
+        with pytest.raises(ValidationError, match="spacing"):
+            load_volume(tmp_path / "v.json")
+    (tmp_path / "l.raw").write_bytes(b"\x01")
+    for label_id in (True, -1, 1.0, "1", None):
+        (tmp_path / "l.json").write_text(json.dumps(
+            {"dims": [1, 1, 1], "dtype": "u8", "label_id": label_id}))
+        with pytest.raises(ValidationError, match="label_id"):
+            load_label_volume(tmp_path / "l.json")
 
 
 def test_volume_constructor_validation():

@@ -197,6 +197,23 @@ def test_effect_sizes_all_zero_differences():
     assert "all_zero_differences" in res.flags
 
 
+_OVERFLOWING_PAIRS = {
+    "differences": ([1e308, -1e308, 1e308], [-1e308, 1e308, -1e308]),
+    "mean": ([1e308] * 3, [-5e307, -5e307, -4e307]),
+    "sd": ([1.7e308, 0.0, 1.7e308], [0.0, 1.7e308, 0.0]),
+}
+
+
+@pytest.mark.parametrize("a,b", _OVERFLOWING_PAIRS.values(), ids=_OVERFLOWING_PAIRS)
+def test_effect_sizes_reject_overflowing_differences(a, b):
+    # Finite scores whose differences, mean or SD leave float64 have no
+    # effect size: not NaN, and not a silent 0.
+    with pytest.raises(ValidationError, match="overflow"):
+        effect_sizes(a, b)
+    with pytest.raises(ValidationError, match="overflow"):
+        pairwise_model_comparison({"a": a, "b": b})
+
+
 # --- kappa ---------------------------------------------------------------------
 
 def test_kappa_perfect_agreement():
