@@ -269,7 +269,7 @@ def _load_mapping(path: Path, hashes: dict) -> dict[str, list[int]]:
 
 def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
-                       hashes: dict) -> dict:
+                       hashes: dict, loaded: dict[tuple[View, int], Mask2D]) -> dict:
     view, roles = _CONDITION_INPUTS[condition]
     for role in roles:
         if role not in mapping:
@@ -277,16 +277,20 @@ def _measure_condition(condition: Condition, study_dir: Path,
                 f"condition {condition.value!r} needs role {role!r} in the mapping")
     # Every mask the condition reads must share the first one's grid; a
     # missing mask file is skipped, and a role left empty excludes below.
+    # A mask another condition or role already read comes from ``loaded``.
     masks: dict[str, list[Mask2D]] = {}
     shape = None
     for role in roles:
         masks[role] = []
         for label_id in mapping[role]:
             p = study_dir / view.value / f"{label_id}.pgm"
-            if not p.exists():
-                continue
-            mask = load_mask(p, view=view, label_id=label_id, _digests=hashes,
-                             _name=p.relative_to(study_dir))
+            mask = loaded.get((view, label_id))
+            if mask is None:
+                if not p.exists():
+                    continue
+                mask = loaded[view, label_id] = load_mask(
+                    p, view=view, label_id=label_id, _digests=hashes,
+                    _name=p.relative_to(study_dir))
             shape = shape or mask.data.shape
             if mask.data.shape != shape:
                 raise ValidationError(
@@ -326,7 +330,8 @@ def cmd_measure(args) -> int:
     conditions = [Condition(name) for name in
                   dict.fromkeys(args.conditions or [c.value for c in Condition])]
 
-    reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes)
+    loaded: dict[tuple[View, int], Mask2D] = {}
+    reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes, loaded)
                for c in conditions}
 
     out_dir = Path(args.out)

@@ -17,9 +17,8 @@ from enum import Enum, IntEnum
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
-from .io import _EIGHT_CONN, ValidationError, _as_binary
+from .io import ValidationError, _as_binary, _component_sizes, _label8, _paint_runs
 
 
 class Condition(str, Enum):
@@ -98,16 +97,12 @@ def _measured(condition: Condition, value: float, evidence: dict) -> Measurement
 
 def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
     """Drop 8-connected components smaller than min_component_px pixels."""
-    arr = _as_binary(mask).astype(np.uint8)
-    if min_component_px <= 1 or not arr.any():
-        return arr
-    labeled, n = ndimage.label(arr, structure=_EIGHT_CONN)
-    if n == 0:
-        return arr
-    sizes = np.bincount(labeled.ravel())
-    keep = sizes >= min_component_px
-    keep[0] = False
-    return keep[labeled].astype(np.uint8)
+    fg = _as_binary(mask)
+    if min_component_px <= 1:
+        return fg.astype(np.uint8)
+    _, start, stop, component, n = _label8(fg)
+    kept = _component_sizes(start, stop, component, n) >= min_component_px
+    return _paint_runs(fg, start, stop, kept[component].view(np.uint8))
 
 
 def centroid(mask) -> tuple[float, float]:
@@ -163,10 +158,10 @@ def compose_thorax(masks: Sequence) -> np.ndarray:
 
 
 def _fragmentation(arr: np.ndarray) -> tuple[int, float]:
-    labeled, n = ndimage.label(arr, structure=_EIGHT_CONN)
+    _, start, stop, component, n = _label8(arr)
     if n == 0:
         return 0, 0.0
-    sizes = np.bincount(labeled.ravel())[1:]
+    sizes = _component_sizes(start, stop, component, n)
     return n, float(sizes.max() / sizes.sum())
 
 

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
-from .io import _EIGHT_CONN, ValidationError, _as_binary
+from .io import ValidationError, _as_binary, _component_sizes, _label8, _paint_runs
 from .stats import BootstrapCI, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -84,7 +82,10 @@ def boundary_pixels(mask) -> np.ndarray:
 
 def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     # Euclidean distance from every src boundary pixel to the nearest dst
-    # boundary pixel, in pixel units.
+    # boundary pixel, in pixel units. scipy.spatial is imported here, so
+    # only commands that measure boundary distances pay for loading it.
+    from scipy.spatial import cKDTree
+
     src_pts = np.argwhere(src)
     dst_pts = np.argwhere(dst)
     if len(src_pts) == 0 or len(dst_pts) == 0:
@@ -127,17 +128,19 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
     """
     p, r = _check_pair(pred, ref)
-    lp, n_p = ndimage.label(p, structure=_EIGHT_CONN)
-    lr, n_r = ndimage.label(r, structure=_EIGHT_CONN)
+    _, start_p, stop_p, comp_p, n_p = _label8(p)
+    _, start_r, stop_r, comp_r, n_r = _label8(r)
     if n_p == 0 and n_r == 0:
         return 1.0, 1.0, 1.0, 0, 0, 0
     if n_p == 0 or n_r == 0:
         return 0.0, 0.0, 0.0, n_p, n_r, 0
 
-    sizes_p = np.bincount(lp.ravel())
-    sizes_r = np.bincount(lr.ravel())
+    sizes_p = _component_sizes(start_p, stop_p, comp_p, n_p)
+    sizes_r = _component_sizes(start_r, stop_r, comp_r, n_r)
+    lp = _paint_runs(p, start_p, stop_p, comp_p)
+    lr = _paint_runs(r, start_r, stop_r, comp_r)
     # Joint histogram of (pred component, ref component) over overlap pixels.
-    both = (lp > 0) & (lr > 0)
+    both = p & r
     pairs_iou = {}
     if both.any():
         joint = lp[both].astype(np.int64) * (n_r + 1) + lr[both]

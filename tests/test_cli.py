@@ -289,14 +289,36 @@ def test_usage_error_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats would add most of a second to every CLI call's start-up.
-    code = ("import sys, drrkit.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+def _scipy_loaded(argv=()):
+    """Exit code and the scipy modules loaded by a fresh interpreter that
+    imports drrkit.cli and, given argv, runs it through cli.main."""
+    code = ("import json, sys; from drrkit import cli; "
+            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
     env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Importing scipy would add about half a second to every CLI call's start-up.
+    assert _scipy_loaded() == [0, []]
+
+
+@pytest.mark.parametrize("command", ["project", "measure", "pairwise", "ordinal", "evaluate"])
+def test_only_evaluate_loads_scipy(tmp_path, command):
+    # Boundary distances use scipy.spatial; nothing else in drrkit uses scipy.
+    argv, path, doc = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    rc, loaded = _scipy_loaded(argv)
+    assert rc == 0
+    if command == "evaluate":
+        assert "scipy.spatial" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.ndimage")]
+    else:
+        assert loaded == []
 
 
 # --- measure ---------------------------------------------------------------
@@ -737,6 +759,16 @@ def test_bad_document_exits_1(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spacing", ["abc", [1.0, -2.0, 1.0], [1.0, 1.0]])
+def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
+    argv, path, doc = _cli_input(tmp_path, "sidecar")
+    doc["spacing_mm"] = spacing
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out" / "case01").exists()
+
+
 def test_stats_n_classes_key_is_gone(tmp_path, capsys):
     # Ordinal grades are the 4-level Grade scale; the knob that restated it is gone.
     argv, path, doc = _cli_input(tmp_path, "ordinal")
@@ -769,6 +801,9 @@ def test_each_input_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
     (tmp_path / "p").mkdir()
     manifest = _write_study_inputs(tmp_path / "p", n_labels=2)
     study, mapping = _make_measure_study(tmp_path / "m")
+    # Label 1 is both the heart and a vertebra, so two conditions list it.
+    shared = tmp_path / "m" / "shared.json"
+    shared.write_text(json.dumps({"heart": [1], "thorax": [2], "vertebrae": [4, 5, 6, 7, 8, 1]}))
     (tmp_path / "e").mkdir()
     eval_manifest = _make_eval_inputs(tmp_path / "e")
     scores = tmp_path / "scores.csv"
@@ -783,6 +818,9 @@ def test_each_input_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
         (["measure", "--study", str(study), "--mapping", str(mapping), "--out", str(out / "m")],
          out / "m" / "provenance.json",
          lambda name: mapping if name == "mapping.json" else study / name, []),
+        (["measure", "--study", str(study), "--mapping", str(shared), "--out", str(out / "m2")],
+         out / "m2" / "provenance.json",
+         lambda name: shared if name == "mapping.json" else study / name, []),
         (["evaluate", "--manifest", str(eval_manifest), "--out", str(out / "e.json"),
           "--resamples", "50"],
          out / "e.json", lambda name: tmp_path / "e" / name, [eval_manifest]),

@@ -4,11 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from drrkit import (FormatError, LabelVolume, Mask2D, Projection, ValidationError,
                     View, Volume, load_label_volume, load_mask, load_projection,
                     load_volume, save_label_volume, save_mask, save_projection,
                     save_volume)
+from drrkit.io import _component_sizes, _label8, _paint_runs
 
 
 def test_load_volume_single_voxel(tmp_path):
@@ -268,3 +273,59 @@ def test_save_volume_dotted_name_keeps_every_dot(tmp_path):
     save_volume(vol, tmp_path / "s.01.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.01.json", "s.01.raw"]
     np.testing.assert_array_equal(load_volume(tmp_path / "s.01").data, vol.data)
+
+
+# --- 8-connected labelling ------------------------------------------------------
+
+def _check_label8(fg):
+    # The flood-fill oracle lists components in raster order of their first
+    # pixel, which is the numbering _label8 promises.
+    comps = oracles.flood_components(fg)
+    want = np.zeros(fg.shape, dtype=np.int32)
+    for k, comp in enumerate(comps, start=1):
+        for y, x in comp:
+            want[y, x] = k
+    row, start, stop, component, n = _label8(fg)
+    assert n == len(comps)
+    # Runs are maximal, nonempty and in raster order: each starts past the
+    # previous run's end, with a gap when both lie in the same row.
+    keys = row * (fg.shape[1] + 1) + start
+    ends = row * (fg.shape[1] + 1) + stop
+    assert np.all(start < stop) and np.all(keys[1:] > ends[:-1])
+    painted = np.zeros(fg.shape, dtype=np.int32)
+    for r, s, e, c in zip(row, start, stop, component):
+        painted[r, s:e] = c
+    np.testing.assert_array_equal(painted, want)
+    np.testing.assert_array_equal(_paint_runs(fg, start, stop, component), want)
+    assert _component_sizes(start, stop, component, n).tolist() == [0] + [len(c) for c in comps]
+
+
+def _serpentine(h, w):
+    # One path that fills every other row and turns at alternate ends.
+    fg = np.zeros((h, w), dtype=bool)
+    fg[::2] = True
+    for r in range(1, h, 2):
+        fg[r, w - 1 if r % 4 == 1 else 0] = True
+    return fg
+
+
+@pytest.mark.parametrize("fg", [
+    np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+    np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool), np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool).T,
+    np.ones((7, 5), dtype=bool), np.zeros((7, 5), dtype=bool),
+    np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool),
+    _serpentine(15, 9), _serpentine(15, 9)[::-1], _serpentine(15, 9).T,
+    np.eye(8, dtype=bool), np.eye(8, dtype=bool)[::-1],
+    np.indices((9, 9)).sum(axis=0) % 2 == 0,
+], ids=["1xN", "Nx1", "1xN-gaps", "Nx1-gaps", "full", "empty", "one-empty", "one-full",
+        "serpentine", "serpentine-flipped", "serpentine-transposed", "diagonal",
+        "antidiagonal", "checkerboard"])
+def test_label8_matches_flood_fill_on_fixed_masks(fg):
+    _check_label8(fg)
+
+
+# Derandomized, so the suite runs the same examples every time.
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+def test_label8_matches_flood_fill_on_random_masks(fg):
+    _check_label8(fg)

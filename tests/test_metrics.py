@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from drrkit import (ValidationError, boundary_distance_metrics, boundary_pixels,
@@ -236,6 +239,29 @@ def test_evaluate_pair_rejects_out_of_range_settings(settings):
         evaluate_pair(z, z, **settings)
     with pytest.raises(ValidationError, match=next(iter(settings))):
         evaluate_class_set([(0, z, z)], **settings)
+
+
+# Two nonempty masks of one random shape.
+_NONEMPTY_PAIRS = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: st.tuples(arrays(np.bool_, shape), arrays(np.bool_, shape))
+).filter(lambda pair: pair[0].any() and pair[1].any())
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_NONEMPTY_PAIRS, st.floats(0.5, 1.0, exclude_min=True))
+def test_evaluate_pair_swap_is_symmetric(pair, match_iou):
+    pred, ref = pair
+    fwd = evaluate_pair(pred, ref, match_iou=match_iou)
+    rev = evaluate_pair(ref, pred, match_iou=match_iou)
+    assert (fwd.dice, fwd.iou, fwd.hd95, fwd.nsd) == (rev.dice, rev.iou, rev.hd95, rev.nsd)
+    # The pooled mean sums the two directions in the other order.
+    assert fwd.asd == pytest.approx(rev.asd, rel=1e-12)
+    # Above IoU 0.5 a component overlaps at most one partner that well, so
+    # the matching does not depend on which side is the prediction.
+    assert (fwd.precision, fwd.recall) == (rev.recall, rev.precision)
+    assert (fwd.n_pred_components, fwd.n_ref_components) == (
+        rev.n_ref_components, rev.n_pred_components)
+    assert (fwd.n_matched, fwd.f1) == (rev.n_matched, rev.f1)
 
 
 def test_evaluate_pair_json_round_trip_keys():
