@@ -207,6 +207,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
                              config={"projection": config.to_dict()}, inputs=hashes)
 
     target = out_root / study["id"]
+    out_root.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{study['id']}.tmp-", dir=out_root))
     try:
         for view, proj in result.images.items():
@@ -231,7 +232,6 @@ def cmd_project(args) -> int:
          "output_size": args.output_size}))
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     # Every study runs and results are read in manifest order, so --jobs cannot
     # change the outputs or the error; Executor.map would cancel pending studies.
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:

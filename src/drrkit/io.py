@@ -161,11 +161,12 @@ class Mask2D:
 
 
 def _as_binary(mask, name: str = "mask") -> np.ndarray:
-    """Boolean foreground of a Mask2D or 2D array; any nonzero pixel counts."""
+    """Boolean foreground of a Mask2D or 2D array; any nonzero pixel counts.
+    A bool array comes back as is, not copied, so callers must not write to it."""
     arr = mask.data if isinstance(mask, Mask2D) else np.asarray(mask)
     if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValidationError(f"{name} must be nonempty 2D, got shape {arr.shape}")
-    return arr != 0
+    return arr if arr.dtype == bool else arr != 0
 
 
 def _binary_u8(arr: np.ndarray) -> np.ndarray:
@@ -180,22 +181,31 @@ def _binary_u8(arr: np.ndarray) -> np.ndarray:
 # hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982).
 
 
-def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """8-connected components of a 2D mask (nonzero is foreground), as its row runs.
+def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row runs of a 2D mask (nonzero is foreground) in raster order.
 
-    Returns ``(row, start, stop, component, n)``: run k covers columns
-    ``start[k]:stop[k]`` of row ``row[k]`` and belongs to component
-    ``component[k]`` in 1..n. Runs are in raster order, and components are
-    numbered in raster order of their first pixel.
+    Returns ``(first, end)``: run k covers ``flat[first[k]:end[k]]`` of the
+    mask laid out with one background column before each row, so it lies in
+    row ``first[k] // (w + 1)`` and starts at column ``first[k] % (w + 1) - 1``.
     """
     h, w = fg.shape
-    stride = w + 1
     # One background column before each row, plus one at the very end, so
     # every run starts and stops at a transition and the two alternate.
-    flat = np.zeros(h * stride + 1, dtype=bool)
-    flat[:-1].reshape(h, stride)[:, 1:] = fg
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
+    flat[:-1].reshape(h, w + 1)[:, 1:] = fg
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    first, end = edges[0::2], edges[1::2]   # flat index of each run's first pixel, one past its last
+    return edges[0::2], edges[1::2]
+
+
+def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """8-connected components of a 2D mask (nonzero is foreground), as its row runs.
+
+    Returns ``(first, end, component, n)``: ``first`` and ``end`` are the
+    runs of ``_runs``, and run k belongs to component ``component[k]`` in
+    1..n. Components are numbered in raster order of their first pixel.
+    """
+    stride = fg.shape[1] + 1
+    first, end = _runs(fg)
 
     # Run a (row r) touches run b (row r + 1) when b ends at or right of a's
     # first column - 1 and starts at or left of a's last column + 1. Both keys
@@ -221,27 +231,23 @@ def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
                 break
             parent = jumped
     is_root = parent == np.arange(len(first))
-    # int32 keeps a painted label image at 4 bytes a pixel.
     component = np.cumsum(is_root, dtype=np.int32)[parent]
-
-    row = first // stride
-    start = first - row * stride - 1
-    return row, start, end - row * stride - 1, component, int(is_root.sum())
+    return first, end, component, int(is_root.sum())
 
 
-def _component_sizes(start: np.ndarray, stop: np.ndarray, component: np.ndarray,
+def _component_sizes(first: np.ndarray, end: np.ndarray, component: np.ndarray,
                      n: int) -> np.ndarray:
     """Pixel count of each component 0..n from its runs; component 0 is empty."""
-    return np.bincount(component, weights=stop - start, minlength=n + 1).astype(np.int64)
+    return np.bincount(component, weights=end - first, minlength=n + 1).astype(np.int64)
 
 
-def _paint_runs(fg: np.ndarray, start: np.ndarray, stop: np.ndarray,
+def _paint_runs(fg: np.ndarray, first: np.ndarray, end: np.ndarray,
                 value: np.ndarray) -> np.ndarray:
-    """Image of the runs of ``fg`` that ``_label8`` returned, run k painted
+    """Image of the runs of ``fg`` that ``_runs`` returned, run k painted
     ``value[k]`` and background 0. The foreground in raster order is the runs
     in order, so one boolean assignment paints them all."""
     out = np.zeros(fg.shape, dtype=value.dtype)
-    out[fg] = np.repeat(value, stop - start)
+    out[fg] = np.repeat(value, end - first)
     return out
 
 

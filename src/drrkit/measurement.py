@@ -95,14 +95,19 @@ def _measured(condition: Condition, value: float, evidence: dict) -> Measurement
                              exclusion_reason=None, evidence=evidence)
 
 
+def _clean(mask, min_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask without its 8-connected components smaller than min_px
+    pixels, as {0, 1} uint8, and the sizes of the components it kept."""
+    fg = _as_binary(mask)
+    first, end, component, n = _label8(fg)
+    sizes = _component_sizes(first, end, component, n)
+    kept = sizes >= max(min_px, 1)      # component 0 is empty and never kept
+    return _paint_runs(fg, first, end, kept[component].view(np.uint8)), sizes[kept]
+
+
 def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
     """Drop 8-connected components smaller than min_component_px pixels."""
-    fg = _as_binary(mask)
-    if min_component_px <= 1:
-        return fg.astype(np.uint8)
-    _, start, stop, component, n = _label8(fg)
-    kept = _component_sizes(start, stop, component, n) >= min_component_px
-    return _paint_runs(fg, start, stop, kept[component].view(np.uint8))
+    return _clean(mask, min_component_px)[0]
 
 
 def centroid(mask) -> tuple[float, float]:
@@ -157,14 +162,6 @@ def compose_thorax(masks: Sequence) -> np.ndarray:
     return out
 
 
-def _fragmentation(arr: np.ndarray) -> tuple[int, float]:
-    _, start, stop, component, n = _label8(arr)
-    if n == 0:
-        return 0, 0.0
-    sizes = _component_sizes(start, stop, component, n)
-    return n, float(sizes.max() / sizes.sum())
-
-
 def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> MeasurementResult:
     """Widest heart extent over widest thorax extent, graded for cardiomegaly.
 
@@ -173,13 +170,14 @@ def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> Measure
     excludes the study.
     """
     cond = Condition.CARDIOMEGALY
-    h = clean_mask(heart, min_component_px)
+    h, h_sizes = _clean(heart, min_component_px)
     t = clean_mask(thorax, min_component_px)
     if not h.any():
         return _excluded(cond, "heart mask empty after cleaning")
     if not t.any():
         return _excluded(cond, "thorax mask empty after cleaning")
-    n_comp, largest_frac = _fragmentation(h)
+    # Cleaning drops whole components, so the kept ones are the cleaned heart's.
+    n_comp, largest_frac = len(h_sizes), float(h_sizes.max() / h_sizes.sum())
     if n_comp > 2 or largest_frac < 0.8:
         return _excluded(
             cond, "heart silhouette fragmented",

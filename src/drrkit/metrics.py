@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _as_binary, _component_sizes, _label8, _paint_runs
+from .io import ValidationError, _as_binary, _component_sizes, _label8, _runs
 from .stats import BootstrapCI, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -65,9 +65,8 @@ def dice_iou(pred, ref) -> tuple[float, float]:
     np_, nr = int(np.count_nonzero(p)), int(np.count_nonzero(r))
     if np_ + nr == 0:
         return 1.0, 1.0
-    union = np_ + nr - inter
     dice = 2.0 * inter / (np_ + nr)
-    iou = inter / union if union else 1.0
+    iou = inter / (np_ + nr - inter)
     return dice, iou
 
 
@@ -80,16 +79,12 @@ def boundary_pixels(mask) -> np.ndarray:
     return fg & ~interior
 
 
-def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    # Euclidean distance from every src boundary pixel to the nearest dst
-    # boundary pixel, in pixel units. scipy.spatial is imported here, so
+def _directed_distances(src_pts: np.ndarray, dst_pts: np.ndarray) -> np.ndarray:
+    # Euclidean distance from every src boundary point to the nearest dst
+    # boundary point, in pixel units. scipy.spatial is imported here, so
     # only commands that measure boundary distances pay for loading it.
     from scipy.spatial import cKDTree
 
-    src_pts = np.argwhere(src)
-    dst_pts = np.argwhere(dst)
-    if len(src_pts) == 0 or len(dst_pts) == 0:
-        raise ValidationError("boundary distance needs nonempty boundaries")
     d, _ = cKDTree(dst_pts).query(src_pts, k=1)
     return np.asarray(d, dtype=np.float64)
 
@@ -109,7 +104,8 @@ def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
     if not p.any() or not r.any():
         raise ValidationError("boundary metrics are undefined for empty masks; "
                               "use evaluate_pair for the degenerate conventions")
-    bp, br = boundary_pixels(p), boundary_pixels(r)
+    # A nonempty mask always has a boundary pixel: its topmost row does.
+    bp, br = np.argwhere(boundary_pixels(p)), np.argwhere(boundary_pixels(r))
     d_pr = _directed_distances(bp, br)
     d_rp = _directed_distances(br, bp)
     pooled = np.concatenate([d_pr, d_rp])
@@ -128,33 +124,31 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
     """
     p, r = _check_pair(pred, ref)
-    _, start_p, stop_p, comp_p, n_p = _label8(p)
-    _, start_r, stop_r, comp_r, n_r = _label8(r)
+    first_p, end_p, comp_p, n_p = _label8(p)
+    first_r, end_r, comp_r, n_r = _label8(r)
     if n_p == 0 and n_r == 0:
         return 1.0, 1.0, 1.0, 0, 0, 0
     if n_p == 0 or n_r == 0:
         return 0.0, 0.0, 0.0, n_p, n_r, 0
 
-    sizes_p = _component_sizes(start_p, stop_p, comp_p, n_p)
-    sizes_r = _component_sizes(start_r, stop_r, comp_r, n_r)
-    lp = _paint_runs(p, start_p, stop_p, comp_p)
-    lr = _paint_runs(r, start_r, stop_r, comp_r)
-    # Joint histogram of (pred component, ref component) over overlap pixels.
-    both = p & r
-    pairs_iou = {}
-    if both.any():
-        joint = lp[both].astype(np.int64) * (n_r + 1) + lr[both]
-        uniq, counts = np.unique(joint, return_counts=True)
-        for key, inter in zip(uniq, counts):
-            i, j = int(key // (n_r + 1)), int(key % (n_r + 1))
-            union = sizes_p[i] + sizes_r[j] - inter
-            pairs_iou[(i, j)] = float(inter / union)
+    sizes_p = _component_sizes(first_p, end_p, comp_p, n_p)
+    sizes_r = _component_sizes(first_r, end_r, comp_r, n_r)
+    # Each run of p & r lies inside exactly one run of p and one of r, the
+    # last of each that starts at or before it, and its length is that
+    # (pred component, ref component) pair's share of the overlap.
+    first, end = _runs(p & r)
+    i = comp_p[np.searchsorted(first_p, first, side="right") - 1].astype(np.int64)
+    j = comp_r[np.searchsorted(first_r, first, side="right") - 1]
+    keys, which = np.unique(i * (n_r + 1) + j, return_inverse=True)
+    inter = np.bincount(which, weights=end - first).astype(np.int64)
+    i, j = keys // (n_r + 1), keys % (n_r + 1)
+    iou = inter / (sizes_p[i] + sizes_r[j] - inter)
 
-    order = sorted(pairs_iou.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+    order = sorted(zip(iou.tolist(), i.tolist(), j.tolist()), key=lambda t: (-t[0], t[1], t[2]))
     used_p: set[int] = set()
     used_r: set[int] = set()
     matched = 0
-    for (i, j), v in order:
+    for v, i, j in order:
         if v < match_iou:
             break
         if i in used_p or j in used_r:

@@ -766,7 +766,7 @@ def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
     path.write_text(json.dumps(doc))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
-    assert not (tmp_path / "out" / "case01").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_stats_n_classes_key_is_gone(tmp_path, capsys):
@@ -907,6 +907,43 @@ def test_fuzzed_document_exits_0_1_or_2(tmp_path, command):
     @given(_FUZZED_DOCUMENTS[command])
     def run(doc):
         path.write_text(json.dumps(doc))
+        assert cli.main(argv) in (0, 1, 2)
+
+    run()
+
+
+def _pgm_header(which, token, separators):
+    """The header of a valid 16 x 16 mask with its ``which``-th token (if
+    any) replaced and each token followed by its separator."""
+    tokens = [b"P5", b"16", b"16", b"255"]
+    if which:
+        tokens[which - 1] = token
+    return b"".join(t + sep for t, sep in zip(tokens, separators))
+
+
+# Fuzzed PGM files stay near a valid one, which has exactly one whitespace
+# byte after its last header token and a 256-byte payload. Separators include
+# comments, and a header may also be any bytes.
+_PGM_SEPARATOR = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"", b"#", b"#c\n", b"# 1 2\r"])
+_PGM_HEADER = st.builds(
+    _pgm_header, st.integers(0, 4),
+    st.sampled_from([b"P2", b"p5", b"0", b"-16", b"+16", b"1_6", b"16.0", b"1", b"256",
+                     b"65535", b"9" * 30]) | st.binary(max_size=6),
+    st.lists(_PGM_SEPARATOR, min_size=4, max_size=4)) | st.binary(max_size=24)
+_PGM_PAYLOAD = (st.sampled_from([0, 1, 255, 256, 257]).map(lambda n: b"\x01" * n)
+                | st.binary(max_size=300))
+
+
+def test_fuzzed_pgm_header_exits_0_1_or_2(tmp_path):
+    # The predicted mask of class 1 (16 x 16 in the valid inputs) gets a
+    # fuzzed header and payload. Derandomized, so the suite runs the same
+    # examples every time.
+    argv, _, _ = _cli_input(tmp_path, "evaluate")
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_PGM_HEADER, _PGM_PAYLOAD)
+    def run(header, payload):
+        (tmp_path / "pred1.pgm").write_bytes(header + payload)
         assert cli.main(argv) in (0, 1, 2)
 
     run()

@@ -285,19 +285,20 @@ def _check_label8(fg):
     for k, comp in enumerate(comps, start=1):
         for y, x in comp:
             want[y, x] = k
-    row, start, stop, component, n = _label8(fg)
+    first, end, component, n = _label8(fg)
     assert n == len(comps)
     # Runs are maximal, nonempty and in raster order: each starts past the
     # previous run's end, with a gap when both lie in the same row.
-    keys = row * (fg.shape[1] + 1) + start
-    ends = row * (fg.shape[1] + 1) + stop
-    assert np.all(start < stop) and np.all(keys[1:] > ends[:-1])
+    assert np.all(first < end) and np.all(first[1:] > end[:-1])
+    # Flat indices count one background column before each row.
+    row, start = np.divmod(first - 1, fg.shape[1] + 1)
+    stop = end - 1 - row * (fg.shape[1] + 1)
     painted = np.zeros(fg.shape, dtype=np.int32)
     for r, s, e, c in zip(row, start, stop, component):
         painted[r, s:e] = c
     np.testing.assert_array_equal(painted, want)
-    np.testing.assert_array_equal(_paint_runs(fg, start, stop, component), want)
-    assert _component_sizes(start, stop, component, n).tolist() == [0] + [len(c) for c in comps]
+    np.testing.assert_array_equal(_paint_runs(fg, first, end, component), want)
+    assert _component_sizes(first, end, component, n).tolist() == [0] + [len(c) for c in comps]
 
 
 def _serpentine(h, w):

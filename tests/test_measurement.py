@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from drrkit import measurement
 from drrkit import (Condition, Grade, Mask2D, ValidationError, View, apex_angle,
                     cardiothoracic_ratio, centroid, clean_mask, compose_thorax,
                     endpoint_tangent_angle, fit_spine_curve, grade,
@@ -210,6 +211,35 @@ def test_ctr_two_components_dominant_allowed():
     rep = cardiothoracic_ratio(_mask(heart), _mask(_rect(shape, 0, 60, 0, 110)))
     assert not rep.excluded
     assert rep.evidence["n_heart_components"] == 2
+
+
+@pytest.mark.parametrize("shape, heart_blocks, thorax_cols, excluded, evidence", [
+    ((40, 120), [(10, 20, 10, 61)], 106, False, {"n_heart_components": 1}),
+    ((60, 60), [(5, 10, 5, 10), (20, 25, 20, 25), (40, 45, 40, 45)], 60, True,
+     {"n_components": 3, "largest_fraction": 25 / 75}),
+    ((60, 120), [(5, 10, 5, 15), (30, 36, 30, 37)], 110, True,
+     {"n_components": 2, "largest_fraction": 50 / 92}),
+    ((60, 120), [(5, 15, 5, 25), (30, 34, 30, 38)], 110, False, {"n_heart_components": 2}),
+    ((60, 120), [(5, 15, 5, 25), (30, 31, 30, 33)], 110, False, {"n_heart_components": 1}),
+], ids=["one-blob", "three-blobs", "small-share", "dominant", "speck-dropped"])
+def test_ctr_labels_each_mask_once(monkeypatch, shape, heart_blocks, thorax_cols,
+                                   excluded, evidence):
+    # The heart's component count and largest share come from the sizes that
+    # cleaning found, so only the heart and the thorax are labelled.
+    labelled = []
+    real_label8 = measurement._label8
+    monkeypatch.setattr(measurement, "_label8",
+                        lambda fg: labelled.append(fg.shape) or real_label8(fg))
+    heart = np.zeros(shape, dtype=np.uint8)
+    for r0, r1, c0, c1 in heart_blocks:
+        heart[r0:r1, c0:c1] = 1
+    rep = cardiothoracic_ratio(_mask(heart), _mask(_rect(shape, 0, shape[0], 0, thorax_cols)))
+    assert labelled == [shape, shape]
+    assert rep.excluded == excluded
+    assert {k: rep.evidence[k] for k in evidence} == evidence
+    if excluded:
+        assert rep.exclusion_reason == "heart silhouette fragmented"
+        assert rep.evidence == evidence
 
 
 def test_ctr_zero_width_thorax_excluded():

@@ -170,6 +170,20 @@ def test_detection_matches_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+# Larger pairs than the seeded ones, with overlap runs that end in the last
+# column. Every pixel is drawn on its own (no fill value), so many pairs hold
+# components that overlap several of the other side's. Derandomized, so the
+# suite runs the same examples every time.
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.bool_, shape, fill=st.nothing())] * 2)))
+def test_detection_matches_oracle_on_random_pairs(pair):
+    pred, ref = pair
+    got = component_detection(pred, ref)
+    want = oracles.detection_reference(pred, ref, 0.5)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 def _candidate_ious(pred, ref):
     out = []
     for cp in oracles.flood_components(pred):
