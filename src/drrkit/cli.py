@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io as _io
 import json
 import os
@@ -32,7 +33,7 @@ from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
 from .projection import ProjectionConfig, project_study
-from .stats import (confusion_from_labels, ordinal_metrics,
+from .stats import (PairwiseComparison, confusion_from_labels, ordinal_metrics,
                     pairwise_model_comparison, weighted_kappa)
 
 SCHEMA_VERSION = 1
@@ -192,16 +193,14 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
             lab = load_label_volume(lpath, _digests=hashes, _name=rel)
             if declared_id is not None and declared_id != lab.label_id:
                 raise ValidationError(
-                    f"study {study['id']}: manifest says label_id {declared_id} "
-                    f"but {rel} holds {lab.label_id}")
-            if lab.shape != vol.shape:
-                raise ValidationError(
-                    f"study {study['id']}: label {lab.label_id} dims {lab.shape} "
-                    f"do not match volume dims {vol.shape}")
+                    f"manifest says label_id {declared_id} but {rel} holds {lab.label_id}")
             yield lab
             del lab     # release it before the next label is read
 
-    result = project_study(vol, labels(), config)
+    try:
+        result = project_study(vol, labels(), config)
+    except ValidationError as exc:
+        raise ValidationError(f"study {study['id']}: {exc}") from exc
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_dict()}, inputs=hashes)
@@ -461,13 +460,20 @@ def _read_ordinal(path: str, hashes: dict) -> np.ndarray:
     raise ValidationError(f"{path}: ordinal input needs either 'matrix' or 'truth'+'pred'")
 
 
+def _csv_cell(value):
+    # Floats are written with repr so they round-trip, bools as JSON writes
+    # them; csv writes None empty.
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
 def _csv_text(header: list[str], rows) -> str:
-    # Floats are written with repr so they round-trip; csv writes None empty.
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow([_csv_cell(v) for v in row])
     return buf.getvalue()
 
 
@@ -483,11 +489,8 @@ def cmd_stats(args) -> int:
         config = {"alpha": alpha}
         fields = {"n_comparisons": len(comparisons),
                   "comparisons": [c.to_json_dict() for c in comparisons]}
-        header = ["first", "second", "n_effective", "statistic", "p_value",
-                  "p_bonferroni", "cohens_d", "rank_biserial", "significant", "method"]
-        rows = [[c.first, c.second, c.n_effective, c.statistic, c.p_value,
-                 c.p_bonferroni, c.cohens_d, c.rank_biserial,
-                 str(c.significant).lower(), c.method] for c in comparisons]
+        header = [f.name for f in dataclasses.fields(PairwiseComparison)]
+        rows = [c.values() for c in fields["comparisons"]]
     else:
         matrix = _read_ordinal(args.scores, hashes)
         metrics = ordinal_metrics(matrix)

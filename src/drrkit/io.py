@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -37,6 +39,45 @@ def _freeze(obj, name: str, arr: np.ndarray) -> None:
     view = arr.view()
     view.setflags(write=False)
     object.__setattr__(obj, name, view)
+
+
+def _json_value(value):
+    # Records nest as their own JSON form, enums go by lowercase name, tuples
+    # become lists and mapping keys strings.
+    if isinstance(value, _Record):
+        return value.to_json_dict()
+    if isinstance(value, Enum):
+        return value.name.lower()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
+
+
+class _Record:
+    """Base of the frozen result dataclasses: one JSON form for all of them,
+    every field under its own name."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _binary_u8(data, what: str) -> np.ndarray:
+    """{0, 1} uint8 of a 0/1 array, checked as passed: a cast first would turn
+    256, -255, 0.5 and NaN into 0 or 1. A bool array is viewed, not scanned."""
+    arr = np.asarray(data)
+    if arr.dtype == bool:
+        return np.ascontiguousarray(arr).view(np.uint8)
+    # Integers are 0 or 1 when their range is, which two scans tell without a
+    # full-size temporary; any other values are compared one by one.
+    if arr.dtype.kind in "ui":
+        binary = arr.min(initial=0) >= 0 and arr.max(initial=0) <= 1
+    else:
+        binary = np.array_equal(arr, arr != 0)
+    if not binary:
+        raise ValidationError(f"{what} must be 0 or 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 def _check_spacing(spacing, n: int) -> tuple[float, ...]:
@@ -94,11 +135,9 @@ class LabelVolume:
     label_id: int
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        arr = _binary_u8(self.data, "label volume voxels")
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"label volume must be nonempty 3D, got shape {arr.shape}")
-        if arr.max(initial=0) > 1:
-            raise ValidationError("label volume voxels must be 0 or 1")
         _freeze(self, "data", arr)
         lid = int(self.label_id)
         if lid < 0:
@@ -149,11 +188,9 @@ class Mask2D:
     label_id: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        arr = _binary_u8(self.data, "mask pixels")
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValidationError(f"mask must be nonempty 2D, got shape {arr.shape}")
-        if arr.max(initial=0) > 1:
-            raise ValidationError("mask pixels must be 0 or 1")
         _freeze(self, "data", arr)
         object.__setattr__(self, "view", View(self.view))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, 2))
@@ -167,12 +204,6 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
     if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValidationError(f"{name} must be nonempty 2D, got shape {arr.shape}")
     return arr if arr.dtype == bool else arr != 0
-
-
-def _binary_u8(arr: np.ndarray) -> np.ndarray:
-    """{0, 1} uint8 of any nonzero element, as loaded labels and masks store it.
-    The bool result read as uint8 is already {0, 1}: no second full-size copy."""
-    return np.not_equal(arr, 0).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +389,7 @@ def load_label_volume(path, *, _digests=None, _name=None) -> LabelVolume:
     """Load a uint8 binary label volume; nonzero voxels map to 1."""
     meta, data = _read_volume_pair(path, "u8", _digests, _name)
     label_id = _nonneg_int(meta.get("label_id"), f"{_sidecar_paths(path)[0]}: 'label_id'")
-    return LabelVolume(data=_binary_u8(data), label_id=label_id)
+    return LabelVolume(data=data != 0, label_id=label_id)
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:
@@ -372,42 +403,26 @@ def save_label_volume(lab: LabelVolume, path) -> None:
 # binary PGM (P5), maxval 255
 
 
+# The magic, then width, height and maxval as ASCII decimal digits, each after
+# whitespace or comments (a comment runs from # to its line end), then the one
+# whitespace byte before the payload. A comment stops at the first line end, so
+# every header splits one way only and the match takes linear time. At most 18
+# digits, so int() never meets Python's digit limit and no real image is refused.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+([0-9]{1,18})" * 3 + rb"\s")
+
+
 def _parse_pgm(blob: bytes, origin: str) -> np.ndarray:
-    pos = 0
-    n = len(blob)
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < n:
-            c = blob[pos:pos + 1]
-            if c == b"#":                      # comment runs to end of line
-                while pos < n and blob[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < n and not blob[pos:pos + 1].isspace() and blob[pos:pos + 1] != b"#":
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{origin}: truncated PGM header")
-        return blob[start:pos]
-
-    if next_token() != b"P5":
+    if not blob.startswith(b"P5"):
         raise FormatError(f"{origin}: not a binary PGM (magic must be P5)")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise FormatError(f"{origin}: malformed PGM header") from exc
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise FormatError(f"{origin}: malformed PGM header")
+    width, height, maxval = (int(g) for g in header.groups())
     if width < 1 or height < 1:
         raise FormatError(f"{origin}: PGM dimensions must be positive")
     if maxval != 255:
         raise FormatError(f"{origin}: PGM maxval must be 255, got {maxval}")
-    pos += 1    # exactly one whitespace byte separates header from payload
-    payload = blob[pos:]
+    payload = blob[header.end():]
     if len(payload) != width * height:
         raise FormatError(
             f"{origin}: PGM payload is {len(payload)} bytes, header implies {width * height}")
@@ -435,7 +450,7 @@ def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0), *,
               _digests=None, _name=None) -> Mask2D:
     """Load a PGM mask; any nonzero pixel counts as foreground."""
     arr = _parse_pgm(_read_input(path, _digests, _name), str(path))
-    return Mask2D(data=_binary_u8(arr), view=view, spacing=spacing, label_id=label_id)
+    return Mask2D(data=arr != 0, view=view, spacing=spacing, label_id=label_id)
 
 
 def save_mask(mask: Mask2D, path) -> None:

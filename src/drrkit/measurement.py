@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .io import ValidationError, _as_binary, _component_sizes, _label8, _paint_runs
+from .io import ValidationError, _Record, _as_binary, _component_sizes, _label8, _paint_runs
 
 
 class Condition(str, Enum):
@@ -62,7 +62,7 @@ def grade(condition: Condition, value: float) -> Grade:
 
 
 @dataclass(frozen=True)
-class MeasurementResult:
+class MeasurementResult(_Record):
     """Outcome of one measurement: a graded value or a reasoned exclusion."""
 
     condition: Condition
@@ -71,16 +71,6 @@ class MeasurementResult:
     excluded: bool
     exclusion_reason: str | None
     evidence: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition.value,
-            "value": self.value,
-            "grade": self.grade.label if self.grade is not None else None,
-            "excluded": self.excluded,
-            "exclusion_reason": self.exclusion_reason,
-            "evidence": self.evidence,
-        }
 
 
 def _excluded(condition: Condition, reason: str, evidence: dict | None = None) -> MeasurementResult:

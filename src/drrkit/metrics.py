@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _as_binary, _component_sizes, _label8, _runs
+from .io import ValidationError, _Record, _as_binary, _component_sizes, _label8, _runs
 from .stats import BootstrapCI, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -21,7 +21,7 @@ AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(_Record):
     """All pairwise metrics for one (predicted, reference) mask pair."""
 
     dice: float
@@ -36,17 +36,6 @@ class MetricsReport:
     n_ref_components: int
     n_matched: int
     flags: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dice": self.dice, "iou": self.iou,
-            "hd95": self.hd95, "asd": self.asd, "nsd": self.nsd,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "n_pred_components": self.n_pred_components,
-            "n_ref_components": self.n_ref_components,
-            "n_matched": self.n_matched,
-            "flags": list(self.flags),
-        }
 
 
 def _check_pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
@@ -172,47 +161,37 @@ def _check_thresholds(nsd_tolerance_px: float, match_iou: float) -> None:
 
 def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
                   match_iou: float = 0.5) -> MetricsReport:
-    """Full metric set for one mask pair, including degenerate conventions."""
+    """Full metric set for one mask pair, including degenerate conventions.
+
+    dice_iou and component_detection already score two empty masks 1 and a
+    single empty side 0; only the boundary distances need the conventions.
+    """
     _check_thresholds(nsd_tolerance_px, match_iou)
     p, r = _check_pair(pred, ref)
-    p_empty, r_empty = not p.any(), not r.any()
-    if p_empty and r_empty:
-        return MetricsReport(dice=1.0, iou=1.0, hd95=0.0, asd=0.0, nsd=1.0,
-                             precision=1.0, recall=1.0, f1=1.0,
-                             n_pred_components=0, n_ref_components=0, n_matched=0,
-                             flags=("both_empty",))
-    if p_empty or r_empty:
-        diag = float(np.hypot(*p.shape))
-        flag = "pred_empty" if p_empty else "ref_empty"
-        _, _, _, n_p, n_r, _ = component_detection(p, r, match_iou=match_iou)
-        return MetricsReport(dice=0.0, iou=0.0, hd95=diag, asd=diag, nsd=0.0,
-                             precision=0.0, recall=0.0, f1=0.0,
-                             n_pred_components=n_p, n_ref_components=n_r, n_matched=0,
-                             flags=(flag,))
     dice, iou = dice_iou(p, r)
-    hd95, asd, nsd = boundary_distance_metrics(p, r, nsd_tolerance_px=nsd_tolerance_px)
     precision, recall, f1, n_p, n_r, matched = component_detection(
         p, r, match_iou=match_iou)
+    # A mask is empty exactly when it has no component.
+    if n_p == 0 and n_r == 0:
+        (hd95, asd, nsd), flags = (0.0, 0.0, 1.0), ("both_empty",)
+    elif n_p == 0 or n_r == 0:
+        diag = float(np.hypot(*p.shape))
+        (hd95, asd, nsd), flags = (diag, diag, 0.0), ("pred_empty" if n_p == 0 else "ref_empty",)
+    else:
+        hd95, asd, nsd = boundary_distance_metrics(p, r, nsd_tolerance_px=nsd_tolerance_px)
+        flags = ()
     return MetricsReport(dice=dice, iou=iou, hd95=hd95, asd=asd, nsd=nsd,
                          precision=precision, recall=recall, f1=f1,
                          n_pred_components=n_p, n_ref_components=n_r,
-                         n_matched=matched, flags=())
+                         n_matched=matched, flags=flags)
 
 
 @dataclass(frozen=True)
-class ClassSetReport:
+class ClassSetReport(_Record):
     """Per-class metric reports plus bootstrap CIs of the across-class means."""
 
     per_class: Mapping[int, MetricsReport]
     aggregate: Mapping[str, BootstrapCI]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class": {str(k): v.to_json_dict()
-                          for k, v in sorted(self.per_class.items())},
-            "aggregate": {name: ci.to_json_dict()
-                          for name, ci in self.aggregate.items()},
-        }
 
 
 def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
@@ -237,10 +216,10 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
                 pred, ref, nsd_tolerance_px=nsd_tolerance_px, match_iou=match_iou)
         except ValidationError as exc:
             raise ValidationError(f"class {class_id}: {exc}") from exc
+    per_class = {k: per_class[k] for k in sorted(per_class)}
     aggregate = {}
-    ordered = [per_class[k] for k in sorted(per_class)]
     for name in AGGREGATE_METRICS:
-        values = [getattr(rep, name) for rep in ordered]
+        values = [getattr(rep, name) for rep in per_class.values()]
         aggregate[name] = bootstrap_ci(values, n_resamples=n_resamples,
                                        level=level, seed=seed)
     return ClassSetReport(per_class=per_class, aggregate=aggregate)

@@ -290,7 +290,10 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
     seen: set[int] = set()
     for lab in labels:
         if lab.label_id in seen:
-            raise ValidationError(f"duplicate label id {lab.label_id} in study")
+            raise ValidationError(f"duplicate label id {lab.label_id}")
+        if lab.shape != vol.shape:
+            raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
+                                  f"do not match volume dims {vol.shape}")
         seen.add(lab.label_id)
         for view in config.views:
             footprint = project_mask(lab, view, spacing=vol.spacing)

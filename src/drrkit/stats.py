@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _freeze
+from .io import ValidationError, _Record, _freeze
 
 
 def _as_1d(values, name: str) -> np.ndarray:
@@ -84,16 +84,12 @@ _BOOTSTRAP_CHUNK = 1 << 20     # resample indices held at once
 
 
 @dataclass(frozen=True)
-class BootstrapCI:
+class BootstrapCI(_Record):
     mean: float
     lower: float
     upper: float
     n_resamples: int
     level: float
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "lower": self.lower, "upper": self.upper,
-                "n_resamples": self.n_resamples, "level": self.level}
 
 
 def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
@@ -125,18 +121,13 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
 
 
 @dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(_Record):
     statistic: float        # min(W+, W-)
     w_plus: float
     w_minus: float
     n_effective: int        # pairs left after dropping zero differences
     p_value: float
     method: str             # "exact", "normal" or "degenerate"
-
-    def to_json_dict(self) -> dict:
-        return {"statistic": self.statistic, "w_plus": self.w_plus,
-                "w_minus": self.w_minus, "n_effective": self.n_effective,
-                "p_value": self.p_value, "method": self.method}
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
@@ -197,14 +188,10 @@ def bonferroni(p_value: float, n_comparisons: int) -> float:
 
 
 @dataclass(frozen=True)
-class EffectSizes:
+class EffectSizes(_Record):
     cohens_d: float | None
     rank_biserial: float | None
     flags: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {"cohens_d": self.cohens_d, "rank_biserial": self.rank_biserial,
-                "flags": list(self.flags)}
 
 
 def effect_sizes(a, b=None) -> EffectSizes:
@@ -264,13 +251,10 @@ def confusion_from_labels(truth, pred, n_classes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KappaResult:
+class KappaResult(_Record):
     kappa: float | None
     weights: str
     flags: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {"kappa": self.kappa, "weights": self.weights, "flags": list(self.flags)}
 
 
 def weighted_kappa(matrix, weights: str = "quadratic") -> KappaResult:
@@ -298,18 +282,13 @@ def weighted_kappa(matrix, weights: str = "quadratic") -> KappaResult:
 
 
 @dataclass(frozen=True)
-class OrdinalMetrics:
+class OrdinalMetrics(_Record):
     accuracy: float
     off_by_one: float
     macro_f1: float
     weighted_f1: float
     per_class_f1: tuple[float, ...]
     flags: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "off_by_one": self.off_by_one,
-                "macro_f1": self.macro_f1, "weighted_f1": self.weighted_f1,
-                "per_class_f1": list(self.per_class_f1), "flags": list(self.flags)}
 
 
 def ordinal_metrics(matrix) -> OrdinalMetrics:
@@ -349,7 +328,7 @@ def ordinal_metrics(matrix) -> OrdinalMetrics:
 
 
 @dataclass(frozen=True)
-class PairwiseComparison:
+class PairwiseComparison(_Record):
     first: str
     second: str
     n_effective: int
@@ -360,13 +339,6 @@ class PairwiseComparison:
     rank_biserial: float | None
     significant: bool
     method: str
-
-    def to_json_dict(self) -> dict:
-        return {"first": self.first, "second": self.second,
-                "n_effective": self.n_effective, "statistic": self.statistic,
-                "p_value": self.p_value, "p_bonferroni": self.p_bonferroni,
-                "cohens_d": self.cohens_d, "rank_biserial": self.rank_biserial,
-                "significant": self.significant, "method": self.method}
 
 
 def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,

@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import dataclasses
 import hashlib
 import io
 import json
@@ -112,9 +113,9 @@ def test_project_missing_label_exits_2_without_partial_study(tmp_path):
 
 @pytest.mark.parametrize("bad,code,message", [
     ("missing.json", 2, "missing.json"),
-    ({"label_id": 9, "path": "lab2.json"}, 1, "label_id 9"),
+    ({"label_id": 9, "path": "lab2.json"}, 1, "study case01: manifest says label_id 9"),
     ("short.json", 1, "do not match volume dims"),
-    ("lab1.json", 1, "duplicate label id 1"),
+    ("lab1.json", 1, "study case01: duplicate label id 1"),
 ], ids=["missing", "wrong_id", "wrong_dims", "duplicate_id"])
 def test_project_bad_label_keeps_earlier_study(tmp_path, capsys, bad, code, message):
     manifest = _write_study_inputs(tmp_path, n_labels=2)
@@ -553,6 +554,24 @@ def test_stats_pairwise_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_stats_pairwise_csv_holds_the_json_records(tmp_path):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"a": [0.9, 0.8, 0.7, 0.6], "b": [0.5, 0.8, 0.6, 0.1],
+                                  "c": [0.9, 0.8, 0.7, 0.6]}))
+    argv = ["stats", "--mode", "pairwise", "--scores", str(scores), "--out"]
+    assert cli.main(argv + [str(tmp_path / "p.json")]) == 0
+    assert cli.main(argv + [str(tmp_path / "p.csv"), "--format", "csv"]) == 0
+    records = json.loads((tmp_path / "p.json").read_text())["comparisons"]
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    header = [f.name for f in dataclasses.fields(drrkit.PairwiseComparison)]
+    assert lines[0].split(",") == header
+    cell = {True: "true", False: "false", None: ""}
+    assert lines[1:] == [",".join(cell[v] if v is None or isinstance(v, bool) else
+                                  repr(v) if isinstance(v, float) else str(v)
+                                  for v in map(rec.get, header)) for rec in records]
+    assert {rec["cohens_d"] for rec in records} >= {None}     # a, c tie on every case
+
+
 @pytest.mark.parametrize("blob", [
     b"class,a,b\n1,0.9,\xff\n",
     b"a,b\n1,\"" + b"9" * 200_000 + b"\"\n",     # past csv's field size limit
@@ -945,5 +964,40 @@ def test_fuzzed_pgm_header_exits_0_1_or_2(tmp_path):
     def run(header, payload):
         (tmp_path / "pred1.pgm").write_bytes(header + payload)
         assert cli.main(argv) in (0, 1, 2)
+
+    run()
+
+
+# Fuzzed CSV score files: a header of model names, with or without an id
+# column, over rows of scores; or rows of any cells, ragged or not; joined by
+# either line end. Or any bytes at all.
+_CSV_SCORE = st.floats(-1e3, 1e3).map(repr) | st.integers(-5, 5).map(str)
+_CSV_CELL = _CSV_SCORE | st.text(max_size=4) | st.sampled_from(
+    ["", " ", "x", "class", "1_0", "nan", "inf", "-inf", "1e308", "-1e308", '"', '"a,b"', "\x00"])
+_CSV_NAMES = st.lists(st.sampled_from(["a", "b", "c"]) | st.text(max_size=3),
+                      min_size=2, max_size=4)
+
+
+def _csv_table(id_column, names, n_rows):
+    header = ["class"] * id_column + names
+    return st.lists(st.lists(_CSV_SCORE, min_size=len(header), max_size=len(header)),
+                    min_size=n_rows, max_size=n_rows).map(lambda rows: [header] + rows)
+
+
+_CSV_ROWS = (st.tuples(st.booleans(), _CSV_NAMES, st.integers(1, 6)).flatmap(
+    lambda t: _csv_table(*t)) | st.lists(st.lists(_CSV_CELL, max_size=5), max_size=6))
+_CSV_FILE = st.builds(lambda rows, end: end.join(",".join(row) for row in rows).encode(),
+                      _CSV_ROWS, st.sampled_from(["\n", "\r\n", "\r"])) | st.binary(max_size=40)
+
+
+def test_fuzzed_csv_scores_exit_0_1_or_2(tmp_path):
+    scores, out = tmp_path / "scores.csv", tmp_path / "out"
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_CSV_FILE, st.sampled_from(["json", "csv"]))
+    def run(blob, fmt):
+        scores.write_bytes(blob)
+        assert cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
+                         "--out", str(out), "--format", fmt]) in (0, 1, 2)
 
     run()

@@ -13,7 +13,7 @@ from drrkit import (FormatError, LabelVolume, Mask2D, Projection, ValidationErro
                     View, Volume, load_label_volume, load_mask, load_projection,
                     load_volume, save_label_volume, save_mask, save_projection,
                     save_volume)
-from drrkit.io import _component_sizes, _label8, _paint_runs
+from drrkit.io import _component_sizes, _encode_pgm, _label8, _paint_runs, _parse_pgm
 
 
 def test_load_volume_single_voxel(tmp_path):
@@ -162,6 +162,35 @@ def test_containers_leave_the_callers_array_writable():
         arr[(0,) * arr.ndim] = 1                      # the caller's array is still theirs
 
 
+_BINARY_CONTAINERS = {"mask": lambda data: Mask2D(data=data, view=View.PA, spacing=(1, 1)),
+                      "label": lambda data: LabelVolume(data=data, label_id=1)}
+
+
+@pytest.mark.parametrize("bad", [256, -255, 2, -1, 0.5, np.nan, np.inf],
+                         ids=["256", "-255", "2", "-1", "0.5", "nan", "inf"])
+@pytest.mark.parametrize("container", ["mask", "label"])
+def test_binary_containers_check_values_before_the_cast(container, bad):
+    # Cast to uint8 first, 256 and NaN become 0 and -255 becomes 1.
+    shape = (2, 2) if container == "mask" else (2, 2, 2)
+    data = np.zeros(shape, dtype=np.asarray(bad).dtype)
+    data.flat[1] = bad
+    with pytest.raises(ValidationError, match="must be 0 or 1"):
+        _BINARY_CONTAINERS[container](data)
+    data.flat[1] = 1
+    assert _BINARY_CONTAINERS[container](data).data.tolist() == data.tolist()
+
+
+@pytest.mark.parametrize("container", ["mask", "label"])
+def test_binary_containers_view_a_bool_array(container):
+    shape = (3, 2) if container == "mask" else (3, 2, 2)
+    data = np.zeros(shape, dtype=bool)
+    data.flat[[0, 3]] = True
+    stored = _BINARY_CONTAINERS[container](data).data
+    assert stored.dtype == np.uint8
+    assert np.shares_memory(stored, data)
+    assert stored.tolist() == data.astype(np.uint8).tolist()
+
+
 def test_save_volume_range_checks(tmp_path):
     vol = Volume(data=np.full((1, 1, 1), 40000.0), spacing=(1, 1, 1))
     with pytest.raises(ValidationError):
@@ -246,6 +275,11 @@ def test_pgm_malformed_headers(tmp_path):
         b"P5\n0 1\n255\n",                      # zero dimension
         b"P5\n1\n255\n\x00",                    # missing height
         b"P5\nx 1\n255\n\x00",                  # non-numeric
+        b"P5\n1_6 +16\n0_255\n" + bytes(256),    # int() takes these, PGM does not
+        b"P5\n16 +16\n255\n" + bytes(256),
+        b"P5\n16 16.0\n255\n" + bytes(256),
+        b"P5\n16 16\n255#\n" + bytes(256),      # no whitespace byte before the payload
+        b"P516 16\n255\n" + bytes(256),         # no separator after the magic
     ]
     for blob in cases:
         (tmp_path / "bad.pgm").write_bytes(blob)
@@ -257,6 +291,26 @@ def test_pgm_comments_in_header(tmp_path):
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n2 1\n255\n\x01\x02")
     back = load_projection(tmp_path / "c.pgm", view=View.PA)
     assert back.data.tolist() == [[1, 2]]
+
+
+_PGM_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# A comment runs from # to the end of its line; its text may hold any other byte.
+_PGM_COMMENT = st.builds(lambda text, end: b"#" + text.translate(None, b"\r\n") + end,
+                         st.binary(max_size=8), st.sampled_from([b"\n", b"\r"]))
+_PGM_SEPARATOR = st.lists(_PGM_WHITESPACE | _PGM_COMMENT, min_size=1, max_size=3).map(b"".join)
+
+
+# Derandomized, so the suite runs the same examples every time.
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 6))),
+       st.lists(_PGM_SEPARATOR, min_size=3, max_size=3), _PGM_WHITESPACE)
+def test_pgm_round_trips_with_comments_in_its_header(arr, separators, last):
+    blob = _encode_pgm(arr)
+    payload = blob[len(blob) - arr.size:]
+    tokens = blob[:len(blob) - arr.size].split()
+    header = tokens[0] + b"".join(sep + tok for sep, tok in zip(separators, tokens[1:]))
+    back = _parse_pgm(header + last + payload, "fuzzed.pgm")
+    np.testing.assert_array_equal(back, arr)
 
 
 def test_sidecar_json_is_valid_json(tmp_path):

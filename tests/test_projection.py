@@ -302,6 +302,15 @@ def test_project_study_duplicate_label_ids_rejected():
         project_study(vol, stream())
 
 
+def test_project_study_rejects_label_dims_unlike_the_volume():
+    # Without the check, 5 x 5 footprints would sit beside 4 x 8 and 4 x 6 images.
+    vol = Volume(data=np.zeros((8, 6, 4), dtype=np.int16), spacing=(1, 1, 1))
+    lab = LabelVolume(data=np.ones((5, 5, 5), dtype=np.uint8), label_id=2)
+    with pytest.raises(ValidationError, match=r"label 2 dims \(5, 5, 5\) "
+                                              r"do not match volume dims \(8, 6, 4\)"):
+        project_study(vol, [lab])
+
+
 @pytest.mark.parametrize("depth", [1, 2, 15, 16, 17, 33, 64])
 def test_slab_line_integrals_match_whole_volume(depth):
     rng = np.random.default_rng(depth)
