@@ -17,6 +17,7 @@ import dataclasses
 import io as _io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -33,8 +34,8 @@ from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
 from .projection import ProjectionConfig, project_study
-from .stats import (PairwiseComparison, confusion_from_labels, ordinal_metrics,
-                    pairwise_model_comparison, weighted_kappa)
+from .stats import (_MAX_RESAMPLES, PairwiseComparison, confusion_from_labels,
+                    ordinal_metrics, pairwise_model_comparison, weighted_kappa)
 
 SCHEMA_VERSION = 1
 
@@ -119,18 +120,25 @@ def _load_config_section(config_path: str | None, section: str) -> dict:
 def _effective_config(config_path: str | None, section: str, defaults: dict,
                       flags: dict) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
-    # None unless the user passed it, and types it when passed; a file value
-    # takes the type of a numeric default here, so no command casts again.
+    # None unless the user passed it, and types it when passed. A file value
+    # for a numeric default must be a JSON number of its kind: an integer for
+    # an int (not a bool), any number for a float, which it becomes here, so
+    # no command casts again.
     out = dict(defaults)
     for key, value in _load_config_section(config_path, section).items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
         kind = type(defaults[key])
-        try:
-            out[key] = kind(value) if kind in (int, float) else value
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"config {section}.{key} must be a number, "
-                                  f"got {value!r}") from None
+        if kind in (int, float):
+            what = "an integer" if kind is int else "a number"
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValidationError(f"config {section}.{key} must be {what}, got {value!r}")
+            try:
+                value = kind(value)
+            except OverflowError:       # an integer too large for a float
+                raise ValidationError(f"config {section}.{key} must be {what}, "
+                                      f"got {value!r}") from None
+        out[key] = value
     out.update({key: value for key, value in flags.items() if value is not None})
     return out
 
@@ -393,6 +401,11 @@ def cmd_evaluate(args) -> int:
 # stats
 
 
+# A score cell is an ASCII decimal number. float() alone would also take
+# "1_0", non-ASCII digits, "nan" and "inf".
+_DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", re.ASCII)
+
+
 def _read_scores(path: str, hashes: dict) -> dict:
     if Path(path).suffix.lower() == ".csv":
         blob = _read_input(path, hashes)
@@ -412,10 +425,9 @@ def _read_scores(path: str, hashes: dict) -> dict:
             if len(row) != len(header):
                 raise ValidationError(f"{path}: ragged CSV row: {row}")
             for name, cell in zip(names, row[start:]):
-                try:
-                    scores[name].append(float(cell))
-                except ValueError:
-                    raise ValidationError(f"{path}: non-numeric score {cell!r}") from None
+                if not _DECIMAL.fullmatch(cell):
+                    raise ValidationError(f"{path}: non-numeric score {cell!r}")
+                scores[name].append(float(cell))
         return scores
     doc = _load_json_file(path, hashes)
     if isinstance(doc, dict) and isinstance(doc.get("models"), dict):
@@ -556,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--match-iou", type=float, default=None, dest="match_iou",
                    help="component match threshold (default 0.5)")
     e.add_argument("--resamples", type=int, default=None,
-                   help="bootstrap resample count (default 10000)")
+                   help=f"bootstrap resample count, 1 to {_MAX_RESAMPLES:,} (default 10000)")
     e.add_argument("--seed", type=int, default=0,
                    help="bootstrap seed (default 0)")
     e.set_defaults(func=cmd_evaluate)

@@ -68,14 +68,134 @@ def boundary_pixels(mask) -> np.ndarray:
     return fg & ~interior
 
 
-def _directed_distances(src_pts: np.ndarray, dst_pts: np.ndarray) -> np.ndarray:
-    # Euclidean distance from every src boundary point to the nearest dst
-    # boundary point, in pixel units. scipy.spatial is imported here, so
-    # only commands that measure boundary distances pay for loading it.
-    from scipy.spatial import cKDTree
+# Nearest-boundary search. Boundary points lie on the pixel grid, so every
+# squared distance is an exact int64, and each distance is the correctly
+# rounded square root of one. These constants change the speed, never a result.
+_RING_ROWS = 24         # row offsets searched around every point first
+_CELL = 32              # side of the grid cells that prune the search for far points
+_CHUNK = 1 << 18        # elements per int64 temporary in the cell search
+_KEY_SENTINEL = 1 << 61  # beyond every key, on both sides
 
-    d, _ = cKDTree(dst_pts).query(src_pts, k=1)
-    return np.asarray(d, dtype=np.float64)
+
+def _directed_distances(src_pts: np.ndarray, dst_pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every src point to the nearest dst point, in
+    pixel units. Both are nonempty (n, 2) integer arrays of (row, col), and
+    dst_pts is in raster order, as np.argwhere lists it."""
+    return np.sqrt(_nearest_sq(src_pts, dst_pts).astype(np.float64))
+
+
+def _nearest_sq(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    # Rows y, y - 1, y + 1, ... are searched for every src point at once: one
+    # np.searchsorted over the dst keys finds a point's nearest dst column in
+    # a row. Once rows within dy are done, a point whose best squared
+    # distance is at most (dy + 1)^2 is resolved; points still open after
+    # _RING_ROWS rows go to the cell search.
+    h = int(max(src[:, 0].max(), dst[:, 0].max())) + 1
+    w = int(max(src[:, 1].max(), dst[:, 1].max())) + 1
+    cap = h + w         # longer than any distance in the frame
+    stride = cap + w    # two keys in different rows differ by more than cap
+    keys = np.concatenate(([-_KEY_SENTINEL], dst[:, 0] * stride + dst[:, 1],
+                           [_KEY_SENTINEL]))
+    best = np.empty(len(src), dtype=np.int64)
+    todo = np.arange(len(src))
+    q = src[:, 0] * stride + src[:, 1]
+    cur = np.full(len(src), cap * cap, dtype=np.int64)     # best so far of each open point
+    for dy in range(_RING_ROWS + 1):
+        for shift in ((dy, -dy) if dy else (0,)):
+            qq = q + shift * stride
+            i = np.searchsorted(keys, qq)
+            # A gap of cap or more means no dst point in that row; capped, it
+            # costs more than any real distance, so it never wins.
+            dx = np.minimum(np.minimum(keys[i] - qq, qq - keys[i - 1]), cap)
+            np.minimum(cur, dx * dx + dy * dy, out=cur)
+        done = cur <= (dy + 1) ** 2
+        best[todo[done]] = cur[done]
+        todo, q, cur = todo[~done], q[~done], cur[~done]
+        if not todo.size:
+            return best
+    best[todo] = _cell_search(src[todo], cur, dst, w // _CELL + 1)
+    return best
+
+
+def _grid(pts: np.ndarray, ncol: int):
+    # Points grouped by _CELL x _CELL cell: the sorting order, each nonempty
+    # cell's start and size in it, the sorted rows and cols, and each cell's
+    # exact bounding box (row min, row max, col min, col max).
+    cell = (pts[:, 0] // _CELL) * ncol + pts[:, 1] // _CELL
+    order = np.argsort(cell, kind="stable")
+    start = np.flatnonzero(np.diff(cell[order], prepend=-1))
+    y, x = pts[order, 0], pts[order, 1]
+    box = [f.reduceat(v, start) for f, v in ((np.minimum, y), (np.maximum, y),
+                                              (np.minimum, x), (np.maximum, x))]
+    return order, start, np.diff(start, append=len(pts)), y, x, box
+
+
+def _box_bounds(a, b):
+    # Least and greatest squared distance between a point of box a and a
+    # point of box b.
+    (ay0, ay1, ax0, ax1), (by0, by1, bx0, bx1) = a, b
+    gy = np.maximum(np.maximum(ay0 - by1, by0 - ay1), 0)
+    gx = np.maximum(np.maximum(ax0 - bx1, bx0 - ax1), 0)
+    fy = np.maximum(ay1 - by0, by1 - ay0)
+    fx = np.maximum(ax1 - bx0, bx1 - ax0)
+    return gy * gy + gx * gx, fy * fy + fx * fx
+
+
+def _point_bounds(py, px, box):
+    # Bounds on the squared distance from a point to the nearest point in a
+    # cell. Below: the distance to the box. Above: each edge of an exact
+    # bounding box holds a point, so the nearest is no farther than the far
+    # end of the nearest edge.
+    y0, y1, x0, x1 = box
+    a, b, c, d = py - y0, py - y1, px - x0, px - x1
+    gy = np.maximum(np.maximum(-a, b), 0)
+    gx = np.maximum(np.maximum(-c, d), 0)
+    a, b, c, d = a * a, b * b, c * c, d * d
+    return gy * gy + gx * gx, np.minimum(np.minimum(a, b) + np.maximum(c, d),
+                                         np.minimum(c, d) + np.maximum(a, b))
+
+
+def _spans(counts: np.ndarray):
+    # Lists every (i, k) with k < counts[i], as an array of i and one of k,
+    # about _CHUNK pairs at a time. counts may be empty.
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, total, _CHUNK))
+    for lo, hi in zip([0, *cuts], [*cuts, len(counts)]):
+        n = counts[lo:hi]
+        i = np.repeat(np.arange(lo, hi), n)
+        yield i, np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _cell_search(pts: np.ndarray, ub: np.ndarray, dst: np.ndarray, ncol: int) -> np.ndarray:
+    # Exact nearest squared distances for far points, given an upper bound
+    # for each. Both point sets are gridded into cells. A dst cell is kept for
+    # a src cell, then for each of its points, only while its lower bound is
+    # at most the best upper bound so far; the points are brute-forced
+    # against the points of the dst cells that remain.
+    so, s_start, s_size, sy, sx, s_box = _grid(pts, ncol)
+    _, d_start, d_size, qy, qx, d_box = _grid(dst, ncol)
+    best = ub[so]
+    cell_ub = np.maximum.reduceat(best, s_start)
+    rows = max(1, _CHUNK // len(d_start))
+    for a in range(0, len(s_start), rows):
+        lb, far = _box_bounds([v[a:a + rows, None] for v in s_box], d_box)
+        cells, cand = np.nonzero(lb <= np.minimum(cell_ub[a:a + rows], far.min(axis=1))[:, None])
+        cells += a
+        for i, k in _spans(s_size[cells]):
+            p, c = s_start[cells[i]] + k, cand[i]
+            py, px = sy[p], sx[p]
+            lb, near = _point_bounds(py, px, [v[c] for v in d_box])
+            np.minimum.at(best, p, near)
+            keep = lb <= best[p]
+            p, c, py, px = p[keep], c[keep], py[keep], px[keep]
+            for j, k in _spans(d_size[c]):
+                q = d_start[c[j]] + k
+                ey, ex = py[j] - qy[q], px[j] - qx[q]
+                np.minimum.at(best, p[j], ey * ey + ex * ex)
+    out = np.empty_like(best)
+    out[so] = best
+    return out
 
 
 def _percentile95(d: np.ndarray) -> float:

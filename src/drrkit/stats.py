@@ -81,6 +81,7 @@ def _signed_rank_sums(d: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarr
 
 
 _BOOTSTRAP_CHUNK = 1 << 20     # resample indices held at once
+_MAX_RESAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,14 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
 
     Resample means are ranked and cut at the (1-level)/2 tails with linear
     percentile interpolation. n = 1 collapses the interval onto the value.
+    n_resamples is at most 10**7, which bounds the means array at 80 MB.
     """
     arr = _as_1d(values, "values")
     if not 0 < level < 1:
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    if n_resamples < 1:
-        raise ValidationError(f"n_resamples must be positive, got {n_resamples}")
+    if not 1 <= n_resamples <= _MAX_RESAMPLES:
+        raise ValidationError(
+            f"n_resamples must be in [1, {_MAX_RESAMPLES}], got {n_resamples}")
     # Rows are drawn a chunk at a time; successive integers() calls continue
     # one PCG64 stream, so the means equal those of a single (B, n) draw.
     rng = np.random.default_rng(seed)

@@ -309,17 +309,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize("command", ["project", "measure", "pairwise", "ordinal", "evaluate"])
-def test_only_evaluate_loads_scipy(tmp_path, command):
-    # Boundary distances use scipy.spatial; nothing else in drrkit uses scipy.
+def test_no_command_loads_scipy(tmp_path, command):
+    # numpy is drrkit's only runtime dependency, boundary distances included.
     argv, path, doc = _cli_input(tmp_path, command)
     path.write_text(json.dumps(doc))
-    rc, loaded = _scipy_loaded(argv)
-    assert rc == 0
-    if command == "evaluate":
-        assert "scipy.spatial" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.ndimage")]
-    else:
-        assert loaded == []
+    assert _scipy_loaded(argv) == [0, []]
 
 
 # --- measure ---------------------------------------------------------------
@@ -584,6 +578,32 @@ def test_stats_unreadable_csv_exits_1(tmp_path, blob):
     assert rc == 1
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "nan", "inf", "0x10", "1e", "."])
+def test_stats_non_decimal_csv_score_exits_1(tmp_path, capsys, cell):
+    # float() reads "1_0" as 10 and Arabic-Indic "12" as 12; a score must be
+    # an ASCII decimal number.
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"a,b\n0.9,0.5\n0.8,{cell}\n0.7,0.6\n", encoding="utf-8")
+    rc = cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
+                   "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert "non-numeric score" in capsys.readouterr().err
+
+
+def test_stats_csv_scores_take_every_decimal_form(tmp_path):
+    values = {"a": [" 1 ", "+.5", "-2.", "1e-3", "3E+2", "\t0.25"],
+              "b": ["0", "0.5", "-1.5", "2e-3", "299.5", "0.2"]}
+    scores = tmp_path / "scores.csv"
+    scores.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(*values.values())))
+    as_json = tmp_path / "scores.json"
+    as_json.write_text(json.dumps({k: [float(v) for v in vs] for k, vs in values.items()}))
+    for path in (scores, as_json):
+        assert cli.main(["stats", "--mode", "pairwise", "--scores", str(path),
+                         "--out", str(path.with_suffix(".out"))]) == 0
+    assert (json.loads(scores.with_suffix(".out").read_text())["comparisons"]
+            == json.loads(as_json.with_suffix(".out").read_text())["comparisons"])
+
+
 def test_stats_ordinal_from_grades(tmp_path):
     scores = tmp_path / "grades.json"
     scores.write_text(json.dumps({
@@ -634,6 +654,19 @@ _BAD_CONFIG_VALUES = [
     {"evaluate": {"n_resamples": "x"}},
     {"evaluate": {"match_iou": None}},
     {"stats": {"alpha": "x"}},
+    # A number of the wrong kind is refused, not converted: an int key takes
+    # only a JSON integer, a float key any JSON number, and neither a bool.
+    {"measure": {"min_component_px": 8.0}},
+    {"measure": {"min_component_px": True}},
+    {"evaluate": {"n_resamples": 2.5}},
+    {"evaluate": {"n_resamples": True}},
+    {"evaluate": {"n_resamples": "200"}},
+    {"evaluate": {"n_resamples": 1e300}},
+    {"evaluate": {"match_iou": False}},
+    {"evaluate": {"nsd_tolerance_px": "2"}},
+    {"evaluate": {"nsd_tolerance_px": 10 ** 400}},
+    {"projection": {"target_pixel_spacing": True}},
+    {"stats": {"alpha": [0.05]}},
 ]
 
 
@@ -659,7 +692,11 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
         argv = ["stats", "--mode", "pairwise", "--scores", str(scores),
                 "--out", str(tmp_path / "p.json")]
     assert cli.main(argv + ["--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    (key,) = config[section]
+    if key not in ("views", "output_size"):     # the numeric keys
+        assert f"config {section}.{key} " in err
 
 
 _OUT_OF_RANGE = [
@@ -673,6 +710,7 @@ _OUT_OF_RANGE = [
     ("stats", "alpha", "--alpha", 1.0),
     ("stats", "alpha", "--alpha", 2.0),
     ("stats", "alpha", "--alpha", float("nan")),
+    ("evaluate", "n_resamples", "--resamples", 10 ** 20),
 ]
 
 

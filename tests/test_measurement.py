@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from drrkit import measurement
@@ -123,14 +125,18 @@ def test_grade_spec_spot_values():
     assert grade(Condition.KYPHOSIS, 50.0) is Grade.MILD
 
 
-def test_grade_monotone_in_value():
-    rng = np.random.default_rng(9)
-    for cond, lo, hi in [(Condition.CARDIOMEGALY, 0.0, 1.2),
-                         (Condition.SCOLIOSIS, 0.0, 180.0),
-                         (Condition.KYPHOSIS, 0.0, 180.0)]:
-        values = np.sort(rng.uniform(lo, hi, size=50))
-        grades = [grade(cond, v) for v in values]
-        assert all(a <= b for a, b in zip(grades, grades[1:]))
+# Any finite values, the thresholds themselves and their float neighbours.
+_GRADE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [f(t) for thresholds, _ in measurement._THRESHOLDS.values() for t in thresholds
+     for f in (lambda t: t, lambda t: math.nextafter(t, -math.inf),
+               lambda t: math.nextafter(t, math.inf))])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(list(Condition)), _GRADE_VALUES, _GRADE_VALUES)
+def test_grade_monotone_in_value(condition, a, b):
+    lo, hi = sorted((a, b))
+    assert grade(condition, lo) <= grade(condition, hi)
 
 
 def test_grade_rejects_non_finite():

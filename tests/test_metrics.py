@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from drrkit import metrics
 from drrkit import (ValidationError, boundary_distance_metrics, boundary_pixels,
                     component_detection, dice_iou, evaluate_class_set,
                     evaluate_pair)
@@ -135,6 +136,82 @@ def test_boundary_metrics_translation_invariance():
     a = boundary_distance_metrics(base_p, base_r, nsd_tolerance_px=1.0)
     b = boundary_distance_metrics(shift_p, shift_r, nsd_tolerance_px=1.0)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+# --- nearest boundary points -------------------------------------------------------
+
+def _nearest_oracle(src, dst):
+    """Brute force: every squared distance as an exact int64, one sqrt per point."""
+    d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    return np.sqrt(d2.astype(np.float64))
+
+
+def _raster(points, offset=(0, 0)):
+    # np.unique sorts (row, col) pairs into raster order, as np.argwhere lists them.
+    return np.unique(np.asarray(points, dtype=np.int64) + offset, axis=0)
+
+
+def _assert_nearest_exact(a, b):
+    for src, dst in ((a, b), (b, a)):
+        assert np.array_equal(metrics._directed_distances(src, dst), _nearest_oracle(src, dst))
+
+
+_POINTS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=40)
+
+
+# Offsets up to several times the searched ring of rows, so points reach the
+# cell search as well as being resolved in the ring.
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_POINTS, _POINTS, st.tuples(st.integers(0, 150), st.integers(0, 150)))
+def test_nearest_search_matches_integer_oracle(src, dst, offset):
+    _assert_nearest_exact(_raster(src), _raster(dst, offset))
+
+
+# The constants set only how the work is split; the default row runs the
+# same sparse sets, which send most points to the cell search.
+@pytest.mark.parametrize("ring_rows,cell,chunk", [(24, 32, 1 << 18), (0, 1, 1), (1, 3, 7),
+                                                  (2, 5, 64), (24, 32, 1)])
+def test_nearest_search_constants_change_no_result(monkeypatch, ring_rows, cell, chunk):
+    monkeypatch.setattr(metrics, "_RING_ROWS", ring_rows)
+    monkeypatch.setattr(metrics, "_CELL", cell)
+    monkeypatch.setattr(metrics, "_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        (n, m), (h, w) = rng.integers(1, 60, size=2), rng.integers(1, 200, size=2)
+        _assert_nearest_exact(_raster(rng.integers(0, (h, w), size=(n, 2))),
+                              _raster(rng.integers(0, (h, w), size=(m, 2))))
+
+
+def _ellipse(shape, cy, cx, ay, ax):
+    yy, xx = np.ogrid[:shape[0], :shape[1]]
+    return ((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0
+
+
+def _far_noise_block():
+    block = np.zeros((256, 256), dtype=bool)
+    block[200:240, 200:240] = np.random.default_rng(9).random((40, 40)) < 0.5
+    return _ellipse((256, 256), 50, 50, 30, 30), block
+
+
+# The search's hard cases, scaled down from 2048 x 2048: two components far
+# apart, an ellipse shifted past the ring of rows, dense noise, a tiny blob
+# against a far disc, and a disc against a far block of noise.
+_ADVERSARIAL = {
+    "disc_and_far_noise_block": _far_noise_block,
+    "far_components": lambda: (_ellipse((256, 256), 20, 20, 12, 12),
+                               _ellipse((256, 256), 230, 236, 12, 12)),
+    "shifted_ellipse": lambda: (_ellipse((256, 256), 128, 110, 44, 56),
+                                _ellipse((256, 256), 128, 150, 44, 56)),
+    "noise": lambda: tuple(np.random.default_rng(8).random((2, 48, 48)) < 0.5),
+    "blob_and_far_disc": lambda: (_ellipse((256, 256), 4, 4, 1, 1),
+                                  _ellipse((256, 256), 190, 190, 60, 60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+def test_nearest_search_on_adversarial_pairs(name):
+    pred, ref = _ADVERSARIAL[name]()
+    _assert_nearest_exact(np.argwhere(boundary_pixels(pred)), np.argwhere(boundary_pixels(ref)))
 
 
 # --- detection ------------------------------------------------------------------

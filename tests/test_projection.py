@@ -4,6 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
@@ -397,19 +400,36 @@ def test_ray_consistency():
         assert np.array_equal(ll.astype(bool), lab.data.sum(axis=0) >= 1)
 
 
-def test_projection_linearity():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        dims = tuple(int(d) for d in rng.integers(1, 6, size=3))
-        spacing = tuple(float(s) for s in rng.uniform(0.3, 2.0, size=3))
-        mu1 = Volume(data=rng.uniform(0, 3, size=dims), spacing=spacing)
-        mu2 = Volume(data=rng.uniform(0, 3, size=dims), spacing=spacing)
-        a, b = float(rng.uniform(0, 4)), float(rng.uniform(0, 4))
-        combo = Volume(data=a * mu1.data + b * mu2.data, spacing=spacing)
-        for view in (View.PA, View.LL):
-            lhs = project_image(combo, view).data
-            rhs = a * project_image(mu1, view).data + b * project_image(mu2, view).data
-            assert np.allclose(lhs, rhs, atol=1e-9, rtol=0)
+# Small attenuation volumes (two of one shape) and voxel spacings in mm.
+_DIMS = st.tuples(*[st.integers(1, 6)] * 3)
+_MU = st.floats(0, 3)
+_SPACING = st.tuples(*[st.floats(0.1, 5.0)] * 3)
+_COEF = st.floats(-4, 4)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_DIMS.flatmap(lambda d: st.tuples(arrays(np.float64, d, elements=_MU),
+                                         arrays(np.float64, d, elements=_MU))),
+       _SPACING, _COEF, _COEF)
+def test_projection_linearity(volumes, spacing, a, b):
+    mu1, mu2 = (Volume(data=v, spacing=spacing) for v in volumes)
+    combo = Volume(data=a * mu1.data + b * mu2.data, spacing=spacing)
+    for view in (View.PA, View.LL):
+        lhs = project_image(combo, view).data
+        rhs = a * project_image(mu1, view).data + b * project_image(mu2, view).data
+        assert np.allclose(lhs, rhs, atol=1e-9, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_DIMS.flatmap(lambda d: arrays(np.float64, d, elements=_MU)), _SPACING)
+def test_projection_conserves_mass(data, spacing):
+    # Before resampling, image sum x pixel area = volume sum x voxel volume.
+    mu = Volume(data=data, spacing=spacing)
+    mass = data.sum() * spacing[0] * spacing[1] * spacing[2]
+    for view in (View.PA, View.LL):
+        img = project_image(mu, view)
+        assert img.data.sum() * img.spacing[0] * img.spacing[1] == pytest.approx(
+            mass, rel=1e-12, abs=1e-12)
 
 
 def test_spacing_scaling_doubles_values():
