@@ -199,8 +199,11 @@ class Mask2D:
 
 def _as_binary(mask, name: str = "mask") -> np.ndarray:
     """Boolean foreground of a Mask2D or 2D array; any nonzero pixel counts.
-    A bool array comes back as is, not copied, so callers must not write to it."""
-    arr = mask.data if isinstance(mask, Mask2D) else np.asarray(mask)
+    A Mask2D's 0/1 data is viewed and a bool array comes back as is, neither
+    scanned nor copied, so callers must not write to it."""
+    if isinstance(mask, Mask2D):
+        return mask.data.view(bool)
+    arr = np.asarray(mask)
     if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValidationError(f"{name} must be nonempty 2D, got shape {arr.shape}")
     return arr if arr.dtype == bool else arr != 0
@@ -212,6 +215,9 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
 # hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982).
 
 
+_RUN_BLOCK = 1 << 16    # pixels per block of rows in _runs; changes speed only
+
+
 def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row runs of a 2D mask (nonzero is foreground) in raster order.
 
@@ -220,32 +226,57 @@ def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row ``first[k] // (w + 1)`` and starts at column ``first[k] % (w + 1) - 1``.
     """
     h, w = fg.shape
-    # One background column before each row, plus one at the very end, so
-    # every run starts and stops at a transition and the two alternate.
-    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
-    flat[:-1].reshape(h, w + 1)[:, 1:] = fg
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    stride = w + 1
+    # One background column before each row, and one after the last, so
+    # every run starts and stops at a transition and the two alternate. The
+    # rows pass through one small buffer a block at a time, which is faster
+    # than two full-size temporaries, each paged in afresh.
+    rows = max(1, _RUN_BLOCK // stride)
+    buf = np.zeros(rows * stride + 1, dtype=bool)
+    edges = []
+    for r0 in range(0, h, rows):
+        n = (min(h, r0 + rows) - r0) * stride
+        buf[:n].reshape(-1, stride)[:, 1:] = fg[r0:r0 + rows]
+        edges.append(np.flatnonzero(buf[1:n + 1] != buf[:n]) + (r0 * stride + 1))
+    edges = np.concatenate(edges)
     return edges[0::2], edges[1::2]
 
 
-def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """8-connected components of a 2D mask (nonzero is foreground), as its row runs.
+def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Every ``first[i] + j`` with ``j < count[i]``, in order of i, then j."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
-    Returns ``(first, end, component, n)``: ``first`` and ``end`` are the
-    runs of ``_runs``, and run k belongs to component ``component[k]`` in
-    1..n. Components are numbered in raster order of their first pixel.
-    """
-    stride = fg.shape[1] + 1
-    first, end = _runs(fg)
 
-    # Run a (row r) touches run b (row r + 1) when b ends at or right of a's
-    # first column - 1 and starts at or left of a's last column + 1. Both keys
-    # are sorted, so each a's partners are one contiguous slice of b.
-    lo = np.searchsorted(end, first + stride, side="left")
-    hi = np.searchsorted(first, end + stride, side="right")
+def _overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, k) of an interval ``a[i]`` and a run ``b[k]`` that share
+    a position, in order of i, then k. ``a`` and ``b`` are ``(first, end)``
+    arrays of half-open intervals; ``b`` is sorted and disjoint, as runs are,
+    and ``a`` need not be."""
+    (first_a, end_a), (first_b, end_b) = a, b
+    # Both keys of b are sorted, so each a[i]'s partners are one contiguous
+    # slice of b: those that end after it starts and start before it ends.
+    lo = np.searchsorted(end_b, first_a, side="right")
+    hi = np.searchsorted(first_b, end_a, side="left")
     count = np.maximum(hi - lo, 0)
-    a = np.repeat(np.arange(len(first)), count)
-    b = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(a))
+    return np.repeat(np.arange(len(first_a)), count), _expand(lo, count)
+
+
+def _intersect(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(first, end, i, k)``: the intersection of two sorted, disjoint run
+    lists, each piece the overlap of ``a[i]`` and ``b[k]``. For the runs of
+    two masks the pieces are ``_runs(p & r)``: a piece ends where a run of
+    one mask ends, which is background in it, so pieces never touch."""
+    i, k = _overlaps(a, b)
+    return np.maximum(a[0][i], b[0][k]), np.minimum(a[1][i], b[1][k]), i, k
+
+
+def _label_runs(first: np.ndarray, end: np.ndarray, stride: int) -> tuple[np.ndarray, int]:
+    """8-connected components of the runs ``_runs`` found in a mask of row
+    length ``stride - 1``: ``(component, n)``, run k in component
+    ``component[k]`` in 1..n, numbered in raster order of their first pixel."""
+    # Run a (row r) touches run b (row r + 1) when b overlaps a widened by one
+    # pixel on each side and moved down a row.
+    a, b = _overlaps((first + (stride - 1), end + (stride + 1)), (first, end))
 
     # Hook the larger root of every edge that spans two trees to the smaller
     # one, then jump pointers until every run points at its root. Pointers
@@ -263,7 +294,18 @@ def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
             parent = jumped
     is_root = parent == np.arange(len(first))
     component = np.cumsum(is_root, dtype=np.int32)[parent]
-    return first, end, component, int(is_root.sum())
+    return component, int(is_root.sum())
+
+
+def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """8-connected components of a 2D mask (nonzero is foreground), as its row runs.
+
+    Returns ``(first, end, component, n)``: ``first`` and ``end`` are the
+    runs of ``_runs``, and run k belongs to component ``component[k]`` in
+    1..n. Components are numbered in raster order of their first pixel.
+    """
+    first, end = _runs(fg)
+    return (first, end, *_label_runs(first, end, fg.shape[1] + 1))
 
 
 def _component_sizes(first: np.ndarray, end: np.ndarray, component: np.ndarray,
@@ -422,7 +464,7 @@ def _parse_pgm(blob: bytes, origin: str) -> np.ndarray:
         raise FormatError(f"{origin}: PGM dimensions must be positive")
     if maxval != 255:
         raise FormatError(f"{origin}: PGM maxval must be 255, got {maxval}")
-    payload = blob[header.end():]
+    payload = memoryview(blob)[header.end():]     # a view: the payload is not copied
     if len(payload) != width * height:
         raise FormatError(
             f"{origin}: PGM payload is {len(payload)} bytes, header implies {width * height}")

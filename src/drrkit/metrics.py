@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _Record, _as_binary, _component_sizes, _label8, _runs
+from .io import (ValidationError, _Record, _as_binary, _component_sizes, _expand,
+                 _intersect, _label_runs, _runs)
 from .stats import BootstrapCI, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -38,34 +39,73 @@ class MetricsReport(_Record):
     flags: tuple[str, ...] = ()
 
 
-def _check_pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
+# Every pair metric is computed from the two masks' row runs (io._runs), each
+# found once: overlaps by intersecting the run lists, components by linking
+# them, and boundary points by subtracting each run's interior.
+
+
+def _pair_runs(pred, ref):
+    """The common shape of two masks and the runs of each."""
     p = _as_binary(pred, "predicted mask")
     r = _as_binary(ref, "reference mask")
     if p.shape != r.shape:
         raise ValidationError(
             f"mask geometry mismatch: predicted {p.shape} vs reference {r.shape}")
-    return p, r
+    return p.shape, _runs(p), _runs(r)
+
+
+def _area(runs) -> int:
+    first, end = runs
+    return int((end - first).sum())
+
+
+def _dice_iou(runs_p, runs_r, pieces) -> tuple[float, float]:
+    inter, np_, nr = _area(pieces[:2]), _area(runs_p), _area(runs_r)
+    if np_ + nr == 0:
+        return 1.0, 1.0
+    return 2.0 * inter / (np_ + nr), inter / (np_ + nr - inter)
 
 
 def dice_iou(pred, ref) -> tuple[float, float]:
     """Dice and IoU of two same-shape binary masks; both-empty scores 1."""
-    p, r = _check_pair(pred, ref)
-    inter = int(np.count_nonzero(p & r))
-    np_, nr = int(np.count_nonzero(p)), int(np.count_nonzero(r))
-    if np_ + nr == 0:
-        return 1.0, 1.0
-    dice = 2.0 * inter / (np_ + nr)
-    iou = inter / (np_ + nr - inter)
-    return dice, iou
+    _, runs_p, runs_r = _pair_runs(pred, ref)
+    return _dice_iou(runs_p, runs_r, _intersect(runs_p, runs_r))
+
+
+def _boundary_points(runs, shape) -> np.ndarray:
+    """(row, col) of every boundary pixel of a mask, from its runs, in raster
+    order as np.argwhere lists them."""
+    first, end = runs
+    stride = shape[1] + 1
+    # A pixel is interior when its run holds both its row neighbours and the
+    # rows above and below hold it. Rows -1 and h hold no runs, so no pixel
+    # on the image edge is interior.
+    long = end - first > 2
+    interior = (first[long] + 1, end[long] - 1)
+    for shift in (stride, -stride):
+        interior = _intersect(interior, (first + shift, end + shift))[:2]
+    # The boundary is the runs less the interior pieces inside them: it
+    # starts at every run start and piece end, and stops at every piece start
+    # and run end. No two of these coincide, so sorting each pair of sorted
+    # lists (a stable sort merges them) lines the intervals up in raster
+    # order, and they are expanded in that order.
+    first = np.sort(np.concatenate((first, interior[1])), kind="stable")
+    end = np.sort(np.concatenate((interior[0], end)), kind="stable")
+    pos = _expand(first, end - first)
+    pts = np.empty((len(pos), 2), dtype=np.int64)
+    np.divmod(pos, stride, out=(pts[:, 0], pts[:, 1]))
+    pts[:, 1] -= 1
+    return pts
 
 
 def boundary_pixels(mask) -> np.ndarray:
     """Boolean map of foreground pixels with a 4-neighbour background pixel
     or lying on the image edge."""
     fg = _as_binary(mask, "input mask")
-    pad = np.pad(fg, 1, constant_values=False)
-    interior = (pad[1:-1, :-2] & pad[1:-1, 2:] & pad[:-2, 1:-1] & pad[2:, 1:-1])
-    return fg & ~interior
+    row, col = _boundary_points(_runs(fg), fg.shape).T
+    out = np.zeros(fg.shape, dtype=bool)
+    out[row, col] = True
+    return out
 
 
 # Nearest-boundary search. Boundary points lie on the pixel grid, so every
@@ -80,7 +120,7 @@ _KEY_SENTINEL = 1 << 61  # beyond every key, on both sides
 def _directed_distances(src_pts: np.ndarray, dst_pts: np.ndarray) -> np.ndarray:
     """Euclidean distance from every src point to the nearest dst point, in
     pixel units. Both are nonempty (n, 2) integer arrays of (row, col), and
-    dst_pts is in raster order, as np.argwhere lists it."""
+    dst_pts is in raster order, as _boundary_points lists it."""
     return np.sqrt(_nearest_sq(src_pts, dst_pts).astype(np.float64))
 
 
@@ -202,19 +242,10 @@ def _percentile95(d: np.ndarray) -> float:
     return float(np.percentile(d, 95.0))    # linear interpolation
 
 
-def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
-                              ) -> tuple[float, float, float]:
-    """(hd95, asd, nsd) between two nonempty same-shape masks.
-
-    hd95 is the max of the two directed 95th percentiles, asd the mean over
-    both directions pooled, nsd the pooled fraction within tolerance.
-    """
-    p, r = _check_pair(pred, ref)
-    if not p.any() or not r.any():
-        raise ValidationError("boundary metrics are undefined for empty masks; "
-                              "use evaluate_pair for the degenerate conventions")
+def _boundary_distances(shape, runs_p, runs_r, nsd_tolerance_px: float,
+                        ) -> tuple[float, float, float]:
     # A nonempty mask always has a boundary pixel: its topmost row does.
-    bp, br = np.argwhere(boundary_pixels(p)), np.argwhere(boundary_pixels(r))
+    bp, br = _boundary_points(runs_p, shape), _boundary_points(runs_r, shape)
     d_pr = _directed_distances(bp, br)
     d_rp = _directed_distances(br, bp)
     pooled = np.concatenate([d_pr, d_rp])
@@ -224,30 +255,38 @@ def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
     return hd95, asd, nsd
 
 
-def component_detection(pred, ref, *, match_iou: float = 0.5,
-                        ) -> tuple[float, float, float, int, int, int]:
-    """Instance-style detection over 8-connected components.
+def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
+                              ) -> tuple[float, float, float]:
+    """(hd95, asd, nsd) between two nonempty same-shape masks.
 
-    Components are matched one to one, greedily by descending IoU with ties
-    broken on (pred index, ref index); a pair counts only at IoU at or above
-    match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
+    hd95 is the max of the two directed 95th percentiles, asd the mean over
+    both directions pooled, nsd the pooled fraction within tolerance.
     """
-    p, r = _check_pair(pred, ref)
-    first_p, end_p, comp_p, n_p = _label8(p)
-    first_r, end_r, comp_r, n_r = _label8(r)
+    shape, runs_p, runs_r = _pair_runs(pred, ref)
+    if not len(runs_p[0]) or not len(runs_r[0]):
+        raise ValidationError("boundary metrics are undefined for empty masks; "
+                              "use evaluate_pair for the degenerate conventions")
+    return _boundary_distances(shape, runs_p, runs_r, nsd_tolerance_px)
+
+
+def _detection(shape, runs_p, runs_r, pieces, match_iou: float,
+               ) -> tuple[float, float, float, int, int, int]:
+    stride = shape[1] + 1
+    comp_p, n_p = _label_runs(*runs_p, stride)
+    comp_r, n_r = _label_runs(*runs_r, stride)
     if n_p == 0 and n_r == 0:
         return 1.0, 1.0, 1.0, 0, 0, 0
     if n_p == 0 or n_r == 0:
         return 0.0, 0.0, 0.0, n_p, n_r, 0
 
-    sizes_p = _component_sizes(first_p, end_p, comp_p, n_p)
-    sizes_r = _component_sizes(first_r, end_r, comp_r, n_r)
-    # Each run of p & r lies inside exactly one run of p and one of r, the
-    # last of each that starts at or before it, and its length is that
-    # (pred component, ref component) pair's share of the overlap.
-    first, end = _runs(p & r)
-    i = comp_p[np.searchsorted(first_p, first, side="right") - 1].astype(np.int64)
-    j = comp_r[np.searchsorted(first_r, first, side="right") - 1]
+    sizes_p = _component_sizes(*runs_p, comp_p, n_p)
+    sizes_r = _component_sizes(*runs_r, comp_r, n_r)
+    # Each piece of the run intersection lies in one run of p and one of r,
+    # and its length is that (pred component, ref component) pair's share
+    # of the overlap.
+    first, end, run_p, run_r = pieces
+    i = comp_p[run_p].astype(np.int64)
+    j = comp_r[run_r]
     keys, which = np.unique(i * (n_r + 1) + j, return_inverse=True)
     inter = np.bincount(which, weights=end - first).astype(np.int64)
     i, j = keys // (n_r + 1), keys % (n_r + 1)
@@ -271,6 +310,18 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     return precision, recall, f1, n_p, n_r, matched
 
 
+def component_detection(pred, ref, *, match_iou: float = 0.5,
+                        ) -> tuple[float, float, float, int, int, int]:
+    """Instance-style detection over 8-connected components.
+
+    Components are matched one to one, greedily by descending IoU with ties
+    broken on (pred index, ref index); a pair counts only at IoU at or above
+    match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
+    """
+    shape, runs_p, runs_r = _pair_runs(pred, ref)
+    return _detection(shape, runs_p, runs_r, _intersect(runs_p, runs_r), match_iou)
+
+
 def _check_thresholds(nsd_tolerance_px: float, match_iou: float) -> None:
     if not (np.isfinite(nsd_tolerance_px) and nsd_tolerance_px >= 0):
         raise ValidationError(
@@ -283,22 +334,24 @@ def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
                   match_iou: float = 0.5) -> MetricsReport:
     """Full metric set for one mask pair, including degenerate conventions.
 
-    dice_iou and component_detection already score two empty masks 1 and a
-    single empty side 0; only the boundary distances need the conventions.
+    Overlap and detection already score two empty masks 1 and a single empty
+    side 0; only the boundary distances need the conventions. Each mask's
+    runs are found once, and the two are intersected once.
     """
     _check_thresholds(nsd_tolerance_px, match_iou)
-    p, r = _check_pair(pred, ref)
-    dice, iou = dice_iou(p, r)
-    precision, recall, f1, n_p, n_r, matched = component_detection(
-        p, r, match_iou=match_iou)
+    shape, runs_p, runs_r = _pair_runs(pred, ref)
+    pieces = _intersect(runs_p, runs_r)
+    dice, iou = _dice_iou(runs_p, runs_r, pieces)
+    precision, recall, f1, n_p, n_r, matched = _detection(
+        shape, runs_p, runs_r, pieces, match_iou)
     # A mask is empty exactly when it has no component.
     if n_p == 0 and n_r == 0:
         (hd95, asd, nsd), flags = (0.0, 0.0, 1.0), ("both_empty",)
     elif n_p == 0 or n_r == 0:
-        diag = float(np.hypot(*p.shape))
+        diag = float(np.hypot(*shape))
         (hd95, asd, nsd), flags = (diag, diag, 0.0), ("pred_empty" if n_p == 0 else "ref_empty",)
     else:
-        hd95, asd, nsd = boundary_distance_metrics(p, r, nsd_tolerance_px=nsd_tolerance_px)
+        hd95, asd, nsd = _boundary_distances(shape, runs_p, runs_r, nsd_tolerance_px)
         flags = ()
     return MetricsReport(dice=dice, iou=iou, hd95=hd95, asd=asd, nsd=nsd,
                          precision=precision, recall=recall, f1=f1,

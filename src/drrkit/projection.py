@@ -8,6 +8,7 @@ nearest-neighbour sampling so they stay binary.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +20,18 @@ from .io import LabelVolume, Mask2D, Projection, ValidationError, View, Volume
 ORIENT_OPS = ("transpose", "flip_x", "flip_y")
 
 _DEFAULT_ORIENTATION = {View.PA: ("transpose",), View.LL: ("transpose",)}
+
+
+_VIEW_NAMES = tuple(v.value for v in View)
+
+
+def _names(value, what: str, choices: tuple[str, ...]) -> tuple[str, ...]:
+    # A list of names, each one of choices; text is not a list of its letters.
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(v, str) and v in choices for v in value)):
+        raise ValidationError(f"{what} must be a list of names from {list(choices)}, "
+                              f"got {value!r}")
+    return tuple(value)
 
 
 def _round_half_up(x):
@@ -41,32 +54,38 @@ class ProjectionConfig:
         default_factory=lambda: dict(_DEFAULT_ORIENTATION))
 
     def __post_init__(self) -> None:
-        views = tuple(View(v) for v in self.views)
+        views = tuple(View(v) for v in _names(self.views, "projection.views", _VIEW_NAMES))
         if not views:
-            raise ValidationError("at least one view is required")
+            raise ValidationError("projection.views: at least one view is required")
         if len(set(views)) != len(views):
-            raise ValidationError("duplicate views in configuration")
+            raise ValidationError(f"projection.views: duplicate views in {self.views!r}")
         object.__setattr__(self, "views", views)
 
         t = float(self.target_pixel_spacing)
         if not np.isfinite(t) or t <= 0:
-            raise ValidationError(f"target_pixel_spacing must be positive, got {t}")
+            raise ValidationError(f"projection.target_pixel_spacing must be positive, got {t}")
         object.__setattr__(self, "target_pixel_spacing", t)
 
-        if self.output_size is not None:
-            w, h = (int(v) for v in self.output_size)
-            if w < 1 or h < 1:
-                raise ValidationError(f"output_size must be positive, got {self.output_size}")
-            object.__setattr__(self, "output_size", (w, h))
+        size = self.output_size
+        if size is not None:
+            # Two integers, neither a bool: int() would turn 64.9 into 64,
+            # true into 1 and "64" into 64.
+            if (not isinstance(size, (list, tuple)) or len(size) != 2
+                    or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                               and v >= 1 for v in size)):
+                raise ValidationError(
+                    f"projection.output_size must be two positive integers, got {size!r}")
+            object.__setattr__(self, "output_size", (int(size[0]), int(size[1])))
 
+        if not isinstance(self.orientation, Mapping):
+            raise ValidationError("projection.orientation must map view names to op lists, "
+                                  f"got {self.orientation!r}")
         orient = {}
-        for view, ops in dict(self.orientation).items():
-            view = View(view)
-            ops = tuple(ops)
-            for op in ops:
-                if op not in ORIENT_OPS:
-                    raise ValidationError(f"unknown orientation op {op!r}")
-            orient[view] = ops
+        for key, ops in self.orientation.items():
+            if key not in _VIEW_NAMES:
+                raise ValidationError(f"projection.orientation: unknown view {key!r}")
+            view = View(key)
+            orient[view] = _names(ops, f"projection.orientation.{view.value}", ORIENT_OPS)
         for view in views:
             orient.setdefault(view, _DEFAULT_ORIENTATION[view])
         object.__setattr__(self, "orientation", orient)
@@ -87,6 +106,8 @@ class ProjectionConfig:
             raise ValidationError(f"unknown projection config keys: {sorted(unknown)}")
         try:
             return cls(**d)
+        except ValidationError:
+            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"invalid projection config: {exc}") from exc
 

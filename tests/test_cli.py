@@ -667,6 +667,20 @@ _BAD_CONFIG_VALUES = [
     {"evaluate": {"nsd_tolerance_px": 10 ** 400}},
     {"projection": {"target_pixel_spacing": True}},
     {"stats": {"alpha": [0.05]}},
+    # A projection list takes what it names, not what a cast makes of it:
+    # two integers for the size, names (not text) for views and ops.
+    {"projection": {"output_size": [64.9, True]}},
+    {"projection": {"output_size": ["64", "32"]}},
+    {"projection": {"output_size": [64.0, 32.0]}},
+    {"projection": {"output_size": [64, 32, 16]}},
+    {"projection": {"output_size": 64}},
+    {"projection": {"views": "PA"}},
+    {"projection": {"views": [1]}},
+    {"projection": {"orientation": {"PA": ""}}},
+    {"projection": {"orientation": {"PA": "transpose"}}},
+    {"projection": {"orientation": {"PA": [None]}}},
+    {"projection": {"orientation": {"XX": []}}},
+    {"projection": {"orientation": ["transpose"]}},
 ]
 
 
@@ -695,7 +709,8 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     (key,) = config[section]
-    if key not in ("views", "output_size"):     # the numeric keys
+    assert f"{section}.{key}" in err
+    if key not in ("views", "output_size", "orientation"):     # the numeric keys
         assert f"config {section}.{key} " in err
 
 

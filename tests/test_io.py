@@ -13,7 +13,9 @@ from drrkit import (FormatError, LabelVolume, Mask2D, Projection, ValidationErro
                     View, Volume, load_label_volume, load_mask, load_projection,
                     load_volume, save_label_volume, save_mask, save_projection,
                     save_volume)
-from drrkit.io import _component_sizes, _encode_pgm, _label8, _paint_runs, _parse_pgm
+from drrkit import io
+from drrkit.io import (_as_binary, _component_sizes, _encode_pgm, _label8, _paint_runs,
+                       _parse_pgm)
 
 
 def test_load_volume_single_voxel(tmp_path):
@@ -384,3 +386,24 @@ def test_label8_matches_flood_fill_on_fixed_masks(fg):
 @given(arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
 def test_label8_matches_flood_fill_on_random_masks(fg):
     _check_label8(fg)
+
+
+# The block size sets only how many rows _runs passes through its buffer at
+# once; one row per block and blocks that end mid-row both hold whole rows.
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(fg=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+def test_label8_run_block_changes_no_result(block, fg):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(io, "_RUN_BLOCK", block)
+        _check_label8(fg)
+
+
+def test_as_binary_views_a_mask_without_copying():
+    data = np.zeros((3, 4), dtype=np.uint8)
+    data[1, 2] = 1
+    mask = Mask2D(data=data, view=View.PA, spacing=(1.0, 1.0))
+    fg = _as_binary(mask)
+    assert fg.dtype == bool and np.shares_memory(fg, mask.data)
+    assert not fg.flags.writeable
+    np.testing.assert_array_equal(fg, data != 0)

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
 from drrkit import metrics
-from drrkit import (ValidationError, boundary_distance_metrics, boundary_pixels,
-                    component_detection, dice_iou, evaluate_class_set,
-                    evaluate_pair)
+from drrkit import (Mask2D, ValidationError, View, boundary_distance_metrics,
+                    boundary_pixels, component_detection, dice_iou,
+                    evaluate_class_set, evaluate_pair)
+from drrkit.io import _intersect, _runs
 
 
 def _pair(rng, max_side=8, density=0.5):
@@ -136,6 +137,87 @@ def test_boundary_metrics_translation_invariance():
     a = boundary_distance_metrics(base_p, base_r, nsd_tolerance_px=1.0)
     b = boundary_distance_metrics(shift_p, shift_r, nsd_tolerance_px=1.0)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+# --- run geometry -----------------------------------------------------------------
+
+# Shapes up to 32 x 32, single rows and single columns drawn as often as the rest.
+_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 32)),
+                    st.tuples(st.integers(1, 32), st.just(1)),
+                    st.tuples(st.integers(1, 32), st.integers(1, 32)))
+
+
+def _masks(shape):
+    return st.one_of(arrays(np.bool_, shape), st.just(np.zeros(shape, dtype=bool)),
+                     st.just(np.ones(shape, dtype=bool)))
+
+
+def _padded_boundary(m):
+    # The 4-neighbour rule on the padded frame, one pixel at a time.
+    pad = np.pad(m, 1)
+    h, w = m.shape
+    return np.array([(y, x) for y in range(h) for x in range(w)
+                     if m[y, x] and not (pad[y, x + 1] and pad[y + 2, x + 1]
+                                         and pad[y + 1, x] and pad[y + 1, x + 2])],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_SHAPES.flatmap(_masks))
+@example(np.zeros((1, 32), dtype=bool))
+@example(np.ones((1, 32), dtype=bool))
+@example(np.ones((32, 1), dtype=bool))
+@example(np.ones((32, 32), dtype=bool))
+def test_run_boundary_points_match_boundary_map(m):
+    pts = metrics._boundary_points(_runs(m), m.shape)
+    assert pts.dtype == np.int64 and pts.shape[1] == 2
+    np.testing.assert_array_equal(pts, _padded_boundary(m))
+    np.testing.assert_array_equal(pts, np.argwhere(boundary_pixels(m)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_SHAPES.flatmap(lambda shape: st.tuples(_masks(shape), _masks(shape))))
+def test_run_intersection_is_runs_of_the_overlap(pair):
+    p, r = pair
+    runs_p, runs_r = _runs(p), _runs(r)
+    first, end, i, k = _intersect(runs_p, runs_r)
+    want = _runs(p & r)
+    np.testing.assert_array_equal(first, want[0])
+    np.testing.assert_array_equal(end, want[1])
+    # Each piece lies in the run of p and the run of r it names.
+    assert np.all(runs_p[0][i] <= first) and np.all(end <= runs_p[1][i])
+    assert np.all(runs_r[0][k] <= first) and np.all(end <= runs_r[1][k])
+
+
+def _blobs(shape):
+    m = np.zeros(shape, dtype=np.uint8)
+    m[2:9, 3:12] = 1
+    m[12:15, 1:4] = 1
+    return m
+
+
+@pytest.mark.parametrize("pred,ref", [
+    (_blobs((18, 20)), np.roll(_blobs((18, 20)), (1, 2), axis=(0, 1))),
+    (_blobs((18, 20)), np.zeros((18, 20), dtype=np.uint8)),
+    (np.zeros((18, 20), dtype=np.uint8), np.zeros((18, 20), dtype=np.uint8)),
+    (Mask2D(_blobs((18, 20)), View.PA, (1, 1)), Mask2D(_blobs((18, 20))[::-1], View.PA, (1, 1))),
+], ids=["nonempty", "ref-empty", "both-empty", "Mask2D"])
+def test_evaluate_pair_finds_each_masks_runs_once(monkeypatch, pred, ref):
+    # Every metric comes from the two run lists: no further scan of a mask,
+    # and no boundary map turned into points.
+    scanned = []
+    real_runs = metrics._runs
+    monkeypatch.setattr(metrics, "_runs", lambda fg: scanned.append(fg.shape) or real_runs(fg))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.argwhere called")
+    monkeypatch.setattr(np, "argwhere", forbidden)
+    rep = evaluate_pair(pred, ref)
+    assert scanned == [(18, 20), (18, 20)]
+    monkeypatch.undo()
+    p, r = (m.data if isinstance(m, Mask2D) else m for m in (pred, ref))
+    assert rep.dice == dice_iou(p, r)[0]
+    assert rep.n_matched == component_detection(p, r)[5]
 
 
 # --- nearest boundary points -------------------------------------------------------

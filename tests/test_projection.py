@@ -457,3 +457,28 @@ def test_config_validation_and_round_trip():
     assert back == cfg
     with pytest.raises(ValidationError):
         ProjectionConfig.from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize("kwargs,key", [
+    ({"output_size": (64.9, True)}, "output_size"),
+    ({"output_size": ("64", "32")}, "output_size"),
+    ({"output_size": (64, False)}, "output_size"),
+    ({"views": "PA"}, "views"),
+    ({"views": ("PA", 1)}, "views"),
+    ({"orientation": {View.PA: ""}}, "orientation.PA"),
+    ({"orientation": {View.LL: "flip_x"}}, "orientation.LL"),
+    ({"orientation": {"AP": ()}}, "orientation"),
+])
+def test_config_takes_names_and_integers_not_casts(kwargs, key):
+    with pytest.raises(ValidationError, match=rf"^projection\.{key}"):
+        ProjectionConfig(**kwargs)
+    with pytest.raises(ValidationError, match=rf"^projection\.{key}"):
+        ProjectionConfig.from_dict(kwargs)
+
+
+def test_config_keeps_integer_sizes_and_view_names():
+    cfg = ProjectionConfig(views=["LL"], output_size=[np.int64(64), 48],
+                           orientation={"LL": ["flip_x"]})
+    assert cfg.views == (View.LL,) and cfg.output_size == (64, 48)
+    assert type(cfg.output_size[0]) is int
+    assert cfg.orientation[View.LL] == ("flip_x",)
