@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -113,11 +114,13 @@ class Volume:
             raise ValidationError(f"volume must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError("volume axes must all be nonempty")
-        if not np.issubdtype(arr.dtype, np.number):
-            raise ValidationError(f"volume dtype must be numeric, got {arr.dtype}")
-        # Only float and complex values can be non-finite; the scan allocates
-        # one bool per voxel, so integer volumes skip it.
-        if np.issubdtype(arr.dtype, np.inexact) and not np.all(np.isfinite(arr)):
+        # Complex values would lose their imaginary part in the attenuation.
+        if arr.dtype.kind not in "iuf":
+            raise ValidationError("volume dtype must be integer or real floating, "
+                                  f"got {arr.dtype}")
+        # Only float values can be non-finite; the scan allocates one bool per
+        # voxel, so integer volumes skip it.
+        if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
             raise ValidationError("volume contains non-finite values")
         _freeze(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, 3))
@@ -139,10 +142,7 @@ class LabelVolume:
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"label volume must be nonempty 3D, got shape {arr.shape}")
         _freeze(self, "data", arr)
-        lid = int(self.label_id)
-        if lid < 0:
-            raise ValidationError(f"label id must be nonnegative, got {lid}")
-        object.__setattr__(self, "label_id", lid)
+        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id"))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -194,7 +194,7 @@ class Mask2D:
         _freeze(self, "data", arr)
         object.__setattr__(self, "view", View(self.view))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, 2))
-        object.__setattr__(self, "label_id", int(self.label_id))
+        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id"))
 
 
 def _as_binary(mask, name: str = "mask") -> np.ndarray:
@@ -350,10 +350,11 @@ def _load_json_file(path, digests: dict | None = None, name=None):
 
 
 def _nonneg_int(value, what: str) -> int:
-    # The one rule for ids in sidecars, manifests and mappings: true is not 1.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    # The one rule for ids in containers, sidecars, manifests and mappings: an
+    # integer, numpy's included, never a cast; true is not 1 and 1.9 is not 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
-    return value
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

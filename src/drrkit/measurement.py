@@ -1,8 +1,15 @@
 """Chest measurements and severity grades derived from projected 2D masks.
 
-All geometry runs in pixel coordinates with x along columns and y along rows
-(y grows toward inferior). Masks are expected to be isotropic, which the
-projection pipeline guarantees; ratios and angles are then spacing-free.
+All geometry runs in pixel coordinates with x along columns and y along rows.
+Rows run superior to inferior (y grows toward inferior): the one orientation
+that projection writes, by transposing every view.
+
+The cardiothoracic ratio compares two widths along the same rows, so it does
+not depend on the pixel spacing. The scoliosis and kyphosis angles do: they
+assume square pixels. Projection resamples both axes to the same target
+spacing, up to rounding each pixel count, but an ``output_size`` whose aspect
+ratio differs from the resampled grid's stretches one axis against the other,
+and the angles change with it.
 
 A study that cannot be measured reliably is excluded with a reason instead
 of producing a junk number.

@@ -1,37 +1,24 @@
 """Orthographic projection of attenuation volumes into 2D radiograph-like images.
 
 The pipeline per view is: attenuation transform, axis-collapse projection,
-resampling to isotropic pixels, orientation fix-up, then 8-bit normalization
-for grayscale images. Mask footprints follow the same geometry with
-nearest-neighbour sampling so they stay binary.
+resampling to isotropic pixels, a transpose to the one radiographic
+orientation, then 8-bit normalization for grayscale images. Mask footprints
+follow the same geometry with nearest-neighbour sampling so they stay binary.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .io import LabelVolume, Mask2D, Projection, ValidationError, View, Volume
 
-ORIENT_OPS = ("transpose", "flip_x", "flip_y")
-
-_DEFAULT_ORIENTATION = {View.PA: ("transpose",), View.LL: ("transpose",)}
-
-
 _VIEW_NAMES = tuple(v.value for v in View)
-
-
-def _names(value, what: str, choices: tuple[str, ...]) -> tuple[str, ...]:
-    # A list of names, each one of choices; text is not a list of its letters.
-    if (not isinstance(value, (list, tuple))
-            or not all(isinstance(v, str) and v in choices for v in value)):
-        raise ValidationError(f"{what} must be a list of names from {list(choices)}, "
-                              f"got {value!r}")
-    return tuple(value)
 
 
 def _round_half_up(x):
@@ -42,29 +29,35 @@ def _round_half_up(x):
 class ProjectionConfig:
     """Geometry settings shared by every projected image and mask of a study.
 
-    output_size is (width, height) applied after resampling and orientation;
-    None keeps the spacing-derived size. Orientation maps each view to a
-    sequence of ops from ORIENT_OPS, applied left to right.
+    output_size is (width, height) applied after resampling and the
+    transpose; None keeps the spacing-derived size.
     """
 
     views: tuple[View, ...] = (View.PA, View.LL)
     target_pixel_spacing: float = 1.0
     output_size: tuple[int, int] | None = None
-    orientation: Mapping[View, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_DEFAULT_ORIENTATION))
 
     def __post_init__(self) -> None:
-        views = tuple(View(v) for v in _names(self.views, "projection.views", _VIEW_NAMES))
-        if not views:
-            raise ValidationError("projection.views: at least one view is required")
-        if len(set(views)) != len(views):
-            raise ValidationError(f"projection.views: duplicate views in {self.views!r}")
-        object.__setattr__(self, "views", views)
+        views = self.views
+        # A nonempty list of distinct view names; text is not a list of its letters.
+        if (not isinstance(views, (list, tuple)) or not views
+                or not all(isinstance(v, str) and v in _VIEW_NAMES for v in views)
+                or len(set(views)) != len(views)):
+            raise ValidationError("projection.views must be a nonempty list of distinct "
+                                  f"names from {list(_VIEW_NAMES)}, got {views!r}")
+        object.__setattr__(self, "views", tuple(View(v) for v in views))
 
-        t = float(self.target_pixel_spacing)
-        if not np.isfinite(t) or t <= 0:
-            raise ValidationError(f"projection.target_pixel_spacing must be positive, got {t}")
-        object.__setattr__(self, "target_pixel_spacing", t)
+        t = self.target_pixel_spacing
+        # A finite positive real, not a bool: float() would take true and "0.5".
+        try:
+            ok = (isinstance(t, numbers.Real) and not isinstance(t, bool)
+                  and 0 < float(t) < math.inf)
+        except OverflowError:       # an integer too large for a float
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"projection.target_pixel_spacing must be a positive number, got {t!r}")
+        object.__setattr__(self, "target_pixel_spacing", float(t))
 
         size = self.output_size
         if size is not None:
@@ -77,39 +70,19 @@ class ProjectionConfig:
                     f"projection.output_size must be two positive integers, got {size!r}")
             object.__setattr__(self, "output_size", (int(size[0]), int(size[1])))
 
-        if not isinstance(self.orientation, Mapping):
-            raise ValidationError("projection.orientation must map view names to op lists, "
-                                  f"got {self.orientation!r}")
-        orient = {}
-        for key, ops in self.orientation.items():
-            if key not in _VIEW_NAMES:
-                raise ValidationError(f"projection.orientation: unknown view {key!r}")
-            view = View(key)
-            orient[view] = _names(ops, f"projection.orientation.{view.value}", ORIENT_OPS)
-        for view in views:
-            orient.setdefault(view, _DEFAULT_ORIENTATION[view])
-        object.__setattr__(self, "orientation", orient)
-
     def to_dict(self) -> dict:
         return {
             "views": [v.value for v in self.views],
             "target_pixel_spacing": self.target_pixel_spacing,
             "output_size": list(self.output_size) if self.output_size else None,
-            "orientation": {v.value: list(ops) for v, ops in sorted(self.orientation.items())},
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProjectionConfig":
-        known = {"views", "target_pixel_spacing", "output_size", "orientation"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown projection config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except ValidationError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"invalid projection config: {exc}") from exc
+        return cls(**d)
 
 
 def attenuation_transform(vol: Volume) -> Volume:
@@ -196,23 +169,8 @@ def _out_count(n: int, s: float, t: float) -> int:
     return max(1, int(_round_half_up(n * s / t)))
 
 
-def _apply_orientation(arr: np.ndarray, spacing: tuple[float, float],
-                       ops: Sequence[str]) -> tuple[np.ndarray, tuple[float, float]]:
-    for op in ops:
-        if op == "transpose":
-            arr = arr.T
-            spacing = (spacing[1], spacing[0])
-        elif op == "flip_x":
-            arr = arr[:, ::-1]
-        elif op == "flip_y":
-            arr = arr[::-1, :]
-        else:
-            raise ValidationError(f"unknown orientation op {op!r}")
-    return np.ascontiguousarray(arr), spacing
-
-
 def resample_and_orient(obj, config: ProjectionConfig):
-    """Resample to isotropic target spacing, orient, then apply output_size.
+    """Resample to isotropic target spacing, transpose, then apply output_size.
 
     Grayscale projections use bilinear sampling; masks use nearest neighbour,
     which only copies pixels, so they stay strictly {0, 1}. Returns the same
@@ -226,14 +184,15 @@ def resample_and_orient(obj, config: ProjectionConfig):
     rm, cm = obj.spacing
     t = config.target_pixel_spacing
 
+    spacing = (rm, cm)
     shape = (_out_count(arr.shape[0], rm, t), _out_count(arr.shape[1], cm, t))
     if shape != arr.shape:
         spacing = (rm * arr.shape[0] / shape[0], cm * arr.shape[1] / shape[1])
         arr = resample(arr, shape)
-    else:
-        spacing = (rm, cm)
 
-    arr, spacing = _apply_orientation(arr, spacing, config.orientation[obj.view])
+    # The one orientation: rows run along k, superior to inferior, as measure reads.
+    arr = np.ascontiguousarray(arr.T)
+    spacing = (spacing[1], spacing[0])
 
     if config.output_size is not None:
         w, h = config.output_size

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,15 @@ def test_no_command_loads_scipy(tmp_path, command):
     argv, path, doc = _cli_input(tmp_path, command)
     path.write_text(json.dumps(doc))
     assert _scipy_loaded(argv) == [0, []]
+
+
+def test_all_names_every_public_name_the_package_binds():
+    # __init__.py lists each name twice, in its imports and in __all__; the
+    # two lists agree, with no name twice. Submodules are bound, not exported.
+    bound = {name for name, value in vars(drrkit).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(drrkit.__all__) == sorted(bound | {"__version__"})
+    assert len(set(drrkit.__all__)) == len(drrkit.__all__)
 
 
 # --- measure ---------------------------------------------------------------
@@ -668,7 +678,7 @@ _BAD_CONFIG_VALUES = [
     {"projection": {"target_pixel_spacing": True}},
     {"stats": {"alpha": [0.05]}},
     # A projection list takes what it names, not what a cast makes of it:
-    # two integers for the size, names (not text) for views and ops.
+    # two integers for the size, names (not text) for views.
     {"projection": {"output_size": [64.9, True]}},
     {"projection": {"output_size": ["64", "32"]}},
     {"projection": {"output_size": [64.0, 32.0]}},
@@ -676,11 +686,6 @@ _BAD_CONFIG_VALUES = [
     {"projection": {"output_size": 64}},
     {"projection": {"views": "PA"}},
     {"projection": {"views": [1]}},
-    {"projection": {"orientation": {"PA": ""}}},
-    {"projection": {"orientation": {"PA": "transpose"}}},
-    {"projection": {"orientation": {"PA": [None]}}},
-    {"projection": {"orientation": {"XX": []}}},
-    {"projection": {"orientation": ["transpose"]}},
 ]
 
 
@@ -710,7 +715,7 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
     assert err.startswith("error:")
     (key,) = config[section]
     assert f"{section}.{key}" in err
-    if key not in ("views", "output_size", "orientation"):     # the numeric keys
+    if key not in ("views", "output_size"):     # the numeric keys
         assert f"config {section}.{key} " in err
 
 
@@ -839,6 +844,34 @@ def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+_ORIENTATION_CONFIGS = [
+    {"PA": ""},
+    {"PA": "transpose"},
+    {"PA": [None]},
+    {"XX": []},
+    ["transpose"],
+]
+
+
+@pytest.mark.parametrize("orientation", _ORIENTATION_CONFIGS,
+                         ids=[json.dumps({"projection": {"orientation": o}})
+                              for o in _ORIENTATION_CONFIGS])
+def test_projection_orientation_key_is_gone(tmp_path, capsys, orientation):
+    # Every view is transposed so rows run superior to inferior, the one
+    # orientation measure reads; no config key changes it.
+    manifest = _write_study_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"projection": {"orientation": orientation}}))
+    out = tmp_path / "out"
+    argv = ["project", "--manifest", str(manifest), "--out", str(out)]
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown config key 'orientation'" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0
+    prov = json.loads(next(out.glob("*/provenance.json")).read_text())
+    assert "orientation" not in prov["config"]["projection"]
 
 
 def test_stats_n_classes_key_is_gone(tmp_path, capsys):

@@ -133,6 +133,38 @@ def test_volume_constructor_validation():
         LabelVolume(data=np.zeros((1, 1, 1), dtype=np.uint8), label_id=-2)
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.bool_, object, "U1"])
+def test_volume_takes_integer_or_real_floating_values(dtype):
+    # A complex volume would lose its imaginary part in the attenuation.
+    with pytest.raises(ValidationError, match="integer or real floating"):
+        Volume(data=np.zeros((2, 1, 1), dtype=dtype), spacing=(1, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.7, 1.0, True, np.bool_(True), -3, np.int64(-1), "1",
+                                 None],
+                         ids=["1.9", "2.7", "1.0", "true", "np-true", "-3", "np-minus-1",
+                              "text", "none"])
+@pytest.mark.parametrize("container", ["mask", "label"])
+def test_containers_take_integer_label_ids_not_casts(container, bad):
+    # The one id rule of io._nonneg_int: int() would turn 1.9 into 1 and
+    # true into 1, and -3 is no label.
+    data = np.zeros((2, 2) if container == "mask" else (2, 2, 2), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="label id must be a nonnegative integer"):
+        if container == "mask":
+            Mask2D(data=data, view=View.PA, spacing=(1, 1), label_id=bad)
+        else:
+            LabelVolume(data=data, label_id=bad)
+
+
+def test_containers_keep_numpy_integer_label_ids_as_int():
+    lab = LabelVolume(data=np.zeros((1, 1, 1), dtype=np.uint8), label_id=np.int64(7))
+    mask = Mask2D(data=np.zeros((1, 1), dtype=np.uint8), view=View.LL, spacing=(1, 1),
+                  label_id=np.uint16(3))
+    assert (lab.label_id, mask.label_id) == (7, 3)
+    assert type(lab.label_id) is int and type(mask.label_id) is int
+    assert Mask2D(data=np.zeros((1, 1)), view=View.PA, spacing=(1, 1)).label_id == 0
+
+
 def test_containers_are_immutable():
     vol = Volume(data=np.zeros((1, 2, 3), dtype=np.int16), spacing=(1, 1, 1))
     with pytest.raises((ValueError, RuntimeError)):

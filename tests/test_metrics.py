@@ -331,16 +331,31 @@ def test_detection_matches_oracle():
 
 # Larger pairs than the seeded ones, with overlap runs that end in the last
 # column. Every pixel is drawn on its own (no fill value), so many pairs hold
-# components that overlap several of the other side's. Derandomized, so the
-# suite runs the same examples every time.
+# components that overlap several of the other side's. The threshold is drawn
+# too: below 0.5 one component can pass it with several of the other side's.
+# Derandomized, so the suite runs the same examples every time.
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(st.tuples(st.integers(1, 24), st.integers(1, 24)).flatmap(
-    lambda shape: st.tuples(*[arrays(np.bool_, shape, fill=st.nothing())] * 2)))
-def test_detection_matches_oracle_on_random_pairs(pair):
+    lambda shape: st.tuples(*[arrays(np.bool_, shape, fill=st.nothing())] * 2)),
+    st.floats(0.0, 1.0))
+def test_detection_matches_oracle_on_random_pairs(pair, match_iou):
     pred, ref = pair
-    got = component_detection(pred, ref)
-    want = oracles.detection_reference(pred, ref, 0.5)
+    got = component_detection(pred, ref, match_iou=match_iou)
+    want = oracles.detection_reference(pred, ref, match_iou)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_detection_matches_each_component_once():
+    # Two prediction blobs, split by a gap column, each cover 50 of one 10x11
+    # reference blob's 110 pixels: both pass match_iou 0.3 with the same
+    # reference, which matches only the first.
+    ref = np.zeros((12, 13), dtype=np.uint8)
+    ref[1:11, 1:12] = 1
+    pred = ref.copy()
+    pred[:, 6] = 0
+    got = component_detection(pred, ref, match_iou=0.3)
+    assert got == pytest.approx(oracles.detection_reference(pred, ref, 0.3), abs=1e-12)
+    assert got == pytest.approx((0.5, 1.0, 2 / 3, 2, 1, 1), abs=1e-12)
 
 
 def _candidate_ious(pred, ref):

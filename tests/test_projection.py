@@ -15,8 +15,6 @@ from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     project_study, resample_and_orient)
 from drrkit.projection import _line_integrals
 
-NO_ORIENT = {View.PA: (), View.LL: ()}
-
 
 def _random_volume(rng, max_dim=6):
     dims = tuple(int(d) for d in rng.integers(1, max_dim + 1, size=3))
@@ -107,29 +105,37 @@ def test_project_mask_carries_volume_spacing():
 
 
 def test_resample_identity_when_at_target():
+    # No resampling at the target spacing: the one orientation, a transpose.
     data = np.arange(12, dtype=np.float64).reshape(3, 4)
-    proj = Projection(data=data, view=View.PA, spacing=(1.0, 1.0))
-    cfg = ProjectionConfig(target_pixel_spacing=1.0, orientation=NO_ORIENT)
-    out = resample_and_orient(proj, cfg)
-    assert np.array_equal(out.data, data)
-    assert out.spacing == (1.0, 1.0)
+    proj = Projection(data=data, view=View.PA, spacing=(0.5, 0.5))
+    out = resample_and_orient(proj, ProjectionConfig(target_pixel_spacing=0.5))
+    assert np.array_equal(out.data, data.T)
+    assert out.spacing == (0.5, 0.5)
 
 
 def test_default_orientation_transposes():
+    # Both views, images and masks: rows become the collapsed grid's columns
+    # (the volume's k axis, superior to inferior), in C order.
     data = np.arange(12, dtype=np.float64).reshape(3, 4)
-    proj = Projection(data=data, view=View.PA, spacing=(1.0, 1.0))
-    out = resample_and_orient(proj, ProjectionConfig())
-    assert np.array_equal(out.data, data.T)
-    assert out.spacing == (1.0, 1.0)
+    bits = (data % 3 == 0).astype(np.uint8)
+    for view in (View.PA, View.LL):
+        out = resample_and_orient(Projection(data=data, view=view, spacing=(1.0, 1.0)),
+                                  ProjectionConfig())
+        out_m = resample_and_orient(Mask2D(data=bits, view=view, spacing=(1.0, 1.0),
+                                           label_id=4), ProjectionConfig())
+        assert np.array_equal(out.data, data.T) and out.data.flags.c_contiguous
+        assert np.array_equal(out_m.data, bits.T) and out_m.data.flags.c_contiguous
+        assert out.spacing == out_m.spacing == (1.0, 1.0)
+        assert out.view == out_m.view == view and out_m.label_id == 4
 
 
 def test_bilinear_doc_example_edge_clamped():
-    # one row, two columns, upsampled x2 along the columns only
+    # one row, two columns, upsampled x2 along the columns only, then
+    # transposed into one column
     proj = Projection(data=np.array([[0.0, 10.0]]), view=View.PA, spacing=(0.5, 1.0))
-    cfg = ProjectionConfig(target_pixel_spacing=0.5, orientation=NO_ORIENT)
-    out = resample_and_orient(proj, cfg)
-    assert out.data.shape == (1, 4)
-    assert np.allclose(out.data[0], [0.0, 2.5, 7.5, 10.0], atol=1e-12)
+    out = resample_and_orient(proj, ProjectionConfig(target_pixel_spacing=0.5))
+    assert out.data.shape == (4, 1)
+    assert np.allclose(out.data[:, 0], [0.0, 2.5, 7.5, 10.0], atol=1e-12)
     assert out.spacing == (0.5, 0.5)
 
 
@@ -139,8 +145,8 @@ def test_mask_upsample_stays_binary_area_x4():
         shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         data = (rng.random(size=shape) < 0.5).astype(np.uint8)
         mask = Mask2D(data=data, view=View.PA, spacing=(1.0, 1.0))
-        cfg = ProjectionConfig(target_pixel_spacing=0.5, orientation=NO_ORIENT)
-        out = resample_and_orient(mask, cfg)
+        out = resample_and_orient(mask, ProjectionConfig(target_pixel_spacing=0.5))
+        assert out.data.shape == (2 * shape[1], 2 * shape[0])
         assert set(np.unique(out.data)) <= {0, 1}
         assert out.data.sum() == 4 * data.sum()
 
@@ -151,40 +157,41 @@ def test_resample_matches_reference_samplers():
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         spacing = (float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5)))
         target = float(rng.uniform(0.4, 2.0))
-        cfg = ProjectionConfig(target_pixel_spacing=target, orientation=NO_ORIENT)
+        cfg = ProjectionConfig(target_pixel_spacing=target)
 
+        # The samplers work on the collapsed grid; the transpose comes after,
+        # and swaps the spacing with the axes.
         gray = rng.uniform(0, 100, size=shape)
         proj = Projection(data=gray, view=View.PA, spacing=spacing)
         got = resample_and_orient(proj, cfg)
-        ref = oracles.bilinear_reference(gray, got.data.shape)
+        cols, rows = got.data.shape
+        ref = oracles.bilinear_reference(gray, (rows, cols)).T
         assert np.allclose(got.data, ref, atol=1e-12, rtol=0)
+        assert got.spacing == pytest.approx(
+            (spacing[1] * shape[1] / cols, spacing[0] * shape[0] / rows), rel=1e-12)
 
         bits = (rng.random(size=shape) < 0.5).astype(np.uint8)
         mask = Mask2D(data=bits, view=View.PA, spacing=spacing)
         got_m = resample_and_orient(mask, cfg)
-        ref_m = oracles.nearest_reference(bits, got_m.data.shape)
+        ref_m = oracles.nearest_reference(bits, got_m.data.T.shape).T
         assert np.array_equal(got_m.data, ref_m)
+        assert got_m.spacing == got.spacing
 
 
 def test_orientation_ops():
+    # The transpose is the one orientation op; no config names another.
     data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     proj = Projection(data=data, view=View.PA, spacing=(1.0, 1.0))
-    for ops, expected in [
-        (("transpose",), data.T),
-        (("flip_x",), data[:, ::-1]),
-        (("flip_y",), data[::-1, :]),
-        (("transpose", "flip_x"), data.T[:, ::-1]),
-    ]:
-        cfg = ProjectionConfig(orientation={View.PA: ops, View.LL: ()})
-        out = resample_and_orient(proj, cfg)
-        assert np.array_equal(out.data, expected), ops
+    out = resample_and_orient(proj, ProjectionConfig())
+    assert np.array_equal(out.data, data.T)
+    assert "orientation" not in ProjectionConfig().to_dict()
+    with pytest.raises(TypeError):
+        ProjectionConfig(orientation={View.PA: ("transpose",)})
 
 
 def test_orientation_transpose_swaps_spacing():
     proj = Projection(data=np.zeros((2, 3)), view=View.PA, spacing=(0.5, 2.0))
-    cfg = ProjectionConfig(target_pixel_spacing=2.0,
-                           orientation={View.PA: ("transpose",), View.LL: ()})
-    out = resample_and_orient(proj, cfg)
+    out = resample_and_orient(proj, ProjectionConfig(target_pixel_spacing=2.0))
     # resample first: rows 2*0.5/2 -> 1 (effective spacing 1.0 preserves the
     # 1 mm extent), cols 3*2/2 -> 3; then transpose swaps the two
     assert out.data.shape == (3, 1)
@@ -195,12 +202,13 @@ def test_output_size_applied_last():
     rng = np.random.default_rng(4)
     data = rng.uniform(0, 50, size=(5, 7))
     proj = Projection(data=data, view=View.PA, spacing=(1.0, 1.0))
-    cfg = ProjectionConfig(target_pixel_spacing=1.0, output_size=(4, 6),
-                           orientation=NO_ORIENT)
+    cfg = ProjectionConfig(target_pixel_spacing=1.0, output_size=(4, 6))
     out = resample_and_orient(proj, cfg)
     assert out.data.shape == (6, 4)    # (height, width)
-    ref = oracles.bilinear_reference(data, (6, 4))
+    # after the transpose, so the (7, 5) transposed grid is what is resized
+    ref = oracles.bilinear_reference(data.T, (6, 4))
     assert np.allclose(out.data, ref, atol=1e-12)
+    assert out.spacing == (7 / 6, 5 / 4)
 
 
 def test_resample_rejects_normalized_input():
@@ -447,16 +455,18 @@ def test_config_validation_and_round_trip():
     with pytest.raises(ValidationError):
         ProjectionConfig(output_size=(0, 4))
     with pytest.raises(ValidationError):
-        ProjectionConfig(orientation={View.PA: ("rotate",)})
-    with pytest.raises(ValidationError):
         ProjectionConfig(views=())
     cfg = ProjectionConfig(views=(View.LL,), target_pixel_spacing=0.5,
-                           output_size=(64, 48),
-                           orientation={View.LL: ("transpose", "flip_y")})
+                           output_size=(64, 48))
     back = ProjectionConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    assert cfg.to_dict() == {"views": ["LL"], "target_pixel_spacing": 0.5,
+                             "output_size": [64, 48]}
     with pytest.raises(ValidationError):
         ProjectionConfig.from_dict({"bogus": 1})
+    # The orientation setting is gone: the one transpose is not configurable.
+    with pytest.raises(ValidationError, match=r"unknown projection config keys: \['orientation'\]"):
+        ProjectionConfig.from_dict({"orientation": {"PA": ["transpose"]}})
 
 
 @pytest.mark.parametrize("kwargs,key", [
@@ -465,9 +475,10 @@ def test_config_validation_and_round_trip():
     ({"output_size": (64, False)}, "output_size"),
     ({"views": "PA"}, "views"),
     ({"views": ("PA", 1)}, "views"),
-    ({"orientation": {View.PA: ""}}, "orientation.PA"),
-    ({"orientation": {View.LL: "flip_x"}}, "orientation.LL"),
-    ({"orientation": {"AP": ()}}, "orientation"),
+    ({"target_pixel_spacing": True}, "target_pixel_spacing"),
+    ({"target_pixel_spacing": "0.5"}, "target_pixel_spacing"),
+    ({"target_pixel_spacing": 10 ** 400}, "target_pixel_spacing"),
+    ({"target_pixel_spacing": float("nan")}, "target_pixel_spacing"),
 ])
 def test_config_takes_names_and_integers_not_casts(kwargs, key):
     with pytest.raises(ValidationError, match=rf"^projection\.{key}"):
@@ -478,7 +489,8 @@ def test_config_takes_names_and_integers_not_casts(kwargs, key):
 
 def test_config_keeps_integer_sizes_and_view_names():
     cfg = ProjectionConfig(views=["LL"], output_size=[np.int64(64), 48],
-                           orientation={"LL": ["flip_x"]})
+                           target_pixel_spacing=np.float32(0.5))
     assert cfg.views == (View.LL,) and cfg.output_size == (64, 48)
     assert type(cfg.output_size[0]) is int
-    assert cfg.orientation[View.LL] == ("flip_x",)
+    assert cfg.target_pixel_spacing == 0.5 and type(cfg.target_pixel_spacing) is float
+    assert ProjectionConfig(target_pixel_spacing=2).target_pixel_spacing == 2.0
