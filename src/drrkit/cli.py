@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .io import (FormatError, Mask2D, ValidationError, View, _load_json_file, _nonneg_int,
-                 _read_input, load_label_volume, load_mask, load_volume, save_mask,
+from .io import (FormatError, Mask2D, ValidationError, View, _Digests, _load_json_file,
+                 _nonneg_int, _read_input, load_label_volume, load_mask, load_volume, save_mask,
                  save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
@@ -193,10 +193,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
     # Labels are loaded, hashed and checked one at a time as project_study
     # consumes them. Nothing is written before it returns, so a missing or bad
     # file leaves no partial output.
-    hashes: dict[str, str] = {}
-    vol = load_volume(study["volume_path"], _digests=hashes, _name=study["volume"])
-
-    def labels():
+    def labels(hashes):
         for declared_id, rel, lpath in study["labels"]:
             lab = load_label_volume(lpath, _digests=hashes, _name=rel)
             if declared_id is not None and declared_id != lab.label_id:
@@ -205,13 +202,16 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
             yield lab
             del lab     # release it before the next label is read
 
-    try:
-        result = project_study(vol, labels(), config)
-    except ValidationError as exc:
-        raise ValidationError(f"study {study['id']}: {exc}") from exc
+    with _Digests() as hashes:
+        vol = load_volume(study["volume_path"], _digests=hashes, _name=study["volume"])
+        try:
+            result = project_study(vol, labels(hashes), config)
+        except ValidationError as exc:
+            raise ValidationError(f"study {study['id']}: {exc}") from exc
+        inputs = hashes.to_dict()
 
     provenance = _provenance("project", study_id=study["id"],
-                             config={"projection": config.to_dict()}, inputs=hashes)
+                             config={"projection": config.to_dict()}, inputs=inputs)
 
     target = out_root / study["id"]
     out_root.mkdir(parents=True, exist_ok=True)
@@ -232,6 +232,8 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
 
 
 def cmd_project(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = _load_manifest(Path(args.manifest))
     config = ProjectionConfig.from_dict(_effective_config(
         args.config, "projection", ProjectionConfig().to_dict(),
@@ -241,7 +243,7 @@ def cmd_project(args) -> int:
     out_root = Path(args.out)
     # Every study runs and results are read in manifest order, so --jobs cannot
     # change the outputs or the error; Executor.map would cancel pending studies.
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [pool.submit(_project_one_study, study, out_root, config)
                    for study in manifest]
         for fut in futures:
@@ -262,7 +264,7 @@ _CONDITION_INPUTS = {
 _ROLE_KEYS = {role for _, roles in _CONDITION_INPUTS.values() for role in roles}
 
 
-def _load_mapping(path: Path, hashes: dict) -> dict[str, list[int]]:
+def _load_mapping(path: Path, hashes: _Digests) -> dict[str, list[int]]:
     doc = _load_json_file(path, hashes, "mapping.json")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: mapping must be a JSON object")
@@ -276,7 +278,7 @@ def _load_mapping(path: Path, hashes: dict) -> dict[str, list[int]]:
 
 def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
-                       hashes: dict, loaded: dict[tuple[View, int], Mask2D]) -> dict:
+                       hashes: _Digests, loaded: dict[tuple[View, int], Mask2D]) -> dict:
     view, roles = _CONDITION_INPUTS[condition]
     for role in roles:
         if role not in mapping:
@@ -327,19 +329,20 @@ def cmd_measure(args) -> int:
     study_dir = Path(args.study)
     if not study_dir.is_dir():
         raise FileNotFoundError(f"study directory not found: {study_dir}")
-    hashes: dict[str, str] = {}
-    mapping = _load_mapping(Path(args.mapping), hashes)
+    with _Digests() as hashes:
+        mapping = _load_mapping(Path(args.mapping), hashes)
 
-    eff = _effective_config(args.config, "measure", {"min_component_px": 8},
-                            {"min_component_px": args.min_component_px})
-    min_px = eff["min_component_px"]
-    # argparse lower-cased and checked each name; a repeated one counts once.
-    conditions = [Condition(name) for name in
-                  dict.fromkeys(args.conditions or [c.value for c in Condition])]
+        eff = _effective_config(args.config, "measure", {"min_component_px": 8},
+                                {"min_component_px": args.min_component_px})
+        min_px = eff["min_component_px"]
+        # argparse lower-cased and checked each name; a repeated one counts once.
+        conditions = [Condition(name) for name in
+                      dict.fromkeys(args.conditions or [c.value for c in Condition])]
 
-    loaded: dict[tuple[View, int], Mask2D] = {}
-    reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes, loaded)
-               for c in conditions}
+        loaded: dict[tuple[View, int], Mask2D] = {}
+        reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes, loaded)
+                   for c in conditions}
+        inputs = hashes.to_dict()
 
     out_dir = Path(args.out)
     provenance = _provenance(
@@ -347,7 +350,7 @@ def cmd_measure(args) -> int:
         config={"measure": {"min_component_px": min_px},
                 "conditions": [c.value for c in conditions],
                 "mapping": {k: mapping[k] for k in sorted(mapping)}},
-        inputs=hashes)
+        inputs=inputs)
     for condition, report in reports.items():
         report["schema_version"] = SCHEMA_VERSION
         _atomic_write_text(_dump_json(report), out_dir / f"{condition.value}.json")
@@ -371,28 +374,30 @@ def cmd_evaluate(args) -> int:
          "n_resamples": args.resamples})
 
     base = manifest_path.parent
-    hashes = {}
     pairs = []
-    for entry in doc:
-        if not isinstance(entry, dict) or not {"class_id", "pred_path", "ref_path"} <= set(entry):
-            raise ValidationError(
-                f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
-        class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
-        masks = []
-        for key in ("pred_path", "ref_path"):
-            rel = _path_str(entry[key], f"class {class_id}: {key}")
-            try:
-                masks.append(load_mask(base / rel, view=View.PA, label_id=class_id,
-                                       _digests=hashes, _name=rel))
-            except ValidationError as exc:
-                raise ValidationError(f"class {class_id}: {exc}") from exc
-        pairs.append((class_id, *masks))
+    with _Digests() as hashes:
+        for entry in doc:
+            if (not isinstance(entry, dict)
+                    or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
+                raise ValidationError(
+                    f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
+            class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
+            masks = []
+            for key in ("pred_path", "ref_path"):
+                rel = _path_str(entry[key], f"class {class_id}: {key}")
+                try:
+                    masks.append(load_mask(base / rel, view=View.PA, label_id=class_id,
+                                           _digests=hashes, _name=rel))
+                except ValidationError as exc:
+                    raise ValidationError(f"class {class_id}: {exc}") from exc
+            pairs.append((class_id, *masks))
+        inputs = hashes.to_dict()
 
     report = evaluate_class_set(pairs, **eff, seed=args.seed)
 
     out = _provenance("evaluate", seed=args.seed,
                       config={"evaluate": {k: eff[k] for k in sorted(eff)}},
-                      inputs=hashes, **report.to_json_dict())
+                      inputs=inputs, **report.to_json_dict())
     _atomic_write_text(_dump_json(out), Path(args.out))
     return 0
 
@@ -406,7 +411,7 @@ def cmd_evaluate(args) -> int:
 _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", re.ASCII)
 
 
-def _read_scores(path: str, hashes: dict) -> dict:
+def _read_scores(path: str, hashes: _Digests) -> dict:
     if Path(path).suffix.lower() == ".csv":
         blob = _read_input(path, hashes)
         try:
@@ -454,7 +459,7 @@ def _parse_grade_list(values, name: str) -> list[int]:
     return out
 
 
-def _read_ordinal(path: str, hashes: dict) -> np.ndarray:
+def _read_ordinal(path: str, hashes: _Digests) -> np.ndarray:
     """Truth-by-prediction counts: a given matrix, or tallied from grade lists."""
     doc = _load_json_file(path, hashes)
     if isinstance(doc, dict) and "matrix" in doc:
@@ -492,19 +497,23 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_stats(args) -> int:
     alpha = _effective_config(args.config, "stats", {"alpha": 0.05},
                               {"alpha": args.alpha})["alpha"]
-    hashes: dict[str, str] = {}
+    with _Digests() as hashes:
+        if args.mode == "pairwise":
+            scores = _read_scores(args.scores, hashes)
+        else:
+            matrix = _read_ordinal(args.scores, hashes)
+        inputs = hashes.to_dict()
 
     # Each mode builds its report fields, echoed config and CSV table; one
     # writer below emits whichever --format asks for.
     if args.mode == "pairwise":
-        comparisons = pairwise_model_comparison(_read_scores(args.scores, hashes), alpha=alpha)
+        comparisons = pairwise_model_comparison(scores, alpha=alpha)
         config = {"alpha": alpha}
         fields = {"n_comparisons": len(comparisons),
                   "comparisons": [c.to_json_dict() for c in comparisons]}
         header = [f.name for f in dataclasses.fields(PairwiseComparison)]
         rows = [c.values() for c in fields["comparisons"]]
     else:
-        matrix = _read_ordinal(args.scores, hashes)
         metrics = ordinal_metrics(matrix)
         kappa_lin = weighted_kappa(matrix, "linear")
         kappa_quad = weighted_kappa(matrix, "quadratic")
@@ -521,7 +530,7 @@ def cmd_stats(args) -> int:
         text = _csv_text(header, rows)
     else:
         text = _dump_json(_provenance("stats", mode=args.mode, config={"stats": config},
-                                      inputs=hashes, **fields))
+                                      inputs=inputs, **fields))
     _atomic_write_text(text, Path(args.out))
     return 0
 

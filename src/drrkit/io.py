@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import queue
 import re
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -328,25 +330,93 @@ def _paint_runs(fg: np.ndarray, first: np.ndarray, end: np.ndarray,
 # input files: each is read once, and its digest is taken of the bytes parsed
 
 
-def _read_input(path, digests: dict | None = None, name=None) -> bytes:
+class _Digests:
+    """SHA-256 digests of a command's input files, by name.
+
+    One background thread hashes the files in turn while the caller parses
+    each and reads the next. At most one hash is pending: ``add`` waits for
+    the previous one first, so one extra file's bytes stay alive at most.
+    Use it as a context manager, so the thread ends with the command, and
+    read it with ``to_dict``, which waits for the pending hash.
+    """
+
+    def __init__(self) -> None:
+        self._hex: dict[str, str] = {}
+        self._pending = None        # name of the file being hashed
+        self._jobs = queue.SimpleQueue()
+        self._results = queue.SimpleQueue()
+        self._thread = None
+
+    def _hash_jobs(self) -> None:
+        # None ends the thread; a failed hash reports None as its digest.
+        while (blob := self._jobs.get()) is not None:
+            digest = None
+            try:
+                # update() releases the GIL for large buffers;
+                # hashlib.sha256(blob) does not in every build.
+                h = hashlib.sha256()
+                h.update(blob)
+                digest = h.hexdigest()
+            finally:
+                del blob
+                self._results.put(digest)
+
+    def add(self, name: str, blob: bytes) -> None:
+        self._join()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._hash_jobs, daemon=True)
+            self._thread.start()
+        self._pending = name
+        self._jobs.put(blob)
+
+    def _join(self) -> None:
+        if self._pending is None:
+            return
+        name, self._pending = self._pending, None
+        digest = self._results.get()
+        if digest is None:
+            raise RuntimeError(f"hashing {name} failed")
+        self._hex[name] = digest
+
+    def to_dict(self) -> dict[str, str]:
+        self._join()
+        return dict(self._hex)
+
+    def __enter__(self) -> "_Digests":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # After a failure the pending hash still ends before the thread
+        # does, so no thread outlives the command; its digest goes unread.
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+
+
+def _read_input(path, digests: _Digests | None = None, name=None) -> bytes:
     """The bytes of one input file; their SHA-256 goes into ``digests``, if
     given, under the declared ``name`` or else the path as given."""
     blob = Path(path).read_bytes()
     if digests is not None:
-        digests[str(path if name is None else name)] = hashlib.sha256(blob).hexdigest()
+        digests.add(str(path if name is None else name), blob)
     return blob
 
 
-def _load_json_file(path, digests: dict | None = None, name=None):
+def _decode_json(blob: bytes, path):
     """The one JSON decoder of input files: strict UTF-8, bounded nesting."""
     try:
-        doc = json.loads(_read_input(path, digests, name).decode("utf-8"))
+        doc = json.loads(blob.decode("utf-8"))
         # A lone surrogate escape such as "\ud800" loads, but no path or CSV
         # built from it can be encoded; reject it here with the rest.
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return doc
+
+
+def _load_json_file(path, digests: _Digests | None = None, name=None):
+    """One JSON input file, read once and hashed as read."""
+    return _decode_json(_read_input(path, digests, name), path)
 
 
 def _nonneg_int(value, what: str) -> int:
@@ -378,7 +448,8 @@ def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray
     Each file is read once and hashed under the pair that ``name`` declares."""
     json_path, raw_path = _sidecar_paths(path)
     json_name, raw_name = _sidecar_paths(path if name is None else name)
-    meta = _load_json_file(json_path, digests, json_name)
+    sidecar = _read_input(json_path)
+    meta = _decode_json(sidecar, json_path)
     if not isinstance(meta, dict):
         raise FormatError(f"{json_path}: sidecar must be a JSON object")
     dims = meta.get("dims")
@@ -389,7 +460,12 @@ def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray
     if meta.get("dtype") != dtype:
         raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
                           f"got {meta.get('dtype')!r}")
-    blob = _read_input(raw_path, digests, raw_name)
+    blob = _read_input(raw_path)
+    if digests is not None:
+        # The pair is hashed once both files are read, so the previous
+        # file's hash, which add() joins first, runs on through both reads.
+        digests.add(str(json_name), sidecar)
+        digests.add(str(raw_name), blob)
     expected = dims[0] * dims[1] * dims[2] * np.dtype(payload_dtype).itemsize
     if len(blob) != expected:
         raise FormatError(
@@ -429,10 +505,15 @@ def save_volume(vol: Volume, path) -> None:
 
 
 def load_label_volume(path, *, _digests=None, _name=None) -> LabelVolume:
-    """Load a uint8 binary label volume; nonzero voxels map to 1."""
+    """Load a uint8 binary label volume; nonzero voxels map to 1.
+
+    A payload already of 0/1 is viewed, not copied: the volume holds the
+    read-only bytes read from the file. Any other payload is binarized.
+    """
     meta, data = _read_volume_pair(path, "u8", _digests, _name)
     label_id = _nonneg_int(meta.get("label_id"), f"{_sidecar_paths(path)[0]}: 'label_id'")
-    return LabelVolume(data=data != 0, label_id=label_id)
+    binary = data.view(bool) if data.max(initial=0) <= 1 else data != 0
+    return LabelVolume(data=binary, label_id=label_id)
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:

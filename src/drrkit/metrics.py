@@ -15,7 +15,7 @@ import numpy as np
 
 from .io import (ValidationError, _Record, _as_binary, _component_sizes, _expand,
                  _intersect, _label_runs, _runs)
-from .stats import BootstrapCI, bootstrap_ci
+from .stats import BootstrapCI, _check_resampling, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
                      "precision", "recall", "f1")
@@ -379,6 +379,7 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
     if not pairs:
         raise ValidationError("no mask pairs to evaluate")
     _check_thresholds(nsd_tolerance_px, match_iou)
+    _check_resampling(n_resamples, seed)
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:
         class_id = int(class_id)

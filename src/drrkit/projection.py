@@ -165,8 +165,28 @@ def _resample_nearest(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return arr[np.ix_(ri, ci)]
 
 
-def _out_count(n: int, s: float, t: float) -> int:
-    return max(1, int(_round_half_up(n * s / t)))
+# The most pixels any grid of a view may hold, 8192² (512 MB as float64): far
+# above a radiograph, and well below what a tiny target spacing or a huge
+# output_size would ask for.
+_MAX_GRID_PX = 8192 ** 2
+
+
+def _grids(view: View, shape: tuple[int, int], spacing, config: ProjectionConfig
+           ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (rows, cols) grid a view of ``shape`` at ``spacing`` is resampled
+    to, and its final grid after the transpose and output_size. Either above
+    _MAX_GRID_PX pixels is refused here, before it is allocated."""
+    t = config.target_pixel_spacing
+    # Counts stay floats until checked: a tiny spacing makes them too large
+    # for an array size, or infinite.
+    counts = tuple(max(1.0, float(_round_half_up(n * s / t))) for n, s in zip(shape, spacing))
+    final = counts[::-1] if config.output_size is None else config.output_size[::-1]
+    for rows, cols in (counts, final):
+        if rows * cols > _MAX_GRID_PX:
+            raise ValidationError(
+                f"{View(view).value} view: a {rows:g} x {cols:g} pixel grid (rows x cols) "
+                f"is above the limit of {_MAX_GRID_PX:,} pixels")
+    return (int(counts[0]), int(counts[1])), (int(final[0]), int(final[1]))
 
 
 def resample_and_orient(obj, config: ProjectionConfig):
@@ -182,10 +202,9 @@ def resample_and_orient(obj, config: ProjectionConfig):
     resample = _resample_nearest if is_mask else _resample_bilinear
     arr = obj.data
     rm, cm = obj.spacing
-    t = config.target_pixel_spacing
+    shape, final = _grids(obj.view, arr.shape, obj.spacing, config)
 
     spacing = (rm, cm)
-    shape = (_out_count(arr.shape[0], rm, t), _out_count(arr.shape[1], cm, t))
     if shape != arr.shape:
         spacing = (rm * arr.shape[0] / shape[0], cm * arr.shape[1] / shape[1])
         arr = resample(arr, shape)
@@ -194,11 +213,10 @@ def resample_and_orient(obj, config: ProjectionConfig):
     arr = np.ascontiguousarray(arr.T)
     spacing = (spacing[1], spacing[0])
 
-    if config.output_size is not None:
-        w, h = config.output_size
-        if (h, w) != arr.shape:
-            spacing = (spacing[0] * arr.shape[0] / h, spacing[1] * arr.shape[1] / w)
-            arr = resample(arr, (h, w))
+    if final != arr.shape:
+        h, w = final
+        spacing = (spacing[0] * arr.shape[0] / h, spacing[1] * arr.shape[1] / w)
+        arr = resample(arr, final)
 
     if is_mask:
         return Mask2D(data=arr, view=obj.view, spacing=spacing, label_id=obj.label_id)
@@ -266,6 +284,10 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
     a study holds one label volume at a time if the iterable does.
     """
     config = config or ProjectionConfig()
+    # An oversized grid is refused before a label is read or an image allocated.
+    for view in config.views:
+        axis, _, in_plane = _view_geometry(view, vol.spacing)
+        _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
     masks: dict[View, dict[int, Mask2D]] = {view: {} for view in config.views}
     seen: set[int] = set()
     for lab in labels:

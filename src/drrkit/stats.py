@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _Record, _freeze
+from .io import ValidationError, _Record, _freeze, _nonneg_int
 
 
 def _as_1d(values, name: str) -> np.ndarray:
@@ -93,6 +93,15 @@ class BootstrapCI(_Record):
     level: float
 
 
+def _check_resampling(n_resamples, seed) -> tuple[int, int]:
+    """The resample count and seed of a bootstrap, each an integer, not a bool."""
+    n_resamples = _nonneg_int(n_resamples, "n_resamples")
+    if not 1 <= n_resamples <= _MAX_RESAMPLES:
+        raise ValidationError(
+            f"n_resamples must be in [1, {_MAX_RESAMPLES}], got {n_resamples}")
+    return n_resamples, _nonneg_int(seed, "seed")
+
+
 def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
                  seed: int = 0) -> BootstrapCI:
     """Percentile bootstrap CI of the mean.
@@ -104,9 +113,7 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
     arr = _as_1d(values, "values")
     if not 0 < level < 1:
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    if not 1 <= n_resamples <= _MAX_RESAMPLES:
-        raise ValidationError(
-            f"n_resamples must be in [1, {_MAX_RESAMPLES}], got {n_resamples}")
+    n_resamples, seed = _check_resampling(n_resamples, seed)
     # Rows are drawn a chunk at a time; successive integers() calls continue
     # one PCG64 stream, so the means equal those of a single (B, n) draw.
     rng = np.random.default_rng(seed)
@@ -119,7 +126,7 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
     alpha = (1.0 - level) / 2.0
     lower, upper = np.percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return BootstrapCI(mean=float(arr.mean()), lower=float(lower),
-                       upper=float(upper), n_resamples=int(n_resamples),
+                       upper=float(upper), n_resamples=n_resamples,
                        level=float(level))
 
 

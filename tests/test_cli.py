@@ -9,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import types
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drrkit
-from drrkit import (LabelVolume, Mask2D, View, Volume, cli, save_label_volume,
+from drrkit import (LabelVolume, Mask2D, View, Volume, cli, projection, save_label_volume,
                     save_mask, save_volume)
 
 
@@ -215,6 +217,97 @@ def test_project_dotted_volume_names_hash_their_own_files(tmp_path):
     assert sorted(prov["inputs"]) == ["case.01.json", "case.01.raw"]
     for name, digest in prov["inputs"].items():
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_project_label_stored_as_0_1_or_0_n_gives_the_same_masks(tmp_path):
+    # A 0/1 payload is viewed and any other is binarized; the masks must not
+    # tell the two apart, and each digest is of the file as stored.
+    manifest = _write_study_inputs(tmp_path, n_labels=2)
+    trees = {}
+    for high in (1, 255, 7):
+        for i in (1, 2):
+            raw = tmp_path / f"lab{i}.raw"
+            payload = np.frombuffer(raw.read_bytes(), dtype=np.uint8)
+            raw.write_bytes((payload != 0).astype(np.uint8) * np.uint8(high))
+        out = tmp_path / f"out{high}"
+        assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 0
+        tree = _collect_bytes(out / "case01")
+        prov = json.loads(tree.pop("provenance.json"))
+        assert sorted(prov["inputs"]) == ["lab1.json", "lab1.raw", "lab2.json", "lab2.raw",
+                                          "vol.json", "vol.raw"]
+        for name, digest in prov["inputs"].items():
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        trees[high] = tree
+    assert {"PA/1.pgm", "PA/2.pgm", "LL/1.pgm", "LL/2.pgm"} <= set(trees[1])
+    assert trees[1] == trees[255] == trees[7]
+
+
+def _slow_hashes(monkeypatch):
+    # Every hash outlasts the work after it, so a hash thread the command did
+    # not end would still be alive when cli.main returns.
+    real = hashlib.sha256
+
+    class Slow:
+        def __init__(self):
+            self._h = real()
+
+        def update(self, blob):
+            time.sleep(0.02)
+            self._h.update(blob)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Slow)
+
+
+@pytest.mark.parametrize("bad,code", [
+    (None, 0),
+    ({"label_id": 9, "path": "lab2.json"}, 1),
+    ("missing.json", 2),
+], ids=["success", "exit_1", "exit_2"])
+def test_project_leaves_no_thread_behind(tmp_path, monkeypatch, bad, code):
+    manifest = _write_study_inputs(tmp_path, n_labels=2)
+    if bad is not None:
+        doc = json.loads(manifest.read_text())
+        doc["studies"][0]["labels"] = [{"label_id": 1, "path": "lab1.json"}, bad]
+        manifest.write_text(json.dumps(doc))
+    _slow_hashes(monkeypatch)
+    before = set(threading.enumerate())
+    assert cli.main(["project", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == code
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_project_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    manifest = _write_study_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                     "--jobs", jobs]) == 1
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,grid", [
+    (["--target-spacing", "1e-300"], "6e+300 x 8e+300"),
+    (["--output-size", "100000", "100000"], "100000 x 100000"),
+], ids=["tiny_spacing", "huge_output_size"])
+def test_project_refuses_a_huge_grid_before_allocating_it(tmp_path, capsys, monkeypatch,
+                                                          flags, grid):
+    def never(arr, shape):
+        raise AssertionError(f"a {shape} grid was allocated")
+
+    monkeypatch.setattr(projection, "_resample_bilinear", never)
+    monkeypatch.setattr(projection, "_resample_nearest", never)
+    manifest = _write_study_inputs(tmp_path, n_labels=1)
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]
+                    + flags) == 1
+    err = capsys.readouterr().err
+    assert f"study case01: PA view: a {grid} pixel grid" in err
+    assert "above the limit of 67,108,864 pixels" in err
+    assert not (out / "case01").exists()
 
 
 def test_project_missing_manifest_exits_2(tmp_path):
@@ -506,6 +599,16 @@ def test_evaluate_rerun_byte_identical(tmp_path):
     first = out.read_bytes()
     assert cli.main(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("seed", ["-1", "-100"])
+def test_evaluate_negative_seed_exits_1(tmp_path, capsys, seed):
+    manifest = _make_eval_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out),
+                     "--seed", seed]) == 1
+    assert f"seed must be a nonnegative integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_geometry_mismatch_names_class(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Container validation and on-disk round trips for volumes, PGMs, masks."""
 
+import hashlib
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +88,70 @@ def test_label_volume_load_maps_nonzero_to_one(tmp_path):
     lab = load_label_volume(tmp_path / "l.json")
     assert lab.data.dtype == np.uint8
     assert lab.data.tolist() == [[[0, 1, 1]]]
+
+
+def test_label_volume_of_0_1_payload_is_a_read_only_view(tmp_path):
+    (tmp_path / "l.json").write_text('{"dims": [1, 2, 2], "dtype": "u8", "label_id": 4}')
+    (tmp_path / "l.raw").write_bytes(b"\x00\x01\x01\x00")
+    lab = load_label_volume(tmp_path / "l.json")
+    assert lab.data.dtype == np.uint8
+    assert lab.data.tolist() == [[[0, 1], [1, 0]]]
+    assert not lab.data.flags.writeable
+    with pytest.raises(ValueError):
+        lab.data[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        lab.data.setflags(write=True)
+
+
+class _LoggedSha256:
+    """hashlib.sha256 that sleeps in update() and logs when each hash ends."""
+
+    real = hashlib.sha256
+    log: list = []
+
+    def __init__(self):
+        self._h = self.real()
+
+    def update(self, blob):
+        time.sleep(0.01)
+        self._h.update(blob)
+        self.log.append(len(blob))
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def test_digests_hash_one_file_at_a_time(monkeypatch):
+    # Each digest is the SHA-256 of its bytes, and add() returns only once
+    # the previous file's hash has ended, so at most one is pending.
+    monkeypatch.setattr(_LoggedSha256, "log", [])
+    monkeypatch.setattr(hashlib, "sha256", _LoggedSha256)
+    blobs = {f"f{i}": bytes([i]) * (1000 * i + 1) for i in range(6)}
+    before = set(threading.enumerate())
+    with io._Digests() as digests:
+        for i, (name, blob) in enumerate(blobs.items()):
+            digests.add(name, blob)
+            assert _LoggedSha256.log[:i] == [len(b) for b in list(blobs.values())[:i]]
+        got = digests.to_dict()
+    monkeypatch.undo()
+    assert got == {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    assert set(threading.enumerate()) == before
+
+
+def test_digests_report_a_failed_hash(monkeypatch):
+    failures = []
+
+    class Broken(_LoggedSha256):
+        def update(self, blob):
+            raise MemoryError("simulated")
+
+    monkeypatch.setattr(hashlib, "sha256", Broken)
+    monkeypatch.setattr(threading, "excepthook", failures.append)
+    with io._Digests() as digests:
+        digests.add("a", b"x")
+        with pytest.raises(RuntimeError, match="hashing a failed"):
+            digests.to_dict()
+    assert [f.exc_type for f in failures] == [MemoryError]
 
 
 def test_sidecar_validation(tmp_path):

@@ -512,6 +512,17 @@ def test_evaluate_class_set_duplicate_id_rejected():
         evaluate_class_set([(1, m, m), (1, m, m)])
 
 
+@pytest.mark.parametrize("kwargs,what", [
+    ({"seed": -1}, "seed"), ({"seed": True}, "seed"), ({"n_resamples": True}, "n_resamples"),
+], ids=["seed=-1", "seed=True", "n=True"])
+def test_evaluate_class_set_checks_resampling_before_any_pair(kwargs, what):
+    # The mismatched pair would fail too; the bootstrap settings are checked first.
+    m = np.ones((3, 3), dtype=np.uint8)
+    bad = np.ones((3, 4), dtype=np.uint8)
+    with pytest.raises(ValidationError, match=what):
+        evaluate_class_set([(7, m, bad)], **kwargs)
+
+
 def test_evaluate_class_set_error_names_class():
     m = np.ones((3, 3), dtype=np.uint8)
     bad = np.ones((3, 4), dtype=np.uint8)

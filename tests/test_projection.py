@@ -1,5 +1,6 @@
 """Projection pipeline: attenuation, axis collapse, resampling, normalization."""
 
+import re
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from drrkit import projection
 from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     ValidationError, View, Volume, attenuation_transform,
                     normalize_to_8bit, project_image, project_mask,
@@ -295,6 +297,45 @@ def test_project_study_geometry_coherent():
         for lab_id, mask in result.masks[view].items():
             assert mask.data.shape == img.data.shape
             assert mask.spacing == img.spacing
+
+
+@pytest.mark.parametrize("cfg,grid", [
+    (ProjectionConfig(target_pixel_spacing=1e-300), "PA view: a 4e+300 x 6e+300"),
+    (ProjectionConfig(target_pixel_spacing=5e-324), "PA view: a inf x inf"),
+    (ProjectionConfig(output_size=(9000, 8000)), "PA view: a 8000 x 9000"),
+    (ProjectionConfig(views=("LL",), output_size=(100000, 100000)),
+     "LL view: a 100000 x 100000"),
+], ids=["tiny_spacing", "denormal_spacing", "output_size", "ll_output_size"])
+def test_project_study_refuses_a_huge_grid_before_allocating(monkeypatch, cfg, grid):
+    def never(*args):
+        raise AssertionError("allocated before the grid was checked")
+
+    monkeypatch.setattr(projection, "_resample_bilinear", never)
+    monkeypatch.setattr(projection, "_resample_nearest", never)
+    monkeypatch.setattr(projection, "_line_integrals", never)
+    vol = Volume(data=np.zeros((4, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
+
+    def labels():
+        raise AssertionError("a label was read before the grid was checked")
+        yield
+
+    refusal = re.escape(grid) + r" pixel grid .* limit of 67,108,864 pixels"
+    with pytest.raises(ValidationError, match=refusal):
+        project_study(vol, labels(), cfg)
+    proj = Projection(data=np.zeros((4, 6)), view=View.PA, spacing=(1, 1))
+    if View.PA in cfg.views:
+        with pytest.raises(ValidationError, match=re.escape(grid)):
+            resample_and_orient(proj, cfg)
+
+
+def test_grid_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(projection, "_MAX_GRID_PX", 20)
+    proj = Projection(data=np.ones((4, 5)), view=View.PA, spacing=(1, 1))
+    assert resample_and_orient(proj, ProjectionConfig(output_size=(4, 5))).data.shape == (5, 4)
+    with pytest.raises(ValidationError, match="a 3 x 7 pixel grid"):
+        resample_and_orient(proj, ProjectionConfig(output_size=(7, 3)))
+    with pytest.raises(ValidationError, match="a 5 x 6 pixel grid"):
+        resample_and_orient(proj, ProjectionConfig(target_pixel_spacing=0.8))
 
 
 def test_project_study_duplicate_label_ids_rejected():

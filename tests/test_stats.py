@@ -54,6 +54,16 @@ def test_bootstrap_rejects_empty_and_bad_level():
         bootstrap_ci([1.0, 2.0], n_resamples=10, level=1.5, seed=0)
 
 
+@pytest.mark.parametrize("kwargs,what", [
+    ({"seed": -1}, "seed"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"n_resamples": True}, "n_resamples"), ({"n_resamples": 10.0}, "n_resamples"),
+    ({"n_resamples": 0}, "n_resamples"),
+], ids=["seed=-1", "seed=True", "seed=1.5", "n=True", "n=10.0", "n=0"])
+def test_bootstrap_takes_integer_seed_and_count_not_bools(kwargs, what):
+    with pytest.raises(ValidationError, match=what):
+        bootstrap_ci([1.0, 2.0, 3.0], **{"n_resamples": 10, **kwargs})
+
+
 def test_bootstrap_chunks_match_one_draw():
     # 300001 values give 3 resample rows per chunk, so 8 rows span 3 chunks
     # whose index counts are odd; the CI must equal the single (B, n) draw.
