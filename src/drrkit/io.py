@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import os
 import queue
 import re
 import threading
@@ -334,8 +335,10 @@ class _Digests:
     """SHA-256 digests of a command's input files, by name.
 
     One background thread hashes the files in turn while the caller parses
-    each and reads the next. At most one hash is pending: ``add`` waits for
-    the previous one first, so one extra file's bytes stay alive at most.
+    each and reads the next. A file goes in as the buffer it was read into,
+    ``bytes`` or a payload's uint8 array, so its digest is of the bytes
+    parsed. At most one hash is pending: ``add`` waits for the previous one
+    first, so one extra file's bytes stay alive at most.
     Use it as a context manager, so the thread ends with the command, and
     read it with ``to_dict``, which waits for the pending hash.
     """
@@ -361,7 +364,7 @@ class _Digests:
                 del blob
                 self._results.put(digest)
 
-    def add(self, name: str, blob: bytes) -> None:
+    def add(self, name: str, blob) -> None:
         self._join()
         if self._thread is None:
             self._thread = threading.Thread(target=self._hash_jobs, daemon=True)
@@ -443,9 +446,41 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
 
 
+def _read_payload(raw_path, expected: int) -> np.ndarray:
+    """The ``expected`` bytes of a .raw payload as a read-only uint8 array.
+
+    The file's size is checked before anything is allocated, and a file that
+    ends early or runs past ``expected`` while being read is refused, so the
+    array never holds a zero-filled or garbage tail. numpy advises its large
+    allocations for huge pages, so reading into one faults in fewer pages
+    than a ``bytes`` of the same size.
+    """
+    with open(raw_path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise FormatError(
+                f"{raw_path}: payload is {size} bytes, sidecar dims imply {expected}")
+        buf = np.empty(expected, dtype=np.uint8)
+        with memoryview(buf) as view:
+            got = 0
+            while got < expected:
+                n = f.readinto(view[got:])
+                if not n:
+                    raise FormatError(f"{raw_path}: payload ended after {got} bytes, "
+                                      f"sidecar dims imply {expected}")
+                got += n
+        if f.read(1):
+            raise FormatError(
+                f"{raw_path}: payload runs past the {expected} bytes sidecar dims imply")
+    # Before anything views it, so no view of it can be made writable.
+    buf.setflags(write=False)
+    return buf
+
+
 def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray]:
-    """The checked sidecar and the (H, W, D) payload of one volume file pair.
-    Each file is read once and hashed under the pair that ``name`` declares."""
+    """The checked sidecar and the read-only (H, W, D) payload of one volume
+    file pair. Each file is read once and hashed under the pair that ``name``
+    declares."""
     json_path, raw_path = _sidecar_paths(path)
     json_name, raw_name = _sidecar_paths(path if name is None else name)
     sidecar = _read_input(json_path)
@@ -460,18 +495,15 @@ def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray
     if meta.get("dtype") != dtype:
         raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
                           f"got {meta.get('dtype')!r}")
-    blob = _read_input(raw_path)
+    expected = dims[0] * dims[1] * dims[2] * np.dtype(payload_dtype).itemsize
+    payload = _read_payload(raw_path, expected)
     if digests is not None:
         # The pair is hashed once both files are read, so the previous
         # file's hash, which add() joins first, runs on through both reads.
         digests.add(str(json_name), sidecar)
-        digests.add(str(raw_name), blob)
-    expected = dims[0] * dims[1] * dims[2] * np.dtype(payload_dtype).itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"{raw_path}: payload is {len(blob)} bytes, sidecar dims imply {expected}")
+        digests.add(str(raw_name), payload)
     # C order with k fastest, matching the (H, W, D) reshape.
-    return meta, np.frombuffer(blob, dtype=payload_dtype).reshape(dims)
+    return meta, payload.view(payload_dtype).reshape(dims)
 
 
 def load_volume(path, spacing=None, *, _digests=None, _name=None) -> Volume:

@@ -91,13 +91,18 @@ def attenuation_transform(vol: Volume) -> Volume:
     Water (0 HU) maps to 1, air (-1000 HU) to 0, and anything below air
     clamps to 0.
     """
-    # Updated in place, so a study never holds more than one float64 copy of
-    # the volume.
-    mu = vol.data.astype(np.float64)
+    return Volume(data=_attenuation(vol.data), spacing=vol.spacing)
+
+
+def _attenuation(hu: np.ndarray) -> np.ndarray:
+    """max(1 + HU/1000, 0) of any real array, as a new float64 array.
+    It is updated in place, so a study never holds more than one float64 copy
+    of the volume, or of a slab of it."""
+    mu = hu.astype(np.float64)
     mu /= 1000.0
     mu += 1.0
     np.maximum(mu, 0.0, out=mu)
-    return Volume(data=mu, spacing=vol.spacing)
+    return mu
 
 
 # The volume axis each view collapses: PA collapses the anterior-posterior
@@ -132,7 +137,8 @@ def project_mask(lab: LabelVolume, view: View,
     spacing is passed in to keep the 2D grid consistent with the image.
     """
     axis, _, in_plane = _view_geometry(view, spacing)
-    return Mask2D(data=lab.data.max(axis=axis), view=view, spacing=in_plane,
+    # A bool footprint is viewed as 0/1, not scanned, by Mask2D.
+    return Mask2D(data=lab.data.view(bool).max(axis=axis), view=view, spacing=in_plane,
                   label_id=lab.label_id)
 
 
@@ -261,18 +267,21 @@ _MIN_SLAB_DEPTH = 16
 
 def _line_integrals(vol: Volume, views: Sequence[View]) -> dict[View, Projection]:
     """project_image(attenuation_transform(vol), view) for each view, computed
-    over k-slabs so only one slab of the float64 attenuation exists at a time."""
+    over k-slabs so only one slab of the float64 attenuation exists at a time.
+    Each slab is transformed from its strided view of the volume and summed
+    as project_image sums, with no container built per slab."""
     depth = vol.shape[2]
     n = max(1, depth // _MIN_SLAB_DEPTH)
     edges = [depth * s // n for s in range(n + 1)]
-    parts: dict[View, list[Projection]] = {view: [] for view in views}
+    geometry = {view: _view_geometry(view, vol.spacing) for view in views}
+    parts: dict[View, list[np.ndarray]] = {view: [] for view in views}
     for lo, hi in zip(edges, edges[1:]):
-        mu = attenuation_transform(Volume(data=vol.data[:, :, lo:hi], spacing=vol.spacing))
-        for view in views:
-            parts[view].append(project_image(mu, view))
-    return {view: Projection(data=np.concatenate([p.data for p in slabs], axis=1),
-                             view=view, spacing=slabs[0].spacing, normalized=False)
-            for view, slabs in parts.items()}
+        mu = _attenuation(vol.data[:, :, lo:hi])
+        for view, (axis, along, _) in geometry.items():
+            parts[view].append(mu.sum(axis=axis) * along)
+    return {view: Projection(data=np.concatenate(parts[view], axis=1), view=view,
+                             spacing=in_plane, normalized=False)
+            for view, (_, _, in_plane) in geometry.items()}
 
 
 def project_study(vol: Volume, labels: Iterable[LabelVolume],

@@ -949,6 +949,19 @@ def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_label_dims_exit_1(tmp_path, capsys):
+    # Dims implying 256 TiB beside an 8-byte payload are a format error
+    # (exit 1), found before anything of that size is allocated (exit 3).
+    argv, _, _ = _cli_input(tmp_path, "project")
+    sidecar = tmp_path / "lab1.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "dims": [65536] * 3}))
+    (tmp_path / "lab1.raw").write_bytes(bytes(8))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: study case01: {tmp_path / 'lab1.raw'}: "
+                                       f"payload is 8 bytes, sidecar dims imply {65536 ** 3}\n")
+    assert not (tmp_path / "out" / "case01").exists()
+
+
 _ORIENTATION_CONFIGS = [
     {"PA": ""},
     {"PA": "transpose"},

@@ -4,6 +4,8 @@ import hashlib
 import json
 import threading
 import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +39,82 @@ def test_load_volume_size_mismatch(tmp_path):
     (tmp_path / "v.raw").write_bytes(b"\x00" * 14)   # 7 elements, 8 expected
     with pytest.raises(FormatError, match="payload"):
         load_volume(tmp_path / "v.json")
+
+
+def test_oversized_payload_is_refused_before_it_is_read(tmp_path):
+    # A sparse 64 MiB payload beside one voxel's sidecar: its size is checked
+    # before any of it is read or a buffer for it allocated.
+    (tmp_path / "l.json").write_text('{"dims": [1, 1, 1], "dtype": "u8", "label_id": 1}')
+    with open(tmp_path / "l.raw", "wb") as f:
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError,
+                           match="payload is 67108864 bytes, sidecar dims imply 1$"):
+            load_label_volume(tmp_path / "l.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("dtype", ["u8", "i16"])
+def test_huge_sidecar_dims_are_a_format_error(tmp_path, dtype):
+    # 2^48 voxels beside an 8-byte payload: a format error, not an attempt to
+    # allocate the size the dims imply.
+    (tmp_path / "v.json").write_text(json.dumps(
+        {"dims": [65536] * 3, "spacing_mm": [1, 1, 1], "dtype": dtype, "label_id": 1}))
+    (tmp_path / "v.raw").write_bytes(bytes(8))
+    load = load_label_volume if dtype == "u8" else load_volume
+    with pytest.raises(FormatError, match="payload is 8 bytes, sidecar dims imply"):
+        load(tmp_path / "v.json")
+
+
+@pytest.mark.parametrize("held,message", [(5, "ended after 5 bytes"),
+                                          (11, "runs past the 8 bytes")])
+def test_payload_unlike_its_reported_size_is_refused(tmp_path, monkeypatch, held, message):
+    # fstat reports the 8 bytes the dims imply, but the file holds fewer or
+    # more by the time it is read: no partly filled or truncated array.
+    (tmp_path / "l.json").write_text('{"dims": [2, 2, 2], "dtype": "u8", "label_id": 1}')
+    (tmp_path / "l.raw").write_bytes(b"\x01" * held)
+    monkeypatch.setattr(io, "os", types.SimpleNamespace(
+        fstat=lambda fd: types.SimpleNamespace(st_size=8)))
+    with pytest.raises(FormatError, match=message):
+        load_label_volume(tmp_path / "l.json")
+
+
+def test_payload_read_in_short_pieces_is_read_whole(tmp_path, monkeypatch):
+    # readinto may return fewer bytes than asked for; the reader goes on
+    # until the payload is complete, and hashes the bytes it parsed.
+    data = np.arange(-30, 30, dtype=np.int16).reshape(3, 4, 5)
+    save_volume(Volume(data=data, spacing=(1, 2, 3)), tmp_path / "v")
+    sizes = []
+
+    class Trickle:
+        def __init__(self, f):
+            self._f = f
+
+        def readinto(self, buf):
+            n = self._f.readinto(memoryview(buf)[:7])
+            sizes.append(n)
+            return n
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    monkeypatch.setattr(io, "open", lambda *a, **k: Trickle(open(*a, **k)), raising=False)
+    with io._Digests() as digests:
+        vol = load_volume(tmp_path / "v.json", _digests=digests, _name="v.json")
+        got = digests.to_dict()
+    assert np.array_equal(vol.data, data)
+    assert sizes == [7] * 17 + [1]
+    assert got["v.raw"] == hashlib.sha256(data.astype("<i2").tobytes()).hexdigest()
 
 
 def test_load_volume_layout_k_fastest(tmp_path):
@@ -101,6 +179,18 @@ def test_label_volume_of_0_1_payload_is_a_read_only_view(tmp_path):
         lab.data[0, 0, 0] = 1
     with pytest.raises(ValueError):
         lab.data.setflags(write=True)
+
+
+def test_volume_payload_is_a_read_only_view(tmp_path):
+    data = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
+    save_volume(Volume(data=data, spacing=(1, 1, 1)), tmp_path / "v")
+    vol = load_volume(tmp_path / "v.json")
+    assert np.array_equal(vol.data, data)
+    assert not vol.data.flags.writeable
+    with pytest.raises(ValueError):
+        vol.data[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        vol.data.setflags(write=True)
 
 
 class _LoggedSha256:

@@ -367,16 +367,19 @@ def test_project_study_rejects_label_dims_unlike_the_volume():
 def test_slab_line_integrals_match_whole_volume(depth):
     rng = np.random.default_rng(depth)
     views = (View.PA, View.LL)
-    for _ in range(6):
+    # Every dtype kind Volume admits: slabs are strided views of each.
+    voxels = {np.int16: lambda shape: rng.integers(-1500, 2000, size=shape),
+              np.uint8: lambda shape: rng.integers(0, 256, size=shape),
+              np.float64: lambda shape: rng.uniform(-1500.0, 2000.0, size=shape)}
+    for dtype, draw in [*voxels.items()] * 2:
         h, w = (int(d) for d in rng.integers(2, 40, size=2))
         spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
-        vol = Volume(data=rng.integers(-1500, 2000, size=(h, w, depth)).astype(np.int16),
-                     spacing=spacing)
+        vol = Volume(data=draw((h, w, depth)).astype(dtype), spacing=spacing)
         slabbed = _line_integrals(vol, views)
         mu = attenuation_transform(vol)
         for view in views:
             whole = project_image(mu, view)
-            assert np.array_equal(slabbed[view].data, whole.data), (h, w, depth, view)
+            assert np.array_equal(slabbed[view].data, whole.data), (dtype, h, w, depth, view)
             assert slabbed[view].spacing == whole.spacing
         cfg = ProjectionConfig(target_pixel_spacing=0.9)
         for view, img in project_study(vol, [], cfg).images.items():
