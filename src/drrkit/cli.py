@@ -21,6 +21,7 @@ import re
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
 from .projection import ProjectionConfig, project_study
-from .stats import (_MAX_RESAMPLES, PairwiseComparison, confusion_from_labels,
+from .stats import (_MAX_RESAMPLES, PairwiseComparison, _check_alpha, confusion_from_labels,
                     ordinal_metrics, pairwise_model_comparison, weighted_kappa)
 
 SCHEMA_VERSION = 1
@@ -105,27 +106,36 @@ def _json_list(value, what: str, *, nonempty: bool = False) -> list:
     return value
 
 
-def _load_config_section(config_path: str | None, section: str) -> dict:
-    if not config_path:
-        return {}
-    cfg = _load_json_file(config_path)
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{config_path}: config file must be a JSON object")
-    sect = cfg.get(section, {})
-    if not isinstance(sect, dict):
-        raise ValidationError(f"{config_path}: section {section!r} must be an object")
-    return sect
+def _repeated(items) -> list:
+    """The items listed more than once, in order of first occurrence."""
+    return [item for item, n in Counter(items).items() if n > 1]
 
 
-def _effective_config(config_path: str | None, section: str, defaults: dict,
-                      flags: dict) -> dict:
+# Each config section's settings and their defaults. A setting has one name:
+# its config key is also the dest of the one flag that sets it.
+_SETTINGS = {
+    "projection": ProjectionConfig().to_json_dict(),
+    "measure": {"min_component_px": 8},
+    "evaluate": {"nsd_tolerance_px": 2.0, "match_iou": 0.5, "n_resamples": 10000},
+    "stats": {"alpha": 0.05},
+}
+
+
+def _effective_config(args, section: str) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
     # None unless the user passed it, and types it when passed. A file value
     # for a numeric default must be a JSON number of its kind: an integer for
     # an int (not a bool), any number for a float, which it becomes here, so
     # no command casts again.
+    cfg = _load_json_file(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{args.config}: config file must be a JSON object")
+    sect = cfg.get(section, {})
+    if not isinstance(sect, dict):
+        raise ValidationError(f"{args.config}: section {section!r} must be an object")
+    defaults = _SETTINGS[section]
     out = dict(defaults)
-    for key, value in _load_config_section(config_path, section).items():
+    for key, value in sect.items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
         kind = type(defaults[key])
@@ -139,7 +149,8 @@ def _effective_config(config_path: str | None, section: str, defaults: dict,
                 raise ValidationError(f"config {section}.{key} must be {what}, "
                                       f"got {value!r}") from None
         out[key] = value
-    out.update({key: value for key, value in flags.items() if value is not None})
+    out.update({key: getattr(args, key) for key in defaults
+                if getattr(args, key) is not None})
     return out
 
 
@@ -211,7 +222,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
         inputs = hashes.to_dict()
 
     provenance = _provenance("project", study_id=study["id"],
-                             config={"projection": config.to_dict()}, inputs=inputs)
+                             config={"projection": config.to_json_dict()}, inputs=inputs)
 
     target = out_root / study["id"]
     out_root.mkdir(parents=True, exist_ok=True)
@@ -235,10 +246,7 @@ def cmd_project(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = _load_manifest(Path(args.manifest))
-    config = ProjectionConfig.from_dict(_effective_config(
-        args.config, "projection", ProjectionConfig().to_dict(),
-        {"target_pixel_spacing": args.target_spacing,
-         "output_size": args.output_size}))
+    config = ProjectionConfig.from_dict(_effective_config(args, "projection"))
 
     out_root = Path(args.out)
     # Every study runs and results are read in manifest order, so --jobs cannot
@@ -271,9 +279,14 @@ def _load_mapping(path: Path, hashes: _Digests) -> dict[str, list[int]]:
     unknown = set(doc) - _ROLE_KEYS
     if unknown:
         raise ValidationError(f"{path}: unknown roles {sorted(unknown)}")
-    return {role: [_nonneg_int(i, f"{path}: role {role!r} label id")
-                   for i in _json_list(ids, f"{path}: role {role!r}")]
-            for role, ids in doc.items()}
+    mapping = {role: [_nonneg_int(i, f"{path}: role {role!r} label id")
+                      for i in _json_list(ids, f"{path}: role {role!r}")]
+               for role, ids in doc.items()}
+    # A mask listed twice would count twice, say toward the vertebra minimum.
+    for role, ids in mapping.items():
+        if twice := _repeated(ids):
+            raise ValidationError(f"{path}: role {role!r} repeats label ids {twice}")
+    return mapping
 
 
 def _measure_condition(condition: Condition, study_dir: Path,
@@ -332,9 +345,8 @@ def cmd_measure(args) -> int:
     with _Digests() as hashes:
         mapping = _load_mapping(Path(args.mapping), hashes)
 
-        eff = _effective_config(args.config, "measure", {"min_component_px": 8},
-                                {"min_component_px": args.min_component_px})
-        min_px = eff["min_component_px"]
+        min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
+                             "min_component_px")
         # argparse lower-cased and checked each name; a repeated one counts once.
         conditions = [Condition(name) for name in
                       dict.fromkeys(args.conditions or [c.value for c in Condition])]
@@ -367,11 +379,7 @@ def cmd_evaluate(args) -> int:
     doc = _json_list(_load_json_file(manifest_path),
                      f"{manifest_path}: manifest of {{class_id, pred_path, ref_path}}",
                      nonempty=True)
-    eff = _effective_config(
-        args.config, "evaluate",
-        {"nsd_tolerance_px": 2.0, "match_iou": 0.5, "n_resamples": 10000, "level": 0.95},
-        {"nsd_tolerance_px": args.nsd_tolerance, "match_iou": args.match_iou,
-         "n_resamples": args.resamples})
+    eff = _effective_config(args, "evaluate")
 
     base = manifest_path.parent
     pairs = []
@@ -425,6 +433,8 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
         names = [h.strip() for h in header[start:]]
         if not names:
             raise ValidationError(f"{path}: no model columns found")
+        if twice := _repeated(names):
+            raise ValidationError(f"{path}: repeated model columns {twice}")
         scores: dict[str, list[float]] = {name: [] for name in names}
         for row in rows[1:]:
             if len(row) != len(header):
@@ -435,8 +445,6 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
                 scores[name].append(float(cell))
         return scores
     doc = _load_json_file(path, hashes)
-    if isinstance(doc, dict) and isinstance(doc.get("models"), dict):
-        doc = doc["models"]
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
     return doc      # stats checks each score list
@@ -495,8 +503,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def cmd_stats(args) -> int:
-    alpha = _effective_config(args.config, "stats", {"alpha": 0.05},
-                              {"alpha": args.alpha})["alpha"]
+    alpha = _effective_config(args, "stats")["alpha"]
+    _check_alpha(alpha)     # in ordinal mode too, where nothing else reads it
     with _Digests() as hashes:
         if args.mode == "pairwise":
             scores = _read_scores(args.scores, hashes)
@@ -548,10 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("project", help="project volumes and labels into 2D studies")
     p.add_argument("--manifest", required=True, help="study manifest JSON")
     p.add_argument("--out", required=True, help="output root directory")
-    p.add_argument("--target-spacing", type=float, default=None, dest="target_spacing",
+    p.add_argument("--target-spacing", type=float, dest="target_pixel_spacing",
                    help="isotropic output pixel spacing in mm")
     p.add_argument("--output-size", type=int, nargs=2, metavar=("W", "H"),
-                   default=None, dest="output_size", help="final resize, width height")
+                   help="final resize, width height")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for independent studies (default 1)")
     p.set_defaults(func=cmd_project)
@@ -560,26 +568,23 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--study", required=True, help="projected study directory")
     m.add_argument("--mapping", required=True,
                    help="JSON mapping of roles (heart/thorax/vertebrae) to label ids")
-    m.add_argument("--conditions", nargs="*", default=None, type=str.lower,
+    m.add_argument("--conditions", nargs="*", type=str.lower,
                    choices=[c.value for c in Condition],
                    help="subset of: cardiomegaly scoliosis kyphosis (default all)")
     m.add_argument("--out", required=True, help="output directory for report JSONs")
-    m.add_argument("--min-component-px", type=int, default=None, dest="min_component_px",
-                   help="mask cleaning threshold in pixels")
+    m.add_argument("--min-component-px", type=int, help="mask cleaning threshold in pixels")
     m.set_defaults(func=cmd_measure)
 
     e = subs.add_parser("evaluate", help="score predicted masks against references")
     e.add_argument("--manifest", required=True,
                    help="JSON list of {class_id, pred_path, ref_path}")
     e.add_argument("--out", required=True, help="output report JSON path")
-    e.add_argument("--nsd-tolerance", type=float, default=None, dest="nsd_tolerance",
+    e.add_argument("--nsd-tolerance", type=float, dest="nsd_tolerance_px",
                    help="NSD tolerance in pixels (default 2)")
-    e.add_argument("--match-iou", type=float, default=None, dest="match_iou",
-                   help="component match threshold (default 0.5)")
-    e.add_argument("--resamples", type=int, default=None,
+    e.add_argument("--match-iou", type=float, help="component match threshold (default 0.5)")
+    e.add_argument("--resamples", type=int, dest="n_resamples",
                    help=f"bootstrap resample count, 1 to {_MAX_RESAMPLES:,} (default 10000)")
-    e.add_argument("--seed", type=int, default=0,
-                   help="bootstrap seed (default 0)")
+    e.add_argument("--seed", type=int, default=0, help="bootstrap seed (default 0)")
     e.set_defaults(func=cmd_evaluate)
 
     s = subs.add_parser("stats", help="pairwise model comparison or ordinal agreement")
@@ -588,14 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairwise: CSV/JSON of per-class scores per model; "
                         "ordinal: JSON with truth/pred grades or a confusion matrix")
     s.add_argument("--out", required=True, help="output path")
-    s.add_argument("--alpha", type=float, default=None,
+    s.add_argument("--alpha", type=float,
                    help="significance level after correction (default 0.05)")
     s.add_argument("--format", choices=["json", "csv"], default="json",
                    help="output format (default json)")
     s.set_defaults(func=cmd_stats)
     for sub in subs.choices.values():
-        sub.add_argument("--config", default=None,
-                         help="JSON config file; flags override its values")
+        sub.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 

@@ -506,16 +506,16 @@ def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray
     return meta, payload.view(payload_dtype).reshape(dims)
 
 
-def load_volume(path, spacing=None, *, _digests=None, _name=None) -> Volume:
+def load_volume(path, *, _digests=None, _name=None) -> Volume:
     """Load an int16 attenuation volume from its sidecar (or stem) path.
 
-    ``spacing`` overrides the sidecar's ``spacing_mm`` when given.
+    The spacing is the sidecar's ``spacing_mm``, which is required: it is
+    hashed with the sidecar, so provenance names the geometry projected.
     """
     meta, data = _read_volume_pair(path, "i16", _digests, _name)
+    spacing = meta.get("spacing_mm")
     if spacing is None:
-        spacing = meta.get("spacing_mm")
-        if spacing is None:
-            raise FormatError(f"{_sidecar_paths(path)[0]}: missing 'spacing_mm'")
+        raise FormatError(f"{_sidecar_paths(path)[0]}: missing 'spacing_mm'")
     try:
         return Volume(data=data, spacing=spacing)
     except ValidationError as exc:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .io import (ValidationError, _Record, _as_binary, _component_sizes, _expand,
-                 _intersect, _label_runs, _runs)
+                 _intersect, _label_runs, _nonneg_int, _runs)
 from .stats import BootstrapCI, _check_resampling, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -369,11 +369,10 @@ class ClassSetReport(_Record):
 
 def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
                        nsd_tolerance_px: float = 2.0, match_iou: float = 0.5,
-                       n_resamples: int = 10000, level: float = 0.95,
-                       seed: int = 0) -> ClassSetReport:
+                       n_resamples: int = 10000, seed: int = 0) -> ClassSetReport:
     """Evaluate (class_id, pred, ref) pairs and aggregate across classes.
 
-    Aggregates are percentile-bootstrap CIs of the mean over per-class
+    Aggregates are 95% percentile-bootstrap CIs of the mean over per-class
     values; a single class collapses the interval onto its value.
     """
     if not pairs:
@@ -382,7 +381,7 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
     _check_resampling(n_resamples, seed)
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:
-        class_id = int(class_id)
+        class_id = _nonneg_int(class_id, "class id")
         if class_id in per_class:
             raise ValidationError(f"duplicate class id {class_id}")
         try:
@@ -394,6 +393,5 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
     aggregate = {}
     for name in AGGREGATE_METRICS:
         values = [getattr(rep, name) for rep in per_class.values()]
-        aggregate[name] = bootstrap_ci(values, n_resamples=n_resamples,
-                                       level=level, seed=seed)
+        aggregate[name] = bootstrap_ci(values, n_resamples=n_resamples, seed=seed)
     return ClassSetReport(per_class=per_class, aggregate=aggregate)

@@ -12,13 +12,11 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import LabelVolume, Mask2D, Projection, ValidationError, View, Volume
-
-_VIEW_NAMES = tuple(v.value for v in View)
+from .io import LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _Record
 
 
 def _round_half_up(x):
@@ -26,27 +24,18 @@ def _round_half_up(x):
 
 
 @dataclass(frozen=True)
-class ProjectionConfig:
-    """Geometry settings shared by every projected image and mask of a study.
+class ProjectionConfig(_Record):
+    """Geometry settings shared by every projected image and mask of a study,
+    which is projected into both views, PA then LL.
 
     output_size is (width, height) applied after resampling and the
     transpose; None keeps the spacing-derived size.
     """
 
-    views: tuple[View, ...] = (View.PA, View.LL)
     target_pixel_spacing: float = 1.0
     output_size: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        views = self.views
-        # A nonempty list of distinct view names; text is not a list of its letters.
-        if (not isinstance(views, (list, tuple)) or not views
-                or not all(isinstance(v, str) and v in _VIEW_NAMES for v in views)
-                or len(set(views)) != len(views)):
-            raise ValidationError("projection.views must be a nonempty list of distinct "
-                                  f"names from {list(_VIEW_NAMES)}, got {views!r}")
-        object.__setattr__(self, "views", tuple(View(v) for v in views))
-
         t = self.target_pixel_spacing
         # A finite positive real, not a bool: float() would take true and "0.5".
         try:
@@ -69,13 +58,6 @@ class ProjectionConfig:
                 raise ValidationError(
                     f"projection.output_size must be two positive integers, got {size!r}")
             object.__setattr__(self, "output_size", (int(size[0]), int(size[1])))
-
-    def to_dict(self) -> dict:
-        return {
-            "views": [v.value for v in self.views],
-            "target_pixel_spacing": self.target_pixel_spacing,
-            "output_size": list(self.output_size) if self.output_size else None,
-        }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProjectionConfig":
@@ -265,16 +247,16 @@ class StudyProjection:
 _MIN_SLAB_DEPTH = 16
 
 
-def _line_integrals(vol: Volume, views: Sequence[View]) -> dict[View, Projection]:
-    """project_image(attenuation_transform(vol), view) for each view, computed
+def _line_integrals(vol: Volume) -> dict[View, Projection]:
+    """project_image(attenuation_transform(vol), view) for both views, computed
     over k-slabs so only one slab of the float64 attenuation exists at a time.
     Each slab is transformed from its strided view of the volume and summed
     as project_image sums, with no container built per slab."""
     depth = vol.shape[2]
     n = max(1, depth // _MIN_SLAB_DEPTH)
     edges = [depth * s // n for s in range(n + 1)]
-    geometry = {view: _view_geometry(view, vol.spacing) for view in views}
-    parts: dict[View, list[np.ndarray]] = {view: [] for view in views}
+    geometry = {view: _view_geometry(view, vol.spacing) for view in View}
+    parts: dict[View, list[np.ndarray]] = {view: [] for view in View}
     for lo, hi in zip(edges, edges[1:]):
         mu = _attenuation(vol.data[:, :, lo:hi])
         for view, (axis, along, _) in geometry.items():
@@ -286,7 +268,7 @@ def _line_integrals(vol: Volume, views: Sequence[View]) -> dict[View, Projection
 
 def project_study(vol: Volume, labels: Iterable[LabelVolume],
                   config: ProjectionConfig | None = None) -> StudyProjection:
-    """Project a volume and its label set into every configured view.
+    """Project a volume and its label set into both views, PA then LL.
 
     ``labels`` may be any iterable, a generator included. It is consumed once,
     and each label volume is released as soon as its footprints are built, so
@@ -294,10 +276,10 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
     """
     config = config or ProjectionConfig()
     # An oversized grid is refused before a label is read or an image allocated.
-    for view in config.views:
+    for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
-    masks: dict[View, dict[int, Mask2D]] = {view: {} for view in config.views}
+    masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
     seen: set[int] = set()
     for lab in labels:
         if lab.label_id in seen:
@@ -306,11 +288,11 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
             raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
                                   f"do not match volume dims {vol.shape}")
         seen.add(lab.label_id)
-        for view in config.views:
+        for view in View:
             footprint = project_mask(lab, view, spacing=vol.spacing)
             masks[view][lab.label_id] = resample_and_orient(footprint, config)
         del lab     # the iterable may build the next label before the loop rebinds it
 
     images = {view: normalize_to_8bit(resample_and_orient(raw, config))
-              for view, raw in _line_integrals(vol, config.views).items()}
+              for view, raw in _line_integrals(vol).items()}
     return StudyProjection(images=images, masks=masks)

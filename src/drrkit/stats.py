@@ -155,11 +155,15 @@ def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
     return float(min(1.0, (lo + hi) / counts.sum()))
 
 
-def wilcoxon_signed_rank(a, b=None, *, exact_max_n: int = 25) -> WilcoxonResult:
+# The most untied pairs whose signed-rank p-value is enumerated exactly.
+_EXACT_MAX_N = 25
+
+
+def wilcoxon_signed_rank(a, b=None) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired scores.
 
     Zero differences are dropped; absolute differences get average ranks.
-    Without ties and with at most exact_max_n pairs the p-value enumerates
+    Without ties and with at most 25 pairs the p-value enumerates
     the exact sign distribution, otherwise it uses the normal approximation
     with tie correction and a 0.5 continuity shift. All pairs tying to zero
     is reported as degenerate with p = 1.
@@ -174,7 +178,7 @@ def wilcoxon_signed_rank(a, b=None, *, exact_max_n: int = 25) -> WilcoxonResult:
     stat = min(w_plus, w_minus)
 
     has_ties = bool(np.any(tie_counts > 1))
-    if not has_ties and n <= exact_max_n:
+    if not has_ties and n <= _EXACT_MAX_N:
         p = _exact_signed_rank_p(ranks, w_plus)
         method = "exact"
     else:
@@ -337,6 +341,11 @@ def ordinal_metrics(matrix) -> OrdinalMetrics:
                           flags=tuple(flags))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class PairwiseComparison(_Record):
     first: str
@@ -352,14 +361,12 @@ class PairwiseComparison(_Record):
 
 
 def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
-                              alpha: float = 0.05,
-                              exact_max_n: int = 25) -> list[PairwiseComparison]:
+                              alpha: float = 0.05) -> list[PairwiseComparison]:
     """All-pairs signed-rank comparison with Bonferroni over the pair count.
 
     Models are ordered by name; effect sizes are signed first minus second.
     """
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     names = sorted(scores)
     if len(names) < 2:
         raise ValidationError("need at least two models to compare")
@@ -375,7 +382,7 @@ def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
     for first, second in pairs:
         sample = PairedSample(a=arrays[first], b=arrays[second])
         eff = effect_sizes(sample)      # first: it rejects overflowing differences
-        test = wilcoxon_signed_rank(sample, exact_max_n=exact_max_n)
+        test = wilcoxon_signed_rank(sample)
         p_adj = bonferroni(test.p_value, len(pairs))
         results.append(PairwiseComparison(
             first=first, second=second, n_effective=test.n_effective,

@@ -353,7 +353,7 @@ def test_project_flag_echoed_in_provenance(tmp_path):
                    "--target-spacing", "2.0"])
     assert rc == 0
     prov = json.loads((out / "case01" / "provenance.json").read_text())
-    assert prov["config"]["projection"]["target_pixel_spacing"] == 2.0
+    assert prov["config"] == {"projection": {"target_pixel_spacing": 2.0, "output_size": None}}
     assert prov["command"] == "project"
     assert "vol.json" in prov["inputs"] and "vol.raw" in prov["inputs"]
 
@@ -382,6 +382,24 @@ def test_project_unknown_config_key_exits_1(tmp_path):
 def test_usage_error_exits_1(capsys):
     assert cli.main(["project", "--out", "somewhere"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Flags that name inputs, outputs or how a command runs; every other flag sets
+# a config value.
+_NOT_SETTINGS = {"help", "config", "manifest", "study", "mapping", "scores", "out",
+                 "conditions", "mode", "format", "jobs", "seed"}
+
+
+def test_each_config_key_is_the_dest_of_its_flag():
+    # One name per setting: a config key is the dest of the flag that sets it,
+    # and no setting lives only in the config file or only on the command line.
+    (subs,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    sections = {"project": "projection", "measure": "measure", "evaluate": "evaluate",
+                "stats": "stats"}
+    assert set(subs.choices) == set(sections)
+    for command, sub in subs.choices.items():
+        dests = {a.dest for a in sub._actions} - _NOT_SETTINGS
+        assert dests == set(cli._SETTINGS[sections[command]]), command
 
 
 def _scipy_loaded(argv=()):
@@ -554,6 +572,22 @@ def test_measure_shape_mismatch_precedes_exclusion(tmp_path):
     assert rc == 1
 
 
+def test_measure_repeated_role_id_exits_1(tmp_path, capsys):
+    # Mask 4 listed twice would read as two vertebrae, and three masks would
+    # pass the four-vertebra minimum of scoliosis.
+    study, mapping = _make_measure_study(tmp_path)
+    argv = ["measure", "--study", str(study), "--mapping", str(mapping),
+            "--conditions", "scoliosis", "--out", str(tmp_path / "r")]
+    mapping.write_text(json.dumps({"vertebrae": [4, 4, 5, 6]}))
+    assert cli.main(argv) == 1
+    assert "role 'vertebrae' repeats label ids [4]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    mapping.write_text(json.dumps({"vertebrae": [4, 5, 6]}))
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "r" / "scoliosis.json").read_text())
+    assert report["excluded"] and "only 3 usable" in report["exclusion_reason"]
+
+
 # --- evaluate ----------------------------------------------------------------
 
 def _make_eval_inputs(tmp_path, ref2_shape=(16, 16)):
@@ -586,7 +620,8 @@ def test_evaluate_report_structure(tmp_path):
     for metric in ("dice", "iou", "hd95", "asd", "nsd"):
         agg = rep["aggregate"][metric]
         assert agg["lower"] <= agg["mean"] <= agg["upper"]
-    assert rep["config"]["evaluate"]["n_resamples"] == 200
+    assert rep["config"] == {"evaluate": {"match_iou": 0.5, "n_resamples": 200,
+                                          "nsd_tolerance_px": 2.0}}
     assert len(rep["inputs"]) == 4
 
 
@@ -717,6 +752,17 @@ def test_stats_csv_scores_take_every_decimal_form(tmp_path):
             == json.loads(as_json.with_suffix(".out").read_text())["comparisons"])
 
 
+def test_stats_repeated_csv_model_exits_1(tmp_path, capsys):
+    # Each pair of columns would merge into one model of twice the scores.
+    scores = tmp_path / "scores.csv"
+    scores.write_text("a,a,b,b\n0.9,0.8,0.5,0.4\n0.7,0.6,0.3,0.2\n0.9,0.7,0.1,0.2\n")
+    out = tmp_path / "p.json"
+    assert cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
+                     "--out", str(out)]) == 1
+    assert "repeated model columns ['a', 'b']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_ordinal_from_grades(tmp_path):
     scores = tmp_path / "grades.json"
     scores.write_text(json.dumps({
@@ -758,8 +804,6 @@ def test_stats_ordinal_bad_grade_exits_1(tmp_path, capsys):
 # --- config values ----------------------------------------------------------
 
 _BAD_CONFIG_VALUES = [
-    {"projection": {"views": ["AP"]}},
-    {"projection": {"views": None}},
     {"projection": {"output_size": [1]}},
     {"projection": {"target_pixel_spacing": "x"}},
     {"measure": {"min_component_px": "x"}},
@@ -780,16 +824,22 @@ _BAD_CONFIG_VALUES = [
     {"evaluate": {"nsd_tolerance_px": 10 ** 400}},
     {"projection": {"target_pixel_spacing": True}},
     {"stats": {"alpha": [0.05]}},
-    # A projection list takes what it names, not what a cast makes of it:
-    # two integers for the size, names (not text) for views.
+    # The size takes two integers, not what a cast makes of other values.
     {"projection": {"output_size": [64.9, True]}},
     {"projection": {"output_size": ["64", "32"]}},
     {"projection": {"output_size": [64.0, 32.0]}},
     {"projection": {"output_size": [64, 32, 16]}},
     {"projection": {"output_size": 64}},
+    # Settings that are gone are unknown keys, whatever their value: every
+    # study is projected into both views, and every CI is a 95% one.
+    {"projection": {"views": ["AP"]}},
+    {"projection": {"views": None}},
     {"projection": {"views": "PA"}},
     {"projection": {"views": [1]}},
+    {"projection": {"views": ["PA", "LL"]}},
+    {"evaluate": {"level": 0.9}},
 ]
+_GONE_KEYS = ("views", "level")
 
 
 @pytest.mark.parametrize("config", _BAD_CONFIG_VALUES,
@@ -817,11 +867,15 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     (key,) = config[section]
-    assert f"{section}.{key}" in err
-    if key not in ("views", "output_size"):     # the numeric keys
+    if key in _GONE_KEYS:
+        assert f"unknown config key {key!r}" in err
+    else:
+        assert f"{section}.{key}" in err
+    if key not in (*_GONE_KEYS, "output_size"):     # the numeric keys
         assert f"config {section}.{key} " in err
 
 
+# (command, config key, flag, value); the stats modes share the section "stats".
 _OUT_OF_RANGE = [
     ("evaluate", "match_iou", "--match-iou", -0.1),
     ("evaluate", "match_iou", "--match-iou", 1.5),
@@ -829,28 +883,31 @@ _OUT_OF_RANGE = [
     ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", -1.0),
     ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("inf")),
     ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("nan")),
-    ("stats", "alpha", "--alpha", 0.0),
-    ("stats", "alpha", "--alpha", 1.0),
-    ("stats", "alpha", "--alpha", 2.0),
-    ("stats", "alpha", "--alpha", float("nan")),
+    ("pairwise", "alpha", "--alpha", 0.0),
+    ("pairwise", "alpha", "--alpha", 1.0),
+    ("pairwise", "alpha", "--alpha", 2.0),
+    ("pairwise", "alpha", "--alpha", float("nan")),
     ("evaluate", "n_resamples", "--resamples", 10 ** 20),
+    # Cleaning would apply 1 and provenance record -1.
+    ("measure", "min_component_px", "--min-component-px", -1),
+    # Ordinal mode reads no alpha, but takes none out of range either.
+    ("ordinal", "alpha", "--alpha", 7),
 ]
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
-@pytest.mark.parametrize("section,key,flag,value", _OUT_OF_RANGE,
+@pytest.mark.parametrize("command,key,flag,value", _OUT_OF_RANGE,
                          ids=[f"{k}={v}" for _, k, _, v in _OUT_OF_RANGE])
-def test_out_of_range_setting_exits_1(tmp_path, capsys, section, key, flag, value,
+def test_out_of_range_setting_exits_1(tmp_path, capsys, command, key, flag, value,
                                       source):
-    if section == "evaluate":
-        argv = ["evaluate", "--manifest", str(_make_eval_inputs(tmp_path))]
+    out = tmp_path / "out"
+    if command == "evaluate":      # without the --resamples that _cli_input passes
+        argv = ["evaluate", "--manifest", str(_make_eval_inputs(tmp_path)), "--out", str(out)]
     else:
-        scores = tmp_path / "scores.json"
-        scores.write_text(json.dumps({"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}))
-        argv = ["stats", "--mode", "pairwise", "--scores", str(scores)]
-    out = tmp_path / "r.json"
-    argv += ["--out", str(out)]
+        argv, path, doc = _cli_input(tmp_path, command)
+        path.write_text(json.dumps(doc))
     if source == "config":
+        section = "stats" if command in ("pairwise", "ordinal") else command
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))    # NaN/Infinity literals
         argv += ["--config", str(cfg)]
@@ -911,6 +968,8 @@ _BAD_DOCUMENTS = {
     "pred-path-empty": ("evaluate", _entry(pred_path="")),
     "class-id-bool": ("evaluate", _entry(class_id=True)),
     "scores-scalar": ("pairwise", {"a": 5, "b": [0.5, 0.4, 0.6]}),
+    # Models map straight to their scores; no wrapper object is unwrapped.
+    "scores-wrapped": ("pairwise", {"models": {"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}}),
     "scores-string": ("pairwise", {"a": "abc", "b": "def"}),
     "scores-ragged": ("pairwise", {"a": [[0.9, 0.8], [0.7]], "b": [0.5, 0.4]}),
     "scores-overflow": ("pairwise", {"a": [10 ** 400, 1, 2], "b": [0.5, 0.4, 0.6]}),
@@ -1111,7 +1170,7 @@ _FUZZED_DOCUMENTS = {
     "evaluate": _JSON | st.lists(st.fixed_dictionaries({
         "class_id": _or_json(1, 2), "pred_path": _or_json("pred1.pgm", "ref2.pgm"),
         "ref_path": _or_json("ref1.pgm", "eval.json")}), max_size=3),
-    "pairwise": _JSON | _paired_scores() | st.fixed_dictionaries({"models": _paired_scores()}),
+    "pairwise": _JSON | _paired_scores(),
     "ordinal": _JSON | st.fixed_dictionaries({"matrix": _square_counts() | _JSON})
     | st.fixed_dictionaries({"truth": _GRADES | _JSON, "pred": _GRADES | _JSON}),
 }

@@ -512,6 +512,17 @@ def test_evaluate_class_set_duplicate_id_rejected():
         evaluate_class_set([(1, m, m), (1, m, m)])
 
 
+@pytest.mark.parametrize("class_id", [1.7, True, -1, "1", np.float64(1.0)],
+                         ids=["1.7", "True", "-1", "text", "float64"])
+def test_evaluate_class_set_takes_integer_class_ids_only(class_id):
+    # int() would make both 1.7 and true class 1; ids follow the one id rule.
+    m = np.ones((3, 3), dtype=np.uint8)
+    with pytest.raises(ValidationError, match="class id must be a nonnegative integer"):
+        evaluate_class_set([(class_id, m, m)])
+    rep = evaluate_class_set([(np.int64(1), m, m)], n_resamples=10)
+    assert list(rep.per_class) == [1] and type(next(iter(rep.per_class))) is int
+
+
 @pytest.mark.parametrize("kwargs,what", [
     ({"seed": -1}, "seed"), ({"seed": True}, "seed"), ({"n_resamples": True}, "n_resamples"),
 ], ids=["seed=-1", "seed=True", "n=True"])

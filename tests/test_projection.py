@@ -186,7 +186,7 @@ def test_orientation_ops():
     proj = Projection(data=data, view=View.PA, spacing=(1.0, 1.0))
     out = resample_and_orient(proj, ProjectionConfig())
     assert np.array_equal(out.data, data.T)
-    assert "orientation" not in ProjectionConfig().to_dict()
+    assert "orientation" not in ProjectionConfig().to_json_dict()
     with pytest.raises(TypeError):
         ProjectionConfig(orientation={View.PA: ("transpose",)})
 
@@ -292,7 +292,8 @@ def test_project_study_geometry_coherent():
     labs = [_random_label(rng, vol.shape, label_id=i) for i in (1, 2)]
     cfg = ProjectionConfig(target_pixel_spacing=0.8)
     result = project_study(vol, labs, cfg)
-    for view in cfg.views:
+    assert list(result.images) == list(result.masks) == [View.PA, View.LL]
+    for view in View:
         img = result.images[view]
         for lab_id, mask in result.masks[view].items():
             assert mask.data.shape == img.data.shape
@@ -303,9 +304,9 @@ def test_project_study_geometry_coherent():
     (ProjectionConfig(target_pixel_spacing=1e-300), "PA view: a 4e+300 x 6e+300"),
     (ProjectionConfig(target_pixel_spacing=5e-324), "PA view: a inf x inf"),
     (ProjectionConfig(output_size=(9000, 8000)), "PA view: a 8000 x 9000"),
-    (ProjectionConfig(views=("LL",), output_size=(100000, 100000)),
-     "LL view: a 100000 x 100000"),
-], ids=["tiny_spacing", "denormal_spacing", "output_size", "ll_output_size"])
+    # LL's grid is 5 x 6 mm to PA's 4 x 6, so only LL's is above the limit.
+    (ProjectionConfig(target_pixel_spacing=6.4e-4), "LL view: a 7812 x 9375"),
+], ids=["tiny_spacing", "denormal_spacing", "output_size", "ll_spacing"])
 def test_project_study_refuses_a_huge_grid_before_allocating(monkeypatch, cfg, grid):
     def never(*args):
         raise AssertionError("allocated before the grid was checked")
@@ -322,10 +323,11 @@ def test_project_study_refuses_a_huge_grid_before_allocating(monkeypatch, cfg, g
     refusal = re.escape(grid) + r" pixel grid .* limit of 67,108,864 pixels"
     with pytest.raises(ValidationError, match=refusal):
         project_study(vol, labels(), cfg)
-    proj = Projection(data=np.zeros((4, 6)), view=View.PA, spacing=(1, 1))
-    if View.PA in cfg.views:
-        with pytest.raises(ValidationError, match=re.escape(grid)):
-            resample_and_orient(proj, cfg)
+    view = View(grid.split()[0])
+    proj = Projection(data=np.zeros((4, 6) if view is View.PA else (5, 6)), view=view,
+                      spacing=(1, 1))
+    with pytest.raises(ValidationError, match=re.escape(grid)):
+        resample_and_orient(proj, cfg)
 
 
 def test_grid_limit_is_inclusive(monkeypatch):
@@ -366,7 +368,6 @@ def test_project_study_rejects_label_dims_unlike_the_volume():
 @pytest.mark.parametrize("depth", [1, 2, 15, 16, 17, 33, 64])
 def test_slab_line_integrals_match_whole_volume(depth):
     rng = np.random.default_rng(depth)
-    views = (View.PA, View.LL)
     # Every dtype kind Volume admits: slabs are strided views of each.
     voxels = {np.int16: lambda shape: rng.integers(-1500, 2000, size=shape),
               np.uint8: lambda shape: rng.integers(0, 256, size=shape),
@@ -375,9 +376,9 @@ def test_slab_line_integrals_match_whole_volume(depth):
         h, w = (int(d) for d in rng.integers(2, 40, size=2))
         spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
         vol = Volume(data=draw((h, w, depth)).astype(dtype), spacing=spacing)
-        slabbed = _line_integrals(vol, views)
+        slabbed = _line_integrals(vol)
         mu = attenuation_transform(vol)
-        for view in views:
+        for view in View:
             whole = project_image(mu, view)
             assert np.array_equal(slabbed[view].data, whole.data), (dtype, h, w, depth, view)
             assert slabbed[view].spacing == whole.spacing
@@ -498,27 +499,26 @@ def test_config_validation_and_round_trip():
         ProjectionConfig(target_pixel_spacing=0)
     with pytest.raises(ValidationError):
         ProjectionConfig(output_size=(0, 4))
-    with pytest.raises(ValidationError):
-        ProjectionConfig(views=())
-    cfg = ProjectionConfig(views=(View.LL,), target_pixel_spacing=0.5,
-                           output_size=(64, 48))
-    back = ProjectionConfig.from_dict(cfg.to_dict())
+    cfg = ProjectionConfig(target_pixel_spacing=0.5, output_size=(64, 48))
+    back = ProjectionConfig.from_dict(cfg.to_json_dict())
     assert back == cfg
-    assert cfg.to_dict() == {"views": ["LL"], "target_pixel_spacing": 0.5,
-                             "output_size": [64, 48]}
+    assert cfg.to_json_dict() == {"target_pixel_spacing": 0.5, "output_size": [64, 48]}
     with pytest.raises(ValidationError):
         ProjectionConfig.from_dict({"bogus": 1})
-    # The orientation setting is gone: the one transpose is not configurable.
+    # The orientation and views settings are gone: every study is projected
+    # into both views, each with the one transpose.
     with pytest.raises(ValidationError, match=r"unknown projection config keys: \['orientation'\]"):
         ProjectionConfig.from_dict({"orientation": {"PA": ["transpose"]}})
+    with pytest.raises(ValidationError, match=r"unknown projection config keys: \['views'\]"):
+        ProjectionConfig.from_dict({"views": ["PA"]})
 
 
 @pytest.mark.parametrize("kwargs,key", [
     ({"output_size": (64.9, True)}, "output_size"),
     ({"output_size": ("64", "32")}, "output_size"),
     ({"output_size": (64, False)}, "output_size"),
-    ({"views": "PA"}, "views"),
-    ({"views": ("PA", 1)}, "views"),
+    ({"output_size": (64, 32, 16)}, "output_size"),
+    ({"output_size": 64}, "output_size"),
     ({"target_pixel_spacing": True}, "target_pixel_spacing"),
     ({"target_pixel_spacing": "0.5"}, "target_pixel_spacing"),
     ({"target_pixel_spacing": 10 ** 400}, "target_pixel_spacing"),
@@ -531,10 +531,9 @@ def test_config_takes_names_and_integers_not_casts(kwargs, key):
         ProjectionConfig.from_dict(kwargs)
 
 
-def test_config_keeps_integer_sizes_and_view_names():
-    cfg = ProjectionConfig(views=["LL"], output_size=[np.int64(64), 48],
-                           target_pixel_spacing=np.float32(0.5))
-    assert cfg.views == (View.LL,) and cfg.output_size == (64, 48)
+def test_config_keeps_integer_sizes():
+    cfg = ProjectionConfig(output_size=[np.int64(64), 48], target_pixel_spacing=np.float32(0.5))
+    assert cfg.output_size == (64, 48)
     assert type(cfg.output_size[0]) is int
     assert cfg.target_pixel_spacing == 0.5 and type(cfg.target_pixel_spacing) is float
     assert ProjectionConfig(target_pixel_spacing=2).target_pixel_spacing == 2.0

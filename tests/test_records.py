@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from drrkit import (cardiothoracic_ratio, bootstrap_ci, effect_sizes, evaluate_class_set,
-                    evaluate_pair, ordinal_metrics, pairwise_model_comparison,
-                    scoliosis_angle, weighted_kappa, wilcoxon_signed_rank)
+from drrkit import (ProjectionConfig, cardiothoracic_ratio, bootstrap_ci, effect_sizes,
+                    evaluate_class_set, evaluate_pair, ordinal_metrics,
+                    pairwise_model_comparison, scoliosis_angle, weighted_kappa,
+                    wilcoxon_signed_rank)
 
 
 def _box(shape, r0, r1, c0, c1):
@@ -36,6 +37,8 @@ def _records():
                                            [0, 0, 0, 0], [0, 0, 0, 5]]),
         "PairwiseComparison": pairwise_model_comparison(
             {"a": [0.9, 0.8, 0.7], "b": [0.5, 0.8, 0.6]})[0],
+        # Not a result, but the config that project echoes in its provenance.
+        "ProjectionConfig": ProjectionConfig(output_size=(64, 48)),
     }
 
 
