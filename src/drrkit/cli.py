@@ -21,7 +21,6 @@ import re
 import shutil
 import sys
 import tempfile
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .io import (FormatError, Mask2D, ValidationError, View, _Digests, _load_json_file,
-                 _nonneg_int, _read_input, load_label_volume, load_mask, load_volume, save_mask,
-                 save_projection)
+                 _nonneg_int, _read_input, _repeated, load_label_volume, load_mask, load_volume,
+                 save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
@@ -104,11 +103,6 @@ def _json_list(value, what: str, *, nonempty: bool = False) -> list:
         kind = "a nonempty JSON list" if nonempty else "a JSON list"
         raise ValidationError(f"{what} must be {kind}, got {type(value).__name__}")
     return value
-
-
-def _repeated(items) -> list:
-    """The items listed more than once, in order of first occurrence."""
-    return [item for item, n in Counter(items).items() if n > 1]
 
 
 # Each config section's settings and their defaults. A setting has one name:
@@ -286,6 +280,12 @@ def _load_mapping(path: Path, hashes: _Digests) -> dict[str, list[int]]:
     for role, ids in mapping.items():
         if twice := _repeated(ids):
             raise ValidationError(f"{path}: role {role!r} repeats label ids {twice}")
+    # One mask as two structures of a condition, say heart and thorax, would
+    # grade it on a ratio of the mask to itself.
+    for condition, (_, roles) in _CONDITION_INPUTS.items():
+        if shared := _repeated(i for role in roles for i in mapping.get(role, ())):
+            raise ValidationError(
+                f"{path}: label ids {shared} fill more than one role of {condition.value}")
     return mapping
 
 

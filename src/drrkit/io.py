@@ -14,6 +14,7 @@ import os
 import queue
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -405,10 +406,24 @@ def _read_input(path, digests: _Digests | None = None, name=None) -> bytes:
     return blob
 
 
+def _repeated(items) -> list:
+    """The items listed more than once, in order of first occurrence."""
+    return [item for item, n in Counter(items).items() if n > 1]
+
+
+def _json_object(pairs: list) -> dict:
+    # json.loads alone would keep the last value of a repeated key.
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"repeated keys {_repeated(key for key, _ in pairs)}")
+    return doc
+
+
 def _decode_json(blob: bytes, path):
-    """The one JSON decoder of input files: strict UTF-8, bounded nesting."""
+    """The one JSON decoder of input files: strict UTF-8, bounded nesting,
+    no key repeated within an object."""
     try:
-        doc = json.loads(blob.decode("utf-8"))
+        doc = json.loads(blob.decode("utf-8"), object_pairs_hook=_json_object)
         # A lone surrogate escape such as "\ud800" loads, but no path or CSV
         # built from it can be encoded; reject it here with the rest.
         json.dumps(doc, ensure_ascii=False).encode("utf-8")

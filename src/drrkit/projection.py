@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
@@ -239,31 +240,38 @@ class StudyProjection:
     masks: Mapping[View, Mapping[int, Mask2D]]
 
 
-# Slices per k-slab, at least. Neither view collapses k, so every output
-# element is still one sequential sum over the collapsed axis and the slabs
-# reproduce the whole-volume line integrals bit for bit. A 1-slice slab would
-# not: numpy sums a (H, W, 1) array pairwise along j, which moves PA's last
-# bits. Slabs are never thinner than this, unless the volume is.
-_MIN_SLAB_DEPTH = 16
+# Rows per slab of the line integrals. A slab is a contiguous run of rows
+# along i, so each numpy call sweeps whole rows, not short strided runs. PA
+# sums each row along j, and LL adds the planes in order of i, both as numpy
+# sums the whole volume, so the slabs reproduce project_image bit for bit.
+_SLAB_ROWS = 16
 
 
 def _line_integrals(vol: Volume) -> dict[View, Projection]:
     """project_image(attenuation_transform(vol), view) for both views, computed
-    over k-slabs so only one slab of the float64 attenuation exists at a time.
-    Each slab is transformed from its strided view of the volume and summed
-    as project_image sums, with no container built per slab."""
-    depth = vol.shape[2]
-    n = max(1, depth // _MIN_SLAB_DEPTH)
-    edges = [depth * s // n for s in range(n + 1)]
-    geometry = {view: _view_geometry(view, vol.spacing) for view in View}
-    parts: dict[View, list[np.ndarray]] = {view: [] for view in View}
-    for lo, hi in zip(edges, edges[1:]):
-        mu = _attenuation(vol.data[:, :, lo:hi])
-        for view, (axis, along, _) in geometry.items():
-            parts[view].append(mu.sum(axis=axis) * along)
-    return {view: Projection(data=np.concatenate(parts[view], axis=1), view=view,
-                             spacing=in_plane, normalized=False)
-            for view, (_, _, in_plane) in geometry.items()}
+    over row slabs along i so only one slab of the float64 attenuation exists
+    at a time."""
+    h, w, d = vol.shape
+    # numpy sums a volume whose planes are one voxel pairwise, not plane by
+    # plane; such a volume (h values) is one slab.
+    rows = _SLAB_ROWS if w * d > 1 else h
+    pa = np.empty((h, d))
+    ll = None
+    for lo in range(0, h, rows):
+        mu = _attenuation(vol.data[lo:lo + rows])
+        np.sum(mu, axis=1, out=pa[lo:lo + rows])
+        if ll is None:
+            ll = mu.sum(axis=0)
+        else:
+            for i in range(len(mu)):    # a loop variable would keep a view of mu alive
+                ll += mu[i]
+        del mu      # freed before the next slab is allocated
+    images = {}
+    for view, raw in ((View.PA, pa), (View.LL, ll)):
+        _, along, in_plane = _view_geometry(view, vol.spacing)
+        raw *= along
+        images[view] = Projection(data=raw, view=view, spacing=in_plane, normalized=False)
+    return images
 
 
 def project_study(vol: Volume, labels: Iterable[LabelVolume],
@@ -272,27 +280,47 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
 
     ``labels`` may be any iterable, a generator included. It is consumed once,
     and each label volume is released as soon as its footprints are built, so
-    a study holds one label volume at a time if the iterable does.
+    a study holds one label volume at a time if the iterable does. The line
+    integrals are summed on a second thread meanwhile, which has ended
+    whenever this returns or raises.
     """
     config = config or ProjectionConfig()
     # An oversized grid is refused before a label is read or an image allocated.
     for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
-    masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
-    seen: set[int] = set()
-    for lab in labels:
-        if lab.label_id in seen:
-            raise ValidationError(f"duplicate label id {lab.label_id}")
-        if lab.shape != vol.shape:
-            raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
-                                  f"do not match volume dims {vol.shape}")
-        seen.add(lab.label_id)
-        for view in View:
-            footprint = project_mask(lab, view, spacing=vol.spacing)
-            masks[view][lab.label_id] = resample_and_orient(footprint, config)
-        del lab     # the iterable may build the next label before the loop rebinds it
+    # The line integrals need the volume alone, so they run on a thread of
+    # their own while the labels stream in. The thread has ended whenever this
+    # returns or raises, and a label's error is raised before one of theirs.
+    integrals: list = []
 
-    images = {view: normalize_to_8bit(resample_and_orient(raw, config))
-              for view, raw in _line_integrals(vol).items()}
+    def integrate() -> None:
+        try:
+            integrals.append(_line_integrals(vol))
+        except BaseException as exc:    # raised on the caller's thread below
+            integrals.append(exc)
+
+    thread = threading.Thread(target=integrate)
+    thread.start()
+    try:
+        masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
+        seen: set[int] = set()
+        for lab in labels:
+            if lab.label_id in seen:
+                raise ValidationError(f"duplicate label id {lab.label_id}")
+            if lab.shape != vol.shape:
+                raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
+                                      f"do not match volume dims {vol.shape}")
+            seen.add(lab.label_id)
+            for view in View:
+                footprint = project_mask(lab, view, spacing=vol.spacing)
+                masks[view][lab.label_id] = resample_and_orient(footprint, config)
+            del lab     # the iterable may build the next label before the loop rebinds it
+    finally:
+        thread.join()
+    raw, = integrals
+    if isinstance(raw, BaseException):
+        raise raw
+    images = {view: normalize_to_8bit(resample_and_orient(proj, config))
+              for view, proj in raw.items()}
     return StudyProjection(images=images, masks=masks)

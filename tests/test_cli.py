@@ -163,14 +163,15 @@ def test_project_failed_swap_keeps_previous_study(tmp_path, monkeypatch):
 
 
 def _write_cohort(root, n_studies=3):
-    """Studies s01, s02, ... each with its own volume and one box label."""
+    """Studies s01, s02, ... each with its own volume and one box label. Each
+    volume's 37 rows make two full line-integral slabs and part of a third."""
     rng = np.random.default_rng(1)
     studies = []
     for i in range(1, n_studies + 1):
         sid = f"s{i:02d}"
-        vol = rng.integers(-1000, 1500, size=(6, 5, 4)).astype(np.int16)
+        vol = rng.integers(-1000, 1500, size=(37, 5, 4)).astype(np.int16)
         save_volume(Volume(data=vol, spacing=(1.0, 1.5, 2.0)), root / f"{sid}.json")
-        lab = np.zeros((6, 5, 4), dtype=np.uint8)
+        lab = np.zeros((37, 5, 4), dtype=np.uint8)
         lab[1:4, 1:4, i % 4] = 1
         save_label_volume(LabelVolume(data=lab, label_id=1), root / f"{sid}_lab.json")
         studies.append({"id": sid, "volume": f"{sid}.json", "labels": [f"{sid}_lab.json"]})
@@ -182,10 +183,12 @@ def _write_cohort(root, n_studies=3):
 def test_project_jobs_changes_nothing_but_speed(tmp_path):
     manifest = _write_cohort(tmp_path)
     trees = []
+    before = set(threading.enumerate())
     for jobs in ("1", "2"):
         out = tmp_path / f"out{jobs}"
         assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
                          "--jobs", jobs]) == 0
+        assert set(threading.enumerate()) == before
         trees.append(_collect_bytes(out))
     assert sorted({Path(name).parts[0] for name in trees[0]}) == ["s01", "s02", "s03"]
     assert trees[0] == trees[1]
@@ -586,6 +589,36 @@ def test_measure_repeated_role_id_exits_1(tmp_path, capsys):
     assert cli.main(argv) == 0
     report = json.loads((tmp_path / "r" / "scoliosis.json").read_text())
     assert report["excluded"] and "only 3 usable" in report["exclusion_reason"]
+
+
+def test_measure_label_in_two_roles_of_a_condition_exits_1(tmp_path, capsys):
+    # Mask 1 as both heart and thorax would grade cardiomegaly severe at 1.0.
+    study, mapping = _make_measure_study(tmp_path)
+    mapping.write_text(json.dumps({"heart": [1], "thorax": [2, 1], "vertebrae": [4, 5, 6, 7]}))
+    assert cli.main(["measure", "--study", str(study), "--mapping", str(mapping),
+                     "--out", str(tmp_path / "r")]) == 1
+    assert "label ids [1] fill more than one role of cardiomegaly" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("measure", '{"heart": [1], "thorax": [2], "vertebrae": [4, 5, 6, 7], "vertebrae": [8]}',
+     "vertebrae"),
+    ("stats", '{"a": [0.9, 0.8, 0.7], "a": [0.1, 0.2, 0.3], "b": [0.5, 0.4, 0.6]}', "a"),
+], ids=["mapping", "pairwise"])
+def test_json_input_repeating_a_key_exits_1(tmp_path, capsys, command, text, key):
+    # json.loads alone keeps the last value: one vertebra, or the second "a".
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    out = tmp_path / "out"
+    if command == "measure":
+        study, _ = _make_measure_study(tmp_path)
+        argv = ["measure", "--study", str(study), "--mapping", str(doc), "--out", str(out)]
+    else:
+        argv = ["stats", "--mode", "pairwise", "--scores", str(doc), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert f"invalid JSON: repeated keys [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- evaluate ----------------------------------------------------------------

@@ -513,6 +513,15 @@ def test_sidecar_json_is_valid_json(tmp_path):
     assert meta["spacing_mm"] == [1.0, 2.0, 3.0]
 
 
+def test_sidecar_repeating_a_key_is_a_format_error(tmp_path):
+    # The last "dims" alone would match the 2-byte payload.
+    (tmp_path / "v.json").write_text('{"dims": [2, 2, 2], "spacing_mm": [1.0, 1.0, 1.0], '
+                                     '"dtype": "i16", "dims": [1, 1, 1]}')
+    (tmp_path / "v.raw").write_bytes(b"\x00\x00")
+    with pytest.raises(FormatError, match=r"v\.json: invalid JSON: repeated keys \['dims'\]"):
+        load_volume(tmp_path / "v.json")
+
+
 def test_save_volume_dotted_name_keeps_every_dot(tmp_path):
     vol = Volume(data=np.arange(24, dtype=np.int16).reshape(2, 3, 4), spacing=(1, 1, 1))
     save_volume(vol, tmp_path / "s.01.json")

@@ -1,6 +1,8 @@
 """Projection pipeline: attenuation, axis collapse, resampling, normalization."""
 
 import re
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -365,27 +367,85 @@ def test_project_study_rejects_label_dims_unlike_the_volume():
         project_study(vol, [lab])
 
 
-@pytest.mark.parametrize("depth", [1, 2, 15, 16, 17, 33, 64])
-def test_slab_line_integrals_match_whole_volume(depth):
-    rng = np.random.default_rng(depth)
-    # Every dtype kind Volume admits: slabs are strided views of each.
+_S = projection._SLAB_ROWS
+
+
+# One row or one voxel per plane can make a view a single, constant pixel.
+@pytest.mark.filterwarnings("ignore:constant projection:RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 2, _S - 1, _S, _S + 1, 2 * _S + 1, 4 * _S])
+def test_slab_line_integrals_match_whole_volume(rows):
+    rng = np.random.default_rng(rows)
+    # Every dtype kind Volume admits, each sliced into row slabs.
     voxels = {np.int16: lambda shape: rng.integers(-1500, 2000, size=shape),
               np.uint8: lambda shape: rng.integers(0, 256, size=shape),
               np.float64: lambda shape: rng.uniform(-1500.0, 2000.0, size=shape)}
-    for dtype, draw in [*voxels.items()] * 2:
-        h, w = (int(d) for d in rng.integers(2, 40, size=2))
+    # A width of 1 at depth 1 makes one-voxel planes, which numpy sums pairwise.
+    for dtype, depth, w in [(dtype, depth, w) for dtype in voxels for depth in (1, 2, 17)
+                            for w in (1, int(rng.integers(2, 40)))]:
         spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
-        vol = Volume(data=draw((h, w, depth)).astype(dtype), spacing=spacing)
+        vol = Volume(data=voxels[dtype]((rows, w, depth)).astype(dtype), spacing=spacing)
         slabbed = _line_integrals(vol)
         mu = attenuation_transform(vol)
         for view in View:
             whole = project_image(mu, view)
-            assert np.array_equal(slabbed[view].data, whole.data), (dtype, h, w, depth, view)
+            assert np.array_equal(slabbed[view].data, whole.data), (dtype, depth, w, view)
             assert slabbed[view].spacing == whole.spacing
         cfg = ProjectionConfig(target_pixel_spacing=0.9)
         for view, img in project_study(vol, [], cfg).images.items():
             ref = normalize_to_8bit(resample_and_orient(project_image(mu, view), cfg))
             assert np.array_equal(img.data, ref.data)
+
+
+def test_line_integrals_hold_one_slab_at_a_time():
+    vol = Volume(data=np.ones((8 * _S, 64, 64), dtype=np.int16), spacing=(1, 1, 1))
+    slab = _S * 64 * 64 * 8     # bytes of one float64 slab
+    tracemalloc.start()
+    try:
+        _line_integrals(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One slab and the two 64 x 64 images, not two slabs.
+    assert slab < peak < slab * 3 // 2
+
+
+def test_label_error_wins_over_the_line_integrals_and_ends_their_thread(monkeypatch):
+    vol = Volume(data=np.zeros((40, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
+    started, release = threading.Event(), threading.Event()
+
+    def integrals(vol):
+        started.set()
+        release.wait(10)
+        raise RuntimeError("line integrals failed")
+
+    monkeypatch.setattr(projection, "_line_integrals", integrals)
+    before = set(threading.enumerate())
+    running = []
+
+    def labels():
+        yield LabelVolume(data=np.zeros(vol.shape, dtype=np.uint8), label_id=1)
+        assert started.wait(10)
+        running.extend(t for t in threading.enumerate() if t not in before)
+        release.set()
+        yield LabelVolume(data=np.zeros((4, 5, 6), dtype=np.uint8), label_id=2)
+
+    with pytest.raises(ValidationError, match=r"label 2 dims \(4, 5, 6\)"):
+        project_study(vol, labels())
+    assert len(running) == 1 and not running[0].is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_line_integral_error_is_raised_by_project_study(monkeypatch):
+    def attenuation(hu):
+        raise MemoryError("no room for a slab")
+
+    monkeypatch.setattr(projection, "_attenuation", attenuation)
+    rng = np.random.default_rng(2)
+    vol = _random_volume(rng)
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="no room for a slab"):
+        project_study(vol, [_random_label(rng, vol.shape, label_id) for label_id in (1, 2)])
+    assert set(threading.enumerate()) == before
 
 
 def test_project_study_holds_one_label_at_a_time():
