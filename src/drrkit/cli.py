@@ -382,15 +382,17 @@ def cmd_evaluate(args) -> int:
     eff = _effective_config(args, "evaluate")
 
     base = manifest_path.parent
-    pairs = []
-    with _Digests() as hashes:
+
+    def pairs(hashes):
+        # One class pair at a time: each entry is checked, then its two masks
+        # are loaded and hashed, only when evaluate_class_set asks for it.
         for entry in doc:
             if (not isinstance(entry, dict)
                     or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
                 raise ValidationError(
                     f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
             class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
-            masks = []
+            masks = []      # drops the previous pair before this one is read
             for key in ("pred_path", "ref_path"):
                 rel = _path_str(entry[key], f"class {class_id}: {key}")
                 try:
@@ -398,10 +400,11 @@ def cmd_evaluate(args) -> int:
                                            _digests=hashes, _name=rel))
                 except ValidationError as exc:
                     raise ValidationError(f"class {class_id}: {exc}") from exc
-            pairs.append((class_id, *masks))
-        inputs = hashes.to_dict()
+            yield (class_id, *masks)
 
-    report = evaluate_class_set(pairs, **eff, seed=args.seed)
+    with _Digests() as hashes:
+        report = evaluate_class_set(pairs(hashes), **eff, seed=args.seed)
+        inputs = hashes.to_dict()
 
     out = _provenance("evaluate", seed=args.seed,
                       config={"evaluate": {k: eff[k] for k in sorted(eff)}},

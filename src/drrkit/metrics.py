@@ -9,7 +9,7 @@ cases are flagged in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -367,16 +367,18 @@ class ClassSetReport(_Record):
     aggregate: Mapping[str, BootstrapCI]
 
 
-def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
+def evaluate_class_set(pairs: Iterable[tuple[int, object, object]], *,
                        nsd_tolerance_px: float = 2.0, match_iou: float = 0.5,
                        n_resamples: int = 10000, seed: int = 0) -> ClassSetReport:
     """Evaluate (class_id, pred, ref) pairs and aggregate across classes.
 
+    ``pairs`` may be any iterable, a generator included; it is consumed once,
+    after the settings are checked. Each pair is scored as it arrives and
+    released before the next is drawn, so only one pair is held at a time if
+    the iterable builds them one by one.
     Aggregates are 95% percentile-bootstrap CIs of the mean over per-class
     values; a single class collapses the interval onto its value.
     """
-    if not pairs:
-        raise ValidationError("no mask pairs to evaluate")
     _check_thresholds(nsd_tolerance_px, match_iou)
     _check_resampling(n_resamples, seed)
     per_class: dict[int, MetricsReport] = {}
@@ -389,6 +391,9 @@ def evaluate_class_set(pairs: Sequence[tuple[int, object, object]], *,
                 pred, ref, nsd_tolerance_px=nsd_tolerance_px, match_iou=match_iou)
         except ValidationError as exc:
             raise ValidationError(f"class {class_id}: {exc}") from exc
+        del pred, ref   # the iterable may build the next pair before the loop rebinds them
+    if not per_class:
+        raise ValidationError("no mask pairs to evaluate")
     per_class = {k: per_class[k] for k in sorted(per_class)}
     aggregate = {}
     for name in AGGREGATE_METRICS:

@@ -247,10 +247,12 @@ class StudyProjection:
 _SLAB_ROWS = 16
 
 
-def _line_integrals(vol: Volume) -> dict[View, Projection]:
+def _line_integrals(vol: Volume,
+                    stop: threading.Event | None = None) -> dict[View, Projection] | None:
     """project_image(attenuation_transform(vol), view) for both views, computed
     over row slabs along i so only one slab of the float64 attenuation exists
-    at a time."""
+    at a time. Once ``stop`` is set, no further slab is begun and None is
+    returned."""
     h, w, d = vol.shape
     # numpy sums a volume whose planes are one voxel pairwise, not plane by
     # plane; such a volume (h values) is one slab.
@@ -258,6 +260,8 @@ def _line_integrals(vol: Volume) -> dict[View, Projection]:
     pa = np.empty((h, d))
     ll = None
     for lo in range(0, h, rows):
+        if stop is not None and stop.is_set():
+            return None
         mu = _attenuation(vol.data[lo:lo + rows])
         np.sum(mu, axis=1, out=pa[lo:lo + rows])
         if ll is None:
@@ -291,12 +295,14 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
     # The line integrals need the volume alone, so they run on a thread of
     # their own while the labels stream in. The thread has ended whenever this
-    # returns or raises, and a label's error is raised before one of theirs.
+    # returns or raises, and a label's error is raised before one of theirs;
+    # it also stops them after the slab in progress.
     integrals: list = []
+    stop = threading.Event()
 
     def integrate() -> None:
         try:
-            integrals.append(_line_integrals(vol))
+            integrals.append(_line_integrals(vol, stop))
         except BaseException as exc:    # raised on the caller's thread below
             integrals.append(exc)
 
@@ -316,6 +322,9 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
                 footprint = project_mask(lab, view, spacing=vol.spacing)
                 masks[view][lab.label_id] = resample_and_orient(footprint, config)
             del lab     # the iterable may build the next label before the loop rebinds it
+    except BaseException:
+        stop.set()
+        raise
     finally:
         thread.join()
     raw, = integrals

@@ -11,7 +11,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -693,6 +695,84 @@ def test_evaluate_empty_manifest_exits_1(tmp_path):
     rc = cli.main(["evaluate", "--manifest", str(manifest),
                    "--out", str(tmp_path / "r.json")])
     assert rc == 1
+
+
+def _write_eval_manifest(tmp_path, entries):
+    manifest = tmp_path / "eval.json"
+    manifest.write_text(json.dumps([
+        {"class_id": class_id, "pred_path": pred, "ref_path": ref}
+        for class_id, pred, ref in entries]))
+    return manifest
+
+
+def test_evaluate_checks_settings_before_reading_a_mask(tmp_path, capsys):
+    manifest = _write_eval_manifest(tmp_path, [(1, "missing.pgm", "missing.pgm")])
+    out = tmp_path / "r.json"
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out),
+                     "--match-iou", "7"]) == 1
+    assert "match_iou must be in [0, 1], got 7.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("second,error", [
+    ((2, "pred2.pgm", "ref2.pgm"), "class 2: mask geometry mismatch"),
+    ((1, "pred1.pgm", "ref1.pgm"), "duplicate class id 1"),
+], ids=["shape-mismatch", "repeated-class"])
+def test_evaluate_reports_errors_in_manifest_order(tmp_path, capsys, second, error):
+    # The bad second class exits 1 before the third class's missing file is read.
+    _make_eval_inputs(tmp_path, ref2_shape=(16, 18))
+    manifest = _write_eval_manifest(
+        tmp_path, [(1, "pred1.pgm", "ref1.pgm"), second, (3, "missing.pgm", "ref1.pgm")])
+    out = tmp_path / "r.json"
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_reads_each_pair_after_dropping_the_previous(tmp_path, monkeypatch):
+    manifest = _make_eval_inputs(tmp_path)
+    loaded, alive_at_load = [], []
+
+    def load_mask(*args, **kwargs):
+        alive_at_load.append(sum(mask() is not None for mask in loaded))
+        mask = real_load_mask(*args, **kwargs)
+        loaded.append(weakref.ref(mask))
+        return mask
+
+    real_load_mask = cli.load_mask
+    monkeypatch.setattr(cli, "load_mask", load_mask)
+    assert cli.main(["evaluate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.json"), "--resamples", "10"]) == 0
+    # Only a class's own predicted mask is alive when its reference is read.
+    assert alive_at_load == [0, 1, 0, 1]
+
+
+def test_evaluate_holds_one_class_pair_at_a_time(tmp_path):
+    side = 512
+    yy, xx = np.mgrid[:side, :side]
+    entries = []
+    for class_id in range(12):
+        for kind, shift in (("pred", 0), ("ref", 3)):
+            cy, cx = 150 + 15 * class_id + shift, 250
+            disc = (yy - cy) ** 2 + (xx - cx) ** 2 < 90 ** 2
+            disc[cy - 10:cy + 10, :] = False    # two components per mask
+            _save_pgm_mask(disc, tmp_path / f"{kind}{class_id}.pgm")
+        entries.append((class_id, f"pred{class_id}.pgm", f"ref{class_id}.pgm"))
+
+    def peak(n_classes):
+        manifest = _write_eval_manifest(tmp_path, entries[:n_classes])
+        argv = ["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r.json"),
+                "--resamples", "100"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)     # the first run pays one-off allocations
+    pair_bytes = 2 * side * side    # two bool masks
+    assert peak(12) - peak(2) < pair_bytes
 
 
 # --- stats ----------------------------------------------------------------------

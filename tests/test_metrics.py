@@ -1,5 +1,7 @@
 """Overlap, boundary-distance and detection metrics against brute-force oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -504,6 +506,42 @@ def test_evaluate_class_set_seeded_reproducible():
     assert a.aggregate == b.aggregate
     c = evaluate_class_set(pairs, n_resamples=300, seed=43)
     assert c.aggregate["dice"].mean == a.aggregate["dice"].mean
+
+
+def test_evaluate_class_set_reads_a_generator_once():
+    # A second pass over the spent generator would see no pairs at all.
+    rng = np.random.default_rng(31)
+    pairs = [(cid, *_pair(rng, max_side=12, density=0.4)) for cid in (4, 1, 9)]
+    from_list = evaluate_class_set(pairs, n_resamples=200, seed=3)
+    stream = (pair for pair in pairs)
+    assert evaluate_class_set(stream, n_resamples=200, seed=3) == from_list
+    assert next(stream, None) is None
+
+
+def test_evaluate_class_set_holds_one_pair_at_a_time():
+    rng = np.random.default_rng(37)
+    alive_at_next = []
+
+    def stream():
+        previous = ()
+        for cid in range(4):
+            alive_at_next.extend(ref() is not None for ref in previous)
+            pred, ref = _pair(rng, max_side=12, density=0.4)
+            previous = (weakref.ref(pred), weakref.ref(ref))
+            yield cid, pred, ref
+            del pred, ref
+
+    rep = evaluate_class_set(stream(), n_resamples=10)
+    assert list(rep.per_class) == [0, 1, 2, 3]
+    assert alive_at_next == [False] * 6
+
+
+def test_evaluate_class_set_without_pairs():
+    with pytest.raises(ValidationError, match="no mask pairs to evaluate"):
+        evaluate_class_set(iter(()))
+    # The settings are checked before the pairs are read, even when there are none.
+    with pytest.raises(ValidationError, match="match_iou must be in"):
+        evaluate_class_set([], match_iou=7)
 
 
 def test_evaluate_class_set_duplicate_id_rejected():

@@ -413,7 +413,7 @@ def test_label_error_wins_over_the_line_integrals_and_ends_their_thread(monkeypa
     vol = Volume(data=np.zeros((40, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
     started, release = threading.Event(), threading.Event()
 
-    def integrals(vol):
+    def integrals(vol, stop):
         started.set()
         release.wait(10)
         raise RuntimeError("line integrals failed")
@@ -432,6 +432,38 @@ def test_label_error_wins_over_the_line_integrals_and_ends_their_thread(monkeypa
     with pytest.raises(ValidationError, match=r"label 2 dims \(4, 5, 6\)"):
         project_study(vol, labels())
     assert len(running) == 1 and not running[0].is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_label_error_stops_the_line_integrals_after_the_slab_in_progress(monkeypatch):
+    # Eight slabs; the first is held until the failed label has set the stop
+    # event, so the count of slabs begun does not depend on timing.
+    vol = Volume(data=np.zeros((8 * _S, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
+    stops, begun, entered = [], [], threading.Event()
+    real_integrals, real_attenuation = projection._line_integrals, projection._attenuation
+
+    def integrals(vol, stop):
+        stops.append(stop)
+        return real_integrals(vol, stop)
+
+    def attenuation(hu):
+        begun.append(len(hu))
+        if len(begun) == 1:
+            entered.set()
+            stops[0].wait(10)
+        return real_attenuation(hu)
+
+    monkeypatch.setattr(projection, "_line_integrals", integrals)
+    monkeypatch.setattr(projection, "_attenuation", attenuation)
+    before = set(threading.enumerate())
+
+    def labels():
+        assert entered.wait(10)
+        yield LabelVolume(data=np.zeros((4, 5, 6), dtype=np.uint8), label_id=1)
+
+    with pytest.raises(ValidationError, match=r"label 1 dims \(4, 5, 6\)"):
+        project_study(vol, labels())
+    assert begun == [_S]
     assert set(threading.enumerate()) == before
 
 
