@@ -423,8 +423,10 @@ _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*"
 
 
 def _read_scores(path: str, hashes: _Digests) -> dict:
+    # The input is named by its file name, so the report does not change with
+    # the working directory or the way the path was typed.
     if Path(path).suffix.lower() == ".csv":
-        blob = _read_input(path, hashes)
+        blob = _read_input(path, hashes, Path(path).name)
         try:
             rows = list(csv.reader(_io.StringIO(blob.decode("utf-8"), newline="")))
         except (UnicodeDecodeError, csv.Error) as exc:
@@ -447,7 +449,7 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
                     raise ValidationError(f"{path}: non-numeric score {cell!r}")
                 scores[name].append(float(cell))
         return scores
-    doc = _load_json_file(path, hashes)
+    doc = _load_json_file(path, hashes, Path(path).name)
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
     return doc      # stats checks each score list
@@ -471,8 +473,9 @@ def _parse_grade_list(values, name: str) -> list[int]:
 
 
 def _read_ordinal(path: str, hashes: _Digests) -> np.ndarray:
-    """Truth-by-prediction counts: a given matrix, or tallied from grade lists."""
-    doc = _load_json_file(path, hashes)
+    """Truth-by-prediction counts: a given matrix, or tallied from grade lists.
+    The input is named by its file name, as in _read_scores."""
+    doc = _load_json_file(path, hashes, Path(path).name)
     if isinstance(doc, dict) and "matrix" in doc:
         try:
             matrix = np.asarray(doc["matrix"], dtype=np.int64)

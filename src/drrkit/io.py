@@ -11,10 +11,9 @@ import hashlib
 import json
 import numbers
 import os
-import queue
 import re
-import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -332,55 +331,43 @@ def _paint_runs(fg: np.ndarray, first: np.ndarray, end: np.ndarray,
 # input files: each is read once, and its digest is taken of the bytes parsed
 
 
+def _sha256(blob) -> str:
+    # update() releases the GIL for large buffers; hashlib.sha256(blob) does
+    # not in every build.
+    h = hashlib.sha256()
+    h.update(blob)
+    return h.hexdigest()
+
+
 class _Digests:
     """SHA-256 digests of a command's input files, by name.
 
-    One background thread hashes the files in turn while the caller parses
+    A one-worker executor hashes the files in turn while the caller parses
     each and reads the next. A file goes in as the buffer it was read into,
     ``bytes`` or a payload's uint8 array, so its digest is of the bytes
     parsed. At most one hash is pending: ``add`` waits for the previous one
     first, so one extra file's bytes stay alive at most.
-    Use it as a context manager, so the thread ends with the command, and
+    Use it as a context manager, so the worker ends with the command, and
     read it with ``to_dict``, which waits for the pending hash.
     """
 
     def __init__(self) -> None:
         self._hex: dict[str, str] = {}
-        self._pending = None        # name of the file being hashed
-        self._jobs = queue.SimpleQueue()
-        self._results = queue.SimpleQueue()
-        self._thread = None
-
-    def _hash_jobs(self) -> None:
-        # None ends the thread; a failed hash reports None as its digest.
-        while (blob := self._jobs.get()) is not None:
-            digest = None
-            try:
-                # update() releases the GIL for large buffers;
-                # hashlib.sha256(blob) does not in every build.
-                h = hashlib.sha256()
-                h.update(blob)
-                digest = h.hexdigest()
-            finally:
-                del blob
-                self._results.put(digest)
+        self._pending = None        # (name, future) of the file being hashed
+        self._pool = ThreadPoolExecutor(max_workers=1)
 
     def add(self, name: str, blob) -> None:
         self._join()
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._hash_jobs, daemon=True)
-            self._thread.start()
-        self._pending = name
-        self._jobs.put(blob)
+        self._pending = name, self._pool.submit(_sha256, blob)
 
     def _join(self) -> None:
         if self._pending is None:
             return
-        name, self._pending = self._pending, None
-        digest = self._results.get()
-        if digest is None:
-            raise RuntimeError(f"hashing {name} failed")
-        self._hex[name] = digest
+        (name, future), self._pending = self._pending, None
+        try:
+            self._hex[name] = future.result()
+        except Exception as exc:
+            raise RuntimeError(f"hashing {name} failed") from exc
 
     def to_dict(self) -> dict[str, str]:
         self._join()
@@ -390,11 +377,9 @@ class _Digests:
         return self
 
     def __exit__(self, *exc) -> None:
-        # After a failure the pending hash still ends before the thread
+        # After a failure the pending hash still ends before the worker
         # does, so no thread outlives the command; its digest goes unread.
-        if self._thread is not None:
-            self._jobs.put(None)
-            self._thread.join()
+        self._pool.shutdown()
 
 
 def _read_input(path, digests: _Digests | None = None, name=None) -> bytes:

@@ -12,6 +12,7 @@ import math
 import numbers
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
@@ -293,43 +294,30 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
     for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
-    # The line integrals need the volume alone, so they run on a thread of
-    # their own while the labels stream in. The thread has ended whenever this
+    # The line integrals need the volume alone, so they run on a one-worker
+    # executor while the labels stream in. Its thread has ended whenever this
     # returns or raises, and a label's error is raised before one of theirs;
     # it also stops them after the slab in progress.
-    integrals: list = []
     stop = threading.Event()
-
-    def integrate() -> None:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        integrals = pool.submit(_line_integrals, vol, stop)
         try:
-            integrals.append(_line_integrals(vol, stop))
-        except BaseException as exc:    # raised on the caller's thread below
-            integrals.append(exc)
-
-    thread = threading.Thread(target=integrate)
-    thread.start()
-    try:
-        masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
-        seen: set[int] = set()
-        for lab in labels:
-            if lab.label_id in seen:
-                raise ValidationError(f"duplicate label id {lab.label_id}")
-            if lab.shape != vol.shape:
-                raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
-                                      f"do not match volume dims {vol.shape}")
-            seen.add(lab.label_id)
-            for view in View:
-                footprint = project_mask(lab, view, spacing=vol.spacing)
-                masks[view][lab.label_id] = resample_and_orient(footprint, config)
-            del lab     # the iterable may build the next label before the loop rebinds it
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        thread.join()
-    raw, = integrals
-    if isinstance(raw, BaseException):
-        raise raw
+            masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
+            seen: set[int] = set()
+            for lab in labels:
+                if lab.label_id in seen:
+                    raise ValidationError(f"duplicate label id {lab.label_id}")
+                if lab.shape != vol.shape:
+                    raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
+                                          f"do not match volume dims {vol.shape}")
+                seen.add(lab.label_id)
+                for view in View:
+                    footprint = project_mask(lab, view, spacing=vol.spacing)
+                    masks[view][lab.label_id] = resample_and_orient(footprint, config)
+                del lab     # the iterable may build the next label before the loop rebinds it
+        except BaseException:
+            stop.set()
+            raise
     images = {view: normalize_to_8bit(resample_and_orient(proj, config))
-              for view, proj in raw.items()}
+              for view, proj in integrals.result().items()}
     return StudyProjection(images=images, masks=masks)

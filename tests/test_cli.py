@@ -284,6 +284,42 @@ def test_project_leaves_no_thread_behind(tmp_path, monkeypatch, bad, code):
     assert set(threading.enumerate()) == before
 
 
+def _hashing_run(tmp_path, command, code):
+    """argv of one measure, evaluate or stats call that exits ``code`` after
+    at least one input has gone to be hashed."""
+    out = tmp_path / "out"
+    if command == "measure":
+        study, mapping = _make_measure_study(tmp_path)
+        thorax = study / "PA" / "2.pgm"     # read after the mapping and the heart
+        if code == 1:
+            _save_pgm_mask(_rect((32, 32), 5, 20, 5, 20), thorax)
+        elif code == 2:
+            thorax.unlink()
+            thorax.mkdir()
+        return ["measure", "--study", str(study), "--mapping", str(mapping), "--out", str(out)]
+    if command == "evaluate":
+        manifest = _make_eval_inputs(tmp_path, ref2_shape=(16, 17) if code == 1 else (16, 16))
+        if code == 2:
+            (tmp_path / "ref2.pgm").unlink()
+        return ["evaluate", "--manifest", str(manifest), "--out", str(out), "--resamples", "50"]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("a,b\n0.9,0.5\n0.8,0.4\n" + ("0.7,x\n" if code == 1 else "0.7,0.6\n"))
+    if code == 2:
+        out.write_text("")     # a file where the report's directory would go
+        out = out / "report"
+    return ["stats", "--mode", "pairwise", "--scores", str(scores), "--out", str(out)]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2], ids=["success", "exit_1", "exit_2"])
+@pytest.mark.parametrize("command", ["measure", "evaluate", "stats"])
+def test_hashing_commands_leave_no_thread_behind(tmp_path, monkeypatch, command, code):
+    argv = _hashing_run(tmp_path, command, code)
+    _slow_hashes(monkeypatch)
+    before = set(threading.enumerate())
+    assert cli.main(argv) == code
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_project_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     manifest = _write_study_inputs(tmp_path)
@@ -914,6 +950,28 @@ def test_stats_ordinal_bad_grade_exits_1(tmp_path, capsys):
     assert "huge" in capsys.readouterr().err
 
 
+def test_stats_reports_do_not_depend_on_how_the_input_path_is_typed(tmp_path, monkeypatch):
+    # The input is named by its file name in provenance, so an absolute path
+    # and a relative one from another directory give the same bytes.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "scores.csv").write_text("class,a,b\n1,0.9,0.8\n2,0.85,0.7\n3,0.92,0.81\n")
+    (inputs / "grades.json").write_text(json.dumps({"truth": [0, 1, 2, 3], "pred": [0, 1, 3, 3]}))
+    (tmp_path / "elsewhere").mkdir()
+    reports = []
+    runs = ((tmp_path, inputs, tmp_path / "out1"),
+            (tmp_path / "elsewhere", Path("..", "in"), tmp_path / "out2"))
+    for cwd, base, out in runs:
+        monkeypatch.chdir(cwd)
+        for mode, name in (("pairwise", "scores.csv"), ("ordinal", "grades.json")):
+            assert cli.main(["stats", "--mode", mode, "--scores", str(base / name),
+                             "--out", str(out / f"{mode}.json")]) == 0
+            report = (out / f"{mode}.json").read_bytes()
+            assert list(json.loads(report)["inputs"]) == [name]
+            reports.append(report)
+    assert reports[:2] == reports[2:]
+
+
 # --- config values ----------------------------------------------------------
 
 _BAD_CONFIG_VALUES = [
@@ -1218,7 +1276,7 @@ def test_each_input_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
           "--resamples", "50"],
          out / "e.json", lambda name: tmp_path / "e" / name, [eval_manifest]),
         (["stats", "--mode", "pairwise", "--scores", str(scores), "--out", str(out / "s.json")],
-         out / "s.json", Path, []),
+         out / "s.json", lambda name: tmp_path / name, []),
     ]
     for argv, provenance, where, unhashed in runs:
         opened.clear()
