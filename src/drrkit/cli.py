@@ -452,6 +452,9 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
     doc = _load_json_file(path, hashes, Path(path).name)
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
+    for name, values in doc.items():
+        if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+            raise ValidationError(f"{path}: model {name!r} has a boolean score")
     return doc      # stats checks each score list
 
 
@@ -478,13 +481,13 @@ def _read_ordinal(path: str, hashes: _Digests) -> np.ndarray:
     doc = _load_json_file(path, hashes, Path(path).name)
     if isinstance(doc, dict) and "matrix" in doc:
         try:
-            matrix = np.asarray(doc["matrix"], dtype=np.int64)
-            exact = np.array_equal(matrix, np.asarray(doc["matrix"], dtype=np.float64))
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValidationError(f"{path}: 'matrix' must be a table of integer counts")
-        return matrix
+            cells = np.asarray(doc["matrix"], dtype=object)
+            # JSON integers only: true is not 1, and 1.0 is not a count.
+            if all(type(v) is int for v in cells.flat):
+                return cells.astype(np.int64)
+        except (ValueError, OverflowError):
+            pass
+        raise ValidationError(f"{path}: 'matrix' must be a table of integer counts")
     if isinstance(doc, dict) and {"truth", "pred"} <= set(doc):
         return confusion_from_labels(_parse_grade_list(doc["truth"], "truth"),
                                      _parse_grade_list(doc["pred"], "pred"), len(Grade))

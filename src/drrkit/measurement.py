@@ -139,6 +139,14 @@ def max_row_width(mask) -> tuple[float, int]:
     return float(widths[best]), int(rows[best])
 
 
+def _of_one_shape(masks: Sequence) -> list[np.ndarray]:
+    """The masks' bool foregrounds, refused unless they share one shape."""
+    arrs = [_as_binary(m) for m in masks]
+    if len({a.shape for a in arrs}) > 1:
+        raise ValidationError(f"mask shapes differ: {[a.shape for a in arrs]}")
+    return arrs
+
+
 def compose_thorax(masks: Sequence) -> np.ndarray:
     """Union the given masks and fill each row between its extreme columns.
 
@@ -147,14 +155,10 @@ def compose_thorax(masks: Sequence) -> np.ndarray:
     """
     if not masks:
         raise ValidationError("thorax composition needs at least one mask")
-    arrs = [_as_binary(m) for m in masks]
-    shape = arrs[0].shape
-    for a in arrs[1:]:
-        if a.shape != shape:
-            raise ValidationError(f"mask shapes differ: {a.shape} vs {shape}")
-    rows, first, last = _row_extents(np.logical_or.reduce(arrs))
-    cols = np.arange(shape[1])
-    out = np.zeros(shape, dtype=np.uint8)
+    union = np.logical_or.reduce(_of_one_shape(masks))
+    rows, first, last = _row_extents(union)
+    cols = np.arange(union.shape[1])
+    out = np.zeros(union.shape, dtype=np.uint8)
     out[rows] = (cols >= first[:, None]) & (cols <= last[:, None])
     return out
 
@@ -167,6 +171,7 @@ def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> Measure
     excludes the study.
     """
     cond = Condition.CARDIOMEGALY
+    heart, thorax = _of_one_shape((heart, thorax))
     h, h_sizes = _clean(heart, min_component_px)
     t = clean_mask(thorax, min_component_px)
     if not h.any():
@@ -196,7 +201,7 @@ def _spine_centroids(vertebrae: Sequence, min_vertebrae: int,
     Sorting is by (y, x) so equal heights still order deterministically.
     """
     pts = []
-    for m in vertebrae:
+    for m in _of_one_shape(vertebrae):
         arr = clean_mask(m, min_component_px)
         if arr.any():
             pts.append(centroid(arr))

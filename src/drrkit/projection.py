@@ -108,22 +108,22 @@ def project_image(mu: Volume, view: View) -> Projection:
     collapses the right-left axis i and scales by s_x, so values are
     path integrals in millimetre units.
     """
-    axis, depth, in_plane = _view_geometry(view, mu.spacing)
-    data = mu.data.astype(np.float64, copy=False).sum(axis=axis) * depth
-    return Projection(data=data, view=view, spacing=in_plane, normalized=False)
+    _, depth, in_plane = _view_geometry(view, mu.spacing)
+    sums = _reduce_slabs(mu.data, np.add, lambda slab: slab.astype(np.float64, copy=False))
+    return Projection(data=sums[View(view)] * depth, view=view, spacing=in_plane)
 
 
 def project_mask(lab: LabelVolume, view: View,
                  spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Mask2D:
-    """Footprint of a binary volume in a view: max over the collapsed axis.
+    """Footprint of a binary volume in a view: OR over the collapsed axis.
 
     Label volumes carry no spacing of their own, so the owning volume's
     spacing is passed in to keep the 2D grid consistent with the image.
     """
-    axis, _, in_plane = _view_geometry(view, spacing)
+    _, _, in_plane = _view_geometry(view, spacing)
     # A bool footprint is viewed as 0/1, not scanned, by Mask2D.
-    return Mask2D(data=lab.data.view(bool).max(axis=axis), view=view, spacing=in_plane,
-                  label_id=lab.label_id)
+    return Mask2D(data=_reduce_slabs(lab.data.view(bool), np.logical_or)[View(view)],
+                  view=view, spacing=in_plane, label_id=lab.label_id)
 
 
 def _sample_coords(n_in: int, n_out: int) -> np.ndarray:
@@ -241,42 +241,35 @@ class StudyProjection:
     masks: Mapping[View, Mapping[int, Mask2D]]
 
 
-# Rows per slab of the line integrals. A slab is a contiguous run of rows
-# along i, so each numpy call sweeps whole rows, not short strided runs. PA
-# sums each row along j, and LL adds the planes in order of i, both as numpy
-# sums the whole volume, so the slabs reproduce project_image bit for bit.
+# Rows per slab: a contiguous run of rows along i, so each numpy call sweeps
+# whole rows, not short strided runs.
 _SLAB_ROWS = 16
 
 
-def _line_integrals(vol: Volume,
-                    stop: threading.Event | None = None) -> dict[View, Projection] | None:
-    """project_image(attenuation_transform(vol), view) for both views, computed
-    over row slabs along i so only one slab of the float64 attenuation exists
-    at a time. Once ``stop`` is set, no further slab is begun and None is
-    returned."""
-    h, w, d = vol.shape
-    # numpy sums a volume whose planes are one voxel pairwise, not plane by
-    # plane; such a volume (h values) is one slab.
+def _reduce_slabs(data: np.ndarray, ufunc: np.ufunc, each=np.asarray,
+                  stop: threading.Event | None = None) -> dict[View, np.ndarray]:
+    """``ufunc.reduce(each(data), axis)`` for both views, PA then LL, bit for
+    bit, with one slab that ``each`` made alive at a time: PA reduces each row
+    along j and LL combines the planes in order of i, as numpy reduces a whole
+    array. Once ``stop`` is set, no further slab is begun and {} is returned."""
+    h, w, d = data.shape
+    # numpy reduces an array whose planes are one voxel pairwise, not plane
+    # by plane; such an array (h values) is one slab.
     rows = _SLAB_ROWS if w * d > 1 else h
-    pa = np.empty((h, d))
-    ll = None
+    pa = ll = None
     for lo in range(0, h, rows):
         if stop is not None and stop.is_set():
-            return None
-        mu = _attenuation(vol.data[lo:lo + rows])
-        np.sum(mu, axis=1, out=pa[lo:lo + rows])
+            return {}
+        slab = each(data[lo:lo + rows])
         if ll is None:
-            ll = mu.sum(axis=0)
+            pa = np.empty((h, d), dtype=slab.dtype)
+            ll = ufunc.reduce(slab, axis=0)
         else:
-            for i in range(len(mu)):    # a loop variable would keep a view of mu alive
-                ll += mu[i]
-        del mu      # freed before the next slab is allocated
-    images = {}
-    for view, raw in ((View.PA, pa), (View.LL, ll)):
-        _, along, in_plane = _view_geometry(view, vol.spacing)
-        raw *= along
-        images[view] = Projection(data=raw, view=view, spacing=in_plane, normalized=False)
-    return images
+            for i in range(len(slab)):  # a loop variable would keep a view of slab alive
+                ufunc(ll, slab[i], out=ll)
+        ufunc.reduce(slab, axis=1, out=pa[lo:lo + rows])
+        del slab    # freed before the next slab is made
+    return {View.PA: pa, View.LL: ll}
 
 
 def project_study(vol: Volume, labels: Iterable[LabelVolume],
@@ -287,37 +280,36 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
     and each label volume is released as soon as its footprints are built, so
     a study holds one label volume at a time if the iterable does. The line
     integrals are summed on a second thread meanwhile, which has ended
-    whenever this returns or raises.
+    whenever this returns or raises; a label's error is raised before one of
+    theirs and stops them after the slab in progress.
     """
     config = config or ProjectionConfig()
     # An oversized grid is refused before a label is read or an image allocated.
     for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
-    # The line integrals need the volume alone, so they run on a one-worker
-    # executor while the labels stream in. Its thread has ended whenever this
-    # returns or raises, and a label's error is raised before one of theirs;
-    # it also stops them after the slab in progress.
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        integrals = pool.submit(_line_integrals, vol, stop)
+        integrals = pool.submit(_reduce_slabs, vol.data, np.add, _attenuation, stop)
         try:
             masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
-            seen: set[int] = set()
             for lab in labels:
-                if lab.label_id in seen:
+                if lab.label_id in masks[View.PA]:
                     raise ValidationError(f"duplicate label id {lab.label_id}")
                 if lab.shape != vol.shape:
                     raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
                                           f"do not match volume dims {vol.shape}")
-                seen.add(lab.label_id)
-                for view in View:
-                    footprint = project_mask(lab, view, spacing=vol.spacing)
+                for view, data in _reduce_slabs(lab.data.view(bool), np.logical_or).items():
+                    footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
+                                       spacing=_view_geometry(view, vol.spacing)[2])
                     masks[view][lab.label_id] = resample_and_orient(footprint, config)
                 del lab     # the iterable may build the next label before the loop rebinds it
         except BaseException:
             stop.set()
             raise
-    images = {view: normalize_to_8bit(resample_and_orient(proj, config))
-              for view, proj in integrals.result().items()}
+    images = {}
+    for view, sums in integrals.result().items():
+        _, depth, in_plane = _view_geometry(view, vol.spacing)
+        proj = Projection(data=sums * depth, view=view, spacing=in_plane)
+        images[view] = normalize_to_8bit(resample_and_orient(proj, config))
     return StudyProjection(images=images, masks=masks)

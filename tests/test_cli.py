@@ -1169,6 +1169,20 @@ def test_bad_document_exits_1(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
+# JSON true is not 1 and 1.0 is not a count, though numpy reads them so.
+@pytest.mark.parametrize("command,doc", [
+    ("ordinal", {"matrix": [[True, False], [False, True]]}),
+    ("ordinal", {"matrix": [[1.0, 0], [0, 2]]}),
+    ("pairwise", {"a": [True, 0.5, 0.2], "b": [False, 0.4, 0.1]}),
+], ids=["matrix-bool", "matrix-integral-float", "scores-bool"])
+def test_stats_refuses_a_bool_or_float_read_as_a_number(tmp_path, capsys, command, doc):
+    argv, path, _ = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("spacing", ["abc", [1.0, -2.0, 1.0], [1.0, 1.0]])
 def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
     argv, path, doc = _cli_input(tmp_path, "sidecar")

@@ -257,6 +257,14 @@ def test_ctr_zero_width_thorax_excluded():
     assert rep.excluded and "extent" in rep.exclusion_reason.lower()
 
 
+def test_ctr_refuses_heart_and_thorax_of_different_shapes():
+    # Widths taken on two grids would be compared as if on one: 9 / 57 px.
+    heart = _rect((20, 20), 5, 15, 5, 15)
+    thorax = _rect((40, 60), 2, 38, 1, 59)
+    with pytest.raises(ValidationError, match=r"mask shapes differ: \[\(20, 20\), \(40, 60\)\]"):
+        cardiothoracic_ratio(_mask(heart), _mask(thorax))
+
+
 def test_ctr_scale_invariance():
     small_heart = _rect((40, 120), 10, 20, 10, 61)
     small_thorax = _rect((40, 120), 5, 35, 5, 106)
@@ -311,6 +319,16 @@ def test_scd_translation_invariance():
     a = scoliosis_angle(_pixel_masks(pts), min_component_px=1)
     b = scoliosis_angle(_pixel_masks(shifted), min_component_px=1)
     assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("measure", [scoliosis_angle, kyphosis_angle])
+def test_spine_refuses_vertebrae_of_different_shapes(measure):
+    # A straight column of centroids, two of them on a smaller grid.
+    points = [(10, 5), (10, 15), (10, 25), (10, 35), (10, 38)]
+    masks = _pixel_masks(points[:2], shape=(40, 40)) + _pixel_masks(points[2:])
+    with pytest.raises(ValidationError, match=r"mask shapes differ: \[\(40, 40\), \(40, 40\), "
+                                              r"\(80, 80\)"):
+        measure(masks, min_component_px=1)
 
 
 def test_scd_too_few_vertebrae_excluded():

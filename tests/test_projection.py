@@ -17,7 +17,7 @@ from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     ValidationError, View, Volume, attenuation_transform,
                     normalize_to_8bit, project_image, project_mask,
                     project_study, resample_and_orient)
-from drrkit.projection import _line_integrals
+from drrkit.projection import _reduce_slabs
 
 
 def _random_volume(rng, max_dim=6):
@@ -315,7 +315,7 @@ def test_project_study_refuses_a_huge_grid_before_allocating(monkeypatch, cfg, g
 
     monkeypatch.setattr(projection, "_resample_bilinear", never)
     monkeypatch.setattr(projection, "_resample_nearest", never)
-    monkeypatch.setattr(projection, "_line_integrals", never)
+    monkeypatch.setattr(projection, "_attenuation", never)
     vol = Volume(data=np.zeros((4, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
 
     def labels():
@@ -384,12 +384,17 @@ def test_slab_line_integrals_match_whole_volume(rows):
                             for w in (1, int(rng.integers(2, 40)))]:
         spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
         vol = Volume(data=voxels[dtype]((rows, w, depth)).astype(dtype), spacing=spacing)
-        slabbed = _line_integrals(vol)
+        lab = _random_label(rng, vol.shape)
+        sums = _reduce_slabs(vol.data, np.add, projection._attenuation)
+        footprints = _reduce_slabs(lab.data.view(bool), np.logical_or)
         mu = attenuation_transform(vol)
-        for view in View:
-            whole = project_image(mu, view)
-            assert np.array_equal(slabbed[view].data, whole.data), (dtype, depth, w, view)
-            assert slabbed[view].spacing == whole.spacing
+        # PA collapses j, LL collapses i.
+        for view, axis in ((View.PA, 1), (View.LL, 0)):
+            whole = np.sum(mu.data, axis=axis) * spacing[axis]
+            assert np.array_equal(sums[view] * spacing[axis], whole), (dtype, depth, w, view)
+            assert np.array_equal(project_image(mu, view).data, whole)
+            assert footprints[view].dtype == bool
+            assert np.array_equal(footprints[view], lab.data.max(axis=axis)), (depth, w, view)
         cfg = ProjectionConfig(target_pixel_spacing=0.9)
         for view, img in project_study(vol, [], cfg).images.items():
             ref = normalize_to_8bit(resample_and_orient(project_image(mu, view), cfg))
@@ -398,27 +403,35 @@ def test_slab_line_integrals_match_whole_volume(rows):
 
 def test_line_integrals_hold_one_slab_at_a_time():
     vol = Volume(data=np.ones((8 * _S, 64, 64), dtype=np.int16), spacing=(1, 1, 1))
+    lab = LabelVolume(data=np.ones(vol.shape, dtype=np.uint8), label_id=1)
     slab = _S * 64 * 64 * 8     # bytes of one float64 slab
     tracemalloc.start()
     try:
-        _line_integrals(vol)
+        _reduce_slabs(vol.data, np.add, projection._attenuation)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _reduce_slabs(lab.data.view(bool), np.logical_or)
+        label_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # One slab and the two 64 x 64 images, not two slabs.
     assert slab < peak < slab * 3 // 2
+    # A label's bool slabs are views: only its two footprints are allocated,
+    # below one bool slab's _S x 64 x 64 bytes.
+    assert label_peak < slab // 8
 
 
 def test_label_error_wins_over_the_line_integrals_and_ends_their_thread(monkeypatch):
     vol = Volume(data=np.zeros((40, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
     started, release = threading.Event(), threading.Event()
 
-    def integrals(vol, stop):
+    # Only the line integrals call _attenuation: footprints reduce bool views.
+    def attenuation(hu):
         started.set()
         release.wait(10)
         raise RuntimeError("line integrals failed")
 
-    monkeypatch.setattr(projection, "_line_integrals", integrals)
+    monkeypatch.setattr(projection, "_attenuation", attenuation)
     before = set(threading.enumerate())
     running = []
 
@@ -440,11 +453,11 @@ def test_label_error_stops_the_line_integrals_after_the_slab_in_progress(monkeyp
     # event, so the count of slabs begun does not depend on timing.
     vol = Volume(data=np.zeros((8 * _S, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
     stops, begun, entered = [], [], threading.Event()
-    real_integrals, real_attenuation = projection._line_integrals, projection._attenuation
+    real_reduce, real_attenuation = projection._reduce_slabs, projection._attenuation
 
-    def integrals(vol, stop):
+    def reduce_slabs(data, ufunc, each=np.asarray, stop=None):
         stops.append(stop)
-        return real_integrals(vol, stop)
+        return real_reduce(data, ufunc, each, stop)
 
     def attenuation(hu):
         begun.append(len(hu))
@@ -453,7 +466,7 @@ def test_label_error_stops_the_line_integrals_after_the_slab_in_progress(monkeyp
             stops[0].wait(10)
         return real_attenuation(hu)
 
-    monkeypatch.setattr(projection, "_line_integrals", integrals)
+    monkeypatch.setattr(projection, "_reduce_slabs", reduce_slabs)
     monkeypatch.setattr(projection, "_attenuation", attenuation)
     before = set(threading.enumerate())
 
