@@ -124,6 +124,9 @@ def _effective_config(args, section: str) -> dict:
     cfg = _load_json_file(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config}: config file must be a JSON object")
+    for name in cfg:
+        if name not in _SETTINGS:
+            raise ValidationError(f"{args.config}: unknown config section {name!r}")
     sect = cfg.get(section, {})
     if not isinstance(sect, dict):
         raise ValidationError(f"{args.config}: section {section!r} must be an object")
@@ -181,6 +184,9 @@ def _load_manifest(path: Path) -> list[dict]:
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: each study must be an object")
         study_id = _check_study_id(entry.get("id"))
+        unknown = sorted(set(entry) - {"id", "volume", "labels"})
+        if unknown:
+            raise ValidationError(f"{path}: study {study_id!r} has unknown keys {unknown}")
         if study_id in seen:
             raise ValidationError(f"{path}: duplicate study id {study_id!r}")
         seen.add(study_id)

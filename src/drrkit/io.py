@@ -1,4 +1,4 @@
-"""In-memory containers and on-disk formats for volumes, projections and 2D masks.
+"""Containers, on-disk formats and hashed input reads for volumes, projections and masks.
 
 Volumes travel as a JSON sidecar plus a flat little-endian raw file; projected
 images and mask footprints travel as binary (P5) PGM. PGM carries no metadata,
@@ -210,121 +210,6 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
     if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValidationError(f"{name} must be nonempty 2D, got shape {arr.shape}")
     return arr if arr.dtype == bool else arr != 0
-
-
-# ---------------------------------------------------------------------------
-# 8-connected components as row runs: the run-based two-scan scheme of He,
-# Chao & Suzuki (IEEE TIP 2008), vectorized, with the run graph resolved by
-# hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982).
-
-
-_RUN_BLOCK = 1 << 16    # pixels per block of rows in _runs; changes speed only
-
-
-def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row runs of a 2D mask (nonzero is foreground) in raster order.
-
-    Returns ``(first, end)``: run k covers ``flat[first[k]:end[k]]`` of the
-    mask laid out with one background column before each row, so it lies in
-    row ``first[k] // (w + 1)`` and starts at column ``first[k] % (w + 1) - 1``.
-    """
-    h, w = fg.shape
-    stride = w + 1
-    # One background column before each row, and one after the last, so
-    # every run starts and stops at a transition and the two alternate. The
-    # rows pass through one small buffer a block at a time, which is faster
-    # than two full-size temporaries, each paged in afresh.
-    rows = max(1, _RUN_BLOCK // stride)
-    buf = np.zeros(rows * stride + 1, dtype=bool)
-    edges = []
-    for r0 in range(0, h, rows):
-        n = (min(h, r0 + rows) - r0) * stride
-        buf[:n].reshape(-1, stride)[:, 1:] = fg[r0:r0 + rows]
-        edges.append(np.flatnonzero(buf[1:n + 1] != buf[:n]) + (r0 * stride + 1))
-    edges = np.concatenate(edges)
-    return edges[0::2], edges[1::2]
-
-
-def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Every ``first[i] + j`` with ``j < count[i]``, in order of i, then j."""
-    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-
-
-def _overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (i, k) of an interval ``a[i]`` and a run ``b[k]`` that share
-    a position, in order of i, then k. ``a`` and ``b`` are ``(first, end)``
-    arrays of half-open intervals; ``b`` is sorted and disjoint, as runs are,
-    and ``a`` need not be."""
-    (first_a, end_a), (first_b, end_b) = a, b
-    # Both keys of b are sorted, so each a[i]'s partners are one contiguous
-    # slice of b: those that end after it starts and start before it ends.
-    lo = np.searchsorted(end_b, first_a, side="right")
-    hi = np.searchsorted(first_b, end_a, side="left")
-    count = np.maximum(hi - lo, 0)
-    return np.repeat(np.arange(len(first_a)), count), _expand(lo, count)
-
-
-def _intersect(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(first, end, i, k)``: the intersection of two sorted, disjoint run
-    lists, each piece the overlap of ``a[i]`` and ``b[k]``. For the runs of
-    two masks the pieces are ``_runs(p & r)``: a piece ends where a run of
-    one mask ends, which is background in it, so pieces never touch."""
-    i, k = _overlaps(a, b)
-    return np.maximum(a[0][i], b[0][k]), np.minimum(a[1][i], b[1][k]), i, k
-
-
-def _label_runs(first: np.ndarray, end: np.ndarray, stride: int) -> tuple[np.ndarray, int]:
-    """8-connected components of the runs ``_runs`` found in a mask of row
-    length ``stride - 1``: ``(component, n)``, run k in component
-    ``component[k]`` in 1..n, numbered in raster order of their first pixel."""
-    # Run a (row r) touches run b (row r + 1) when b overlaps a widened by one
-    # pixel on each side and moved down a row.
-    a, b = _overlaps((first + (stride - 1), end + (stride + 1)), (first, end))
-
-    # Hook the larger root of every edge that spans two trees to the smaller
-    # one, then jump pointers until every run points at its root. Pointers
-    # only go to lower runs, so each root ends as its component's first run.
-    parent = np.arange(len(first))
-    while len(a):
-        ra, rb = parent[a], parent[b]
-        split = ra != rb
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-    is_root = parent == np.arange(len(first))
-    component = np.cumsum(is_root, dtype=np.int32)[parent]
-    return component, int(is_root.sum())
-
-
-def _label8(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """8-connected components of a 2D mask (nonzero is foreground), as its row runs.
-
-    Returns ``(first, end, component, n)``: ``first`` and ``end`` are the
-    runs of ``_runs``, and run k belongs to component ``component[k]`` in
-    1..n. Components are numbered in raster order of their first pixel.
-    """
-    first, end = _runs(fg)
-    return (first, end, *_label_runs(first, end, fg.shape[1] + 1))
-
-
-def _component_sizes(first: np.ndarray, end: np.ndarray, component: np.ndarray,
-                     n: int) -> np.ndarray:
-    """Pixel count of each component 0..n from its runs; component 0 is empty."""
-    return np.bincount(component, weights=end - first, minlength=n + 1).astype(np.int64)
-
-
-def _paint_runs(fg: np.ndarray, first: np.ndarray, end: np.ndarray,
-                value: np.ndarray) -> np.ndarray:
-    """Image of the runs of ``fg`` that ``_runs`` returned, run k painted
-    ``value[k]`` and background 0. The foreground in raster order is the runs
-    in order, so one boolean assignment paints them all."""
-    out = np.zeros(fg.shape, dtype=value.dtype)
-    out[fg] = np.repeat(value, end - first)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .io import ValidationError, _Record, _as_binary, _component_sizes, _label8, _paint_runs
+from ._rowruns import _component_sizes, _label_runs, _paint_runs, _runs
+from .io import ValidationError, _Record, _as_binary
 
 
 class Condition(str, Enum):
@@ -96,7 +97,8 @@ def _clean(mask, min_px: int) -> tuple[np.ndarray, np.ndarray]:
     """The mask without its 8-connected components smaller than min_px
     pixels, as {0, 1} uint8, and the sizes of the components it kept."""
     fg = _as_binary(mask)
-    first, end, component, n = _label8(fg)
+    first, end = _runs(fg)
+    component, n = _label_runs(first, end, fg.shape[1])
     sizes = _component_sizes(first, end, component, n)
     kept = sizes >= max(min_px, 1)      # component 0 is empty and never kept
     return _paint_runs(fg, first, end, kept[component].view(np.uint8)), sizes[kept]

@@ -13,8 +13,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import (ValidationError, _Record, _as_binary, _component_sizes, _expand,
-                 _intersect, _label_runs, _nonneg_int, _runs)
+from ._rowruns import _boundary_points, _component_sizes, _intersect, _label_runs, _runs
+from .io import ValidationError, _Record, _as_binary, _nonneg_int
 from .stats import BootstrapCI, _check_resampling, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -39,7 +39,7 @@ class MetricsReport(_Record):
     flags: tuple[str, ...] = ()
 
 
-# Every pair metric is computed from the two masks' row runs (io._runs), each
+# Every pair metric is computed from the two masks' row runs (_rowruns), each
 # found once: overlaps by intersecting the run lists, components by linking
 # them, and boundary points by subtracting each run's interior.
 
@@ -70,32 +70,6 @@ def dice_iou(pred, ref) -> tuple[float, float]:
     """Dice and IoU of two same-shape binary masks; both-empty scores 1."""
     _, runs_p, runs_r = _pair_runs(pred, ref)
     return _dice_iou(runs_p, runs_r, _intersect(runs_p, runs_r))
-
-
-def _boundary_points(runs, shape) -> np.ndarray:
-    """(row, col) of every boundary pixel of a mask, from its runs, in raster
-    order as np.argwhere lists them."""
-    first, end = runs
-    stride = shape[1] + 1
-    # A pixel is interior when its run holds both its row neighbours and the
-    # rows above and below hold it. Rows -1 and h hold no runs, so no pixel
-    # on the image edge is interior.
-    long = end - first > 2
-    interior = (first[long] + 1, end[long] - 1)
-    for shift in (stride, -stride):
-        interior = _intersect(interior, (first + shift, end + shift))[:2]
-    # The boundary is the runs less the interior pieces inside them: it
-    # starts at every run start and piece end, and stops at every piece start
-    # and run end. No two of these coincide, so sorting each pair of sorted
-    # lists (a stable sort merges them) lines the intervals up in raster
-    # order, and they are expanded in that order.
-    first = np.sort(np.concatenate((first, interior[1])), kind="stable")
-    end = np.sort(np.concatenate((interior[0], end)), kind="stable")
-    pos = _expand(first, end - first)
-    pts = np.empty((len(pos), 2), dtype=np.int64)
-    np.divmod(pos, stride, out=(pts[:, 0], pts[:, 1]))
-    pts[:, 1] -= 1
-    return pts
 
 
 def boundary_pixels(mask) -> np.ndarray:
@@ -271,9 +245,8 @@ def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
 
 def _detection(shape, runs_p, runs_r, pieces, match_iou: float,
                ) -> tuple[float, float, float, int, int, int]:
-    stride = shape[1] + 1
-    comp_p, n_p = _label_runs(*runs_p, stride)
-    comp_r, n_r = _label_runs(*runs_r, stride)
+    comp_p, n_p = _label_runs(*runs_p, shape[1])
+    comp_r, n_r = _label_runs(*runs_r, shape[1])
     if n_p == 0 and n_r == 0:
         return 1.0, 1.0, 1.0, 0, 0, 0
     if n_p == 0 or n_r == 0:

@@ -183,11 +183,9 @@ def wilcoxon_signed_rank(a, b=None) -> WilcoxonResult:
         method = "exact"
     else:
         mean = n * (n + 1) / 4.0
+        # The tie terms sum to at most n^3 - n, so var >= n(n + 1)^2 / 16 > 0.
         var = n * (n + 1) * (2 * n + 1) / 24.0
         var -= float(((tie_counts.astype(np.float64) ** 3) - tie_counts).sum()) / 48.0
-        if var <= 0:
-            return WilcoxonResult(statistic=stat, w_plus=w_plus, w_minus=w_minus,
-                                  n_effective=n, p_value=1.0, method="degenerate")
         z = (stat - mean + 0.5) / math.sqrt(var)
         p = min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
         method = "normal"

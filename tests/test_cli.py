@@ -164,6 +164,25 @@ def test_project_failed_swap_keeps_previous_study(tmp_path, monkeypatch):
     assert [p.name for p in out.iterdir()] == ["case01"]
 
 
+def test_stats_failed_replace_keeps_earlier_report(tmp_path, monkeypatch, capsys):
+    # The rerun's report is written beside the earlier one and moved into
+    # place; when the move fails, the temporary file goes and the report stays.
+    argv, path, doc = _cli_input(tmp_path, "pairwise")
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    path.write_text(json.dumps({"a": [0.1, 0.2, 0.3], "b": [0.5, 0.4, 0.6]}))
+
+    def replace(src, dst):
+        raise OSError("simulated failure replacing the report")
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main(argv) == 2
+    assert "simulated failure" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
 def _write_cohort(root, n_studies=3):
     """Studies s01, s02, ... each with its own volume and one box label. Each
     volume's 37 rows make two full line-integral slabs and part of a third."""
@@ -418,6 +437,46 @@ def test_project_unknown_config_key_exits_1(tmp_path):
     rc = cli.main(["project", "--manifest", str(manifest),
                    "--out", str(tmp_path / "out"), "--config", str(cfg)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"projecton": {"target_pixel_spacing": 2.0}}, "unknown config section 'projecton'"),
+    ([{"projection": {"target_pixel_spacing": 2.0}}], "config file must be a JSON object"),
+    ({"projection": [2.0]}, "section 'projection' must be an object"),
+], ids=["misspelt-section", "config-not-object", "section-not-object"])
+def test_project_config_not_sections_of_settings_exits_1(tmp_path, capsys, config, message):
+    manifest = _write_study_inputs(tmp_path, n_labels=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                   "--config", str(cfg)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    # Another command's section is no unknown section.
+    manifest = _write_study_inputs(tmp_path, n_labels=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**{section: {} for section in cli._SETTINGS},
+                               "projection": {"target_pixel_spacing": 2.0}}))
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+    prov = json.loads((out / "case01" / "provenance.json").read_text())
+    assert prov["config"]["projection"]["target_pixel_spacing"] == 2.0
+
+
+def test_project_unknown_study_key_exits_1(tmp_path, capsys):
+    # A misspelt "labels" would otherwise project the study without its labels.
+    argv, path, doc = _cli_input(tmp_path, "project")
+    doc["studies"][0]["lables"] = doc["studies"][0].pop("labels")
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert "study 'case01' has unknown keys ['lables']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exits_1(capsys):

@@ -19,8 +19,9 @@ from drrkit import (FormatError, LabelVolume, Mask2D, Projection, ValidationErro
                     load_volume, save_label_volume, save_mask, save_projection,
                     save_volume)
 from drrkit import io
-from drrkit.io import (_as_binary, _component_sizes, _encode_pgm, _label8, _paint_runs,
-                       _parse_pgm)
+from drrkit import _rowruns
+from drrkit._rowruns import _component_sizes, _label_runs, _paint_runs, _runs
+from drrkit.io import _as_binary, _encode_pgm, _parse_pgm
 
 
 def test_load_volume_single_voxel(tmp_path):
@@ -542,7 +543,8 @@ def _check_label8(fg):
     for k, comp in enumerate(comps, start=1):
         for y, x in comp:
             want[y, x] = k
-    first, end, component, n = _label8(fg)
+    first, end = _runs(fg)
+    component, n = _label_runs(first, end, fg.shape[1])
     assert n == len(comps)
     # Runs are maximal, nonempty and in raster order: each starts past the
     # previous run's end, with a gap when both lie in the same row.
@@ -596,7 +598,7 @@ def test_label8_matches_flood_fill_on_random_masks(fg):
 @given(fg=arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
 def test_label8_run_block_changes_no_result(block, fg):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(io, "_RUN_BLOCK", block)
+        m.setattr(_rowruns, "_RUN_BLOCK", block)
         _check_label8(fg)
 
 

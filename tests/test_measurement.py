@@ -233,9 +233,9 @@ def test_ctr_labels_each_mask_once(monkeypatch, shape, heart_blocks, thorax_cols
     # The heart's component count and largest share come from the sizes that
     # cleaning found, so only the heart and the thorax are labelled.
     labelled = []
-    real_label8 = measurement._label8
-    monkeypatch.setattr(measurement, "_label8",
-                        lambda fg: labelled.append(fg.shape) or real_label8(fg))
+    real_runs = measurement._runs
+    monkeypatch.setattr(measurement, "_runs",
+                        lambda fg: labelled.append(fg.shape) or real_runs(fg))
     heart = np.zeros(shape, dtype=np.uint8)
     for r0, r1, c0, c1 in heart_blocks:
         heart[r0:r1, c0:c1] = 1

@@ -13,7 +13,7 @@ from drrkit import metrics
 from drrkit import (Mask2D, ValidationError, View, boundary_distance_metrics,
                     boundary_pixels, component_detection, dice_iou,
                     evaluate_class_set, evaluate_pair)
-from drrkit.io import _intersect, _runs
+from drrkit._rowruns import _boundary_points, _intersect, _runs
 
 
 def _pair(rng, max_side=8, density=0.5):
@@ -171,7 +171,7 @@ def _padded_boundary(m):
 @example(np.ones((32, 1), dtype=bool))
 @example(np.ones((32, 32), dtype=bool))
 def test_run_boundary_points_match_boundary_map(m):
-    pts = metrics._boundary_points(_runs(m), m.shape)
+    pts = _boundary_points(_runs(m), m.shape)
     assert pts.dtype == np.int64 and pts.shape[1] == 2
     np.testing.assert_array_equal(pts, _padded_boundary(m))
     np.testing.assert_array_equal(pts, np.argwhere(boundary_pixels(m)))

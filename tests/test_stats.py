@@ -141,6 +141,15 @@ def test_wilcoxon_ties_use_normal_approx():
     assert 0.0 < res.p_value <= 1.0
 
 
+@pytest.mark.parametrize("n", [2, 26, 30])
+def test_wilcoxon_all_tied_nonzero_differences_use_normal_approx(n):
+    # One tie group of n is the most the tie correction can take off the
+    # variance, which still leaves n(n + 1)^2 / 16.
+    res = wilcoxon_signed_rank([0.5] * n)
+    assert res.method == "normal" and res.n_effective == n
+    assert np.isfinite(res.p_value) and 0.0 < res.p_value <= 1.0
+
+
 def test_wilcoxon_large_n_normal():
     rng = np.random.default_rng(43)
     d = rng.normal(loc=0.3, size=60)
