@@ -21,19 +21,23 @@ import re
 import shutil
 import sys
 import tempfile
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .io import (FormatError, Mask2D, ValidationError, View, _Digests, _load_json_file,
-                 _nonneg_int, _read_input, _repeated, load_label_volume, load_mask, load_volume,
-                 save_mask, save_projection)
+                 _nonneg_int, _payload_slabs, _read_input, _read_sidecar, _repeated, _sha256,
+                 _sidecar_paths, load_mask, load_volume, save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
-from .projection import ProjectionConfig, project_study
+from .projection import (_SLAB_ROWS, ProjectionConfig, _Footprints, _occupancy, _reduce_slabs,
+                         project_study)
 from .stats import (_MAX_RESAMPLES, PairwiseComparison, _check_alpha, confusion_from_labels,
                     ordinal_metrics, pairwise_model_comparison, weighted_kappa)
 
@@ -200,26 +204,52 @@ def _load_manifest(path: Path) -> list[dict]:
     return out
 
 
-def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
-    # Labels are loaded, hashed and checked one at a time as project_study
-    # consumes them. Nothing is written before it returns, so a missing or bad
-    # file leaves no partial output.
-    def labels(hashes):
-        for declared_id, rel, lpath in study["labels"]:
-            lab = load_label_volume(lpath, _digests=hashes, _name=rel)
-            if declared_id is not None and declared_id != lab.label_id:
-                raise ValidationError(
-                    f"manifest says label_id {declared_id} but {rel} holds {lab.label_id}")
-            yield lab
-            del lab     # release it before the next label is read
+def _read_label(entry, stop: threading.Event) -> tuple[_Footprints, dict[str, str]]:
+    """One label file end to end, on a label worker: its sidecar is checked,
+    then its payload is read in row slabs, each hashed and reduced to both
+    footprints before the next is read, so the payload is never whole in
+    memory. Returns the footprints and the two files' digests under their
+    manifest names. Once ``stop`` is set, no further slab is read."""
+    declared_id, rel, lpath = entry
+    json_path, raw_path = _sidecar_paths(lpath)
+    json_name, raw_name = map(str, _sidecar_paths(rel))
+    sidecar, meta, dims = _read_sidecar(json_path, "u8")
+    label_id = meta["label_id"]
+    if declared_id is not None and declared_id != label_id:
+        raise ValidationError(f"manifest says label_id {declared_id} but {rel} holds {label_id}")
+    digests = {json_name: _sha256(sidecar, json_name)}
+    slabs = _payload_slabs(raw_path, dims, "u1", _SLAB_ROWS, digests, raw_name)
+    views = _reduce_slabs(slabs, np.logical_or, _occupancy, stop)
+    return _Footprints(label_id, tuple(dims), views), digests
 
-    with _Digests() as hashes:
+
+def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
+    # Two label workers read the label files in manifest order, at most two
+    # in flight, while project_study checks and resamples each one's
+    # footprints in that order, so the first failing label in manifest order
+    # is the error raised. Nothing is written before it returns, so a missing
+    # or bad file leaves no partial output.
+    stop = threading.Event()
+    label_inputs: dict[str, str] = {}
+
+    def labels(workers):
+        entries = iter(study["labels"])
+        pending = deque(workers.submit(_read_label, e, stop) for e in islice(entries, 2))
+        while pending:
+            footprints, digests = pending.popleft().result()
+            pending.extend(workers.submit(_read_label, e, stop) for e in islice(entries, 1))
+            label_inputs.update(digests)
+            yield footprints
+
+    with _Digests() as hashes, ThreadPoolExecutor(max_workers=2) as workers:
         vol = load_volume(study["volume_path"], _digests=hashes, _name=study["volume"])
         try:
-            result = project_study(vol, labels(hashes), config)
+            result = project_study(vol, labels(workers), config)
         except ValidationError as exc:
             raise ValidationError(f"study {study['id']}: {exc}") from exc
-        inputs = hashes.to_dict()
+        finally:
+            stop.set()      # after a failure, the label in flight ends after its slab
+        inputs = {**hashes.to_dict(), **label_inputs}
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_json_dict()}, inputs=inputs)

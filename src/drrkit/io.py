@@ -216,12 +216,17 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
 # input files: each is read once, and its digest is taken of the bytes parsed
 
 
-def _sha256(blob) -> str:
+def _sha256(blob, name) -> str:
+    """The hex SHA-256 of ``blob``; a hash that fails is a RuntimeError that
+    names the file, chained from the hash's own error."""
     # update() releases the GIL for large buffers; hashlib.sha256(blob) does
     # not in every build.
-    h = hashlib.sha256()
-    h.update(blob)
-    return h.hexdigest()
+    try:
+        h = hashlib.sha256()
+        h.update(blob)
+        return h.hexdigest()
+    except Exception as exc:
+        raise RuntimeError(f"hashing {name} failed") from exc
 
 
 class _Digests:
@@ -229,7 +234,7 @@ class _Digests:
 
     A one-worker executor hashes the files in turn while the caller parses
     each and reads the next. A file goes in as the buffer it was read into,
-    ``bytes`` or a payload's uint8 array, so its digest is of the bytes
+    ``bytes`` or a payload's array, so its digest is of the bytes
     parsed. At most one hash is pending: ``add`` waits for the previous one
     first, so one extra file's bytes stay alive at most.
     Use it as a context manager, so the worker ends with the command, and
@@ -243,16 +248,13 @@ class _Digests:
 
     def add(self, name: str, blob) -> None:
         self._join()
-        self._pending = name, self._pool.submit(_sha256, blob)
+        self._pending = name, self._pool.submit(_sha256, blob, name)
 
     def _join(self) -> None:
         if self._pending is None:
             return
         (name, future), self._pending = self._pending, None
-        try:
-            self._hex[name] = future.result()
-        except Exception as exc:
-            raise RuntimeError(f"hashing {name} failed") from exc
+        self._hex[name] = future.result()
 
     def to_dict(self) -> dict[str, str]:
         self._join()
@@ -331,35 +333,82 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
 
 
-def _read_payload(raw_path, expected: int) -> np.ndarray:
-    """The ``expected`` bytes of a .raw payload as a read-only uint8 array.
+def _read_sidecar(json_path, dtype: str) -> tuple[bytes, dict, list[int]]:
+    """The bytes, the JSON object and the dims of one checked sidecar of the
+    given dtype. A label's ``label_id`` is checked here too, so every fault
+    of a sidecar is found before its payload is opened."""
+    blob = _read_input(json_path)
+    meta = _decode_json(blob, json_path)
+    if not isinstance(meta, dict):
+        raise FormatError(f"{json_path}: sidecar must be a JSON object")
+    dims = meta.get("dims")
+    if (not isinstance(dims, list) or len(dims) != 3
+            or not all(type(d) is int and d >= 1 for d in dims)):    # true is not 1
+        raise FormatError(f"{json_path}: 'dims' must be three positive integers")
+    kind = _PAYLOADS[dtype][0]
+    if meta.get("dtype") != dtype:
+        raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
+                          f"got {meta.get('dtype')!r}")
+    if kind == "label":
+        _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
+    return blob, meta, dims
 
-    The file's size is checked before anything is allocated, and a file that
-    ends early or runs past ``expected`` while being read is refused, so the
-    array never holds a zero-filled or garbage tail. numpy advises its large
-    allocations for huge pages, so reading into one faults in fewer pages
-    than a ``bytes`` of the same size.
+
+def _payload_slabs(raw_path, dims, dtype: str, rows: int,
+                   digests: dict | None = None, name=None):
+    """The read-only (n, W, D) slabs of ``rows`` rows along i of a .raw
+    payload, in order, each read into one buffer that the next slab reuses:
+    a slab is valid only until the next one is asked for. With ``digests``,
+    each slab goes into one SHA-256 before it is yielded, and
+    ``digests[name]`` holds the file's digest once the last one has.
+
+    The file's size is checked by fstat before a buffer is allocated, and a
+    file that ends early or runs past the size its dims imply while being read
+    is refused, so no slab holds a zero-filled or garbage tail. With ``rows``
+    at least H, the one slab is the whole payload in a buffer of its own,
+    which the caller may keep. numpy advises its large allocations for huge
+    pages, so reading into one faults in fewer pages than a ``bytes`` of the
+    same size.
     """
+    h, w, d = dims
+    row_bytes = w * d * np.dtype(dtype).itemsize
+    expected = h * row_bytes
     with open(raw_path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise FormatError(
                 f"{raw_path}: payload is {size} bytes, sidecar dims imply {expected}")
-        buf = np.empty(expected, dtype=np.uint8)
-        with memoryview(buf) as view:
-            got = 0
-            while got < expected:
-                n = f.readinto(view[got:])
-                if not n:
-                    raise FormatError(f"{raw_path}: payload ended after {got} bytes, "
-                                      f"sidecar dims imply {expected}")
-                got += n
-        if f.read(1):
-            raise FormatError(
-                f"{raw_path}: payload runs past the {expected} bytes sidecar dims imply")
-    # Before anything views it, so no view of it can be made writable.
-    buf.setflags(write=False)
-    return buf
+        sha = None if digests is None else hashlib.sha256()
+        buf = np.empty(min(rows, h) * row_bytes, dtype=np.uint8)
+        for lo in range(0, h, rows):
+            last = lo + rows >= h
+            n_bytes = min(rows, h - lo) * row_bytes
+            buf.setflags(write=True)
+            with memoryview(buf) as view:
+                got = 0
+                while got < n_bytes:
+                    n = f.readinto(view[got:n_bytes])
+                    if not n:
+                        raise FormatError(f"{raw_path}: payload ended after "
+                                          f"{lo * row_bytes + got} bytes, "
+                                          f"sidecar dims imply {expected}")
+                    got += n
+            if last and f.read(1):
+                raise FormatError(
+                    f"{raw_path}: payload runs past the {expected} bytes sidecar dims imply")
+            # Before anything views it, so no view of it can be made writable
+            # while it holds this slab.
+            buf.setflags(write=False)
+            slab = buf[:n_bytes]
+            if sha is not None:
+                try:
+                    sha.update(slab)
+                    if last:
+                        digests[name] = sha.hexdigest()
+                except Exception as exc:
+                    raise RuntimeError(f"hashing {name} failed") from exc
+            # C order with k fastest, matching the (H, W, D) reshape.
+            yield slab.view(dtype).reshape(-1, w, d)
 
 
 def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray]:
@@ -368,27 +417,14 @@ def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray
     declares."""
     json_path, raw_path = _sidecar_paths(path)
     json_name, raw_name = _sidecar_paths(path if name is None else name)
-    sidecar = _read_input(json_path)
-    meta = _decode_json(sidecar, json_path)
-    if not isinstance(meta, dict):
-        raise FormatError(f"{json_path}: sidecar must be a JSON object")
-    dims = meta.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 3
-            or not all(type(d) is int and d >= 1 for d in dims)):    # true is not 1
-        raise FormatError(f"{json_path}: 'dims' must be three positive integers")
-    kind, payload_dtype = _PAYLOADS[dtype]
-    if meta.get("dtype") != dtype:
-        raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
-                          f"got {meta.get('dtype')!r}")
-    expected = dims[0] * dims[1] * dims[2] * np.dtype(payload_dtype).itemsize
-    payload = _read_payload(raw_path, expected)
+    sidecar, meta, dims = _read_sidecar(json_path, dtype)
+    (payload,) = _payload_slabs(raw_path, dims, _PAYLOADS[dtype][1], dims[0])
     if digests is not None:
         # The pair is hashed once both files are read, so the previous
         # file's hash, which add() joins first, runs on through both reads.
         digests.add(str(json_name), sidecar)
         digests.add(str(raw_name), payload)
-    # C order with k fastest, matching the (H, W, D) reshape.
-    return meta, payload.view(payload_dtype).reshape(dims)
+    return meta, payload
 
 
 def load_volume(path, *, _digests=None, _name=None) -> Volume:
@@ -428,9 +464,8 @@ def load_label_volume(path, *, _digests=None, _name=None) -> LabelVolume:
     read-only bytes read from the file. Any other payload is binarized.
     """
     meta, data = _read_volume_pair(path, "u8", _digests, _name)
-    label_id = _nonneg_int(meta.get("label_id"), f"{_sidecar_paths(path)[0]}: 'label_id'")
     binary = data.view(bool) if data.max(initial=0) <= 1 else data != 0
-    return LabelVolume(data=binary, label_id=label_id)
+    return LabelVolume(data=binary, label_id=meta["label_id"])
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:

@@ -109,7 +109,8 @@ def project_image(mu: Volume, view: View) -> Projection:
     path integrals in millimetre units.
     """
     _, depth, in_plane = _view_geometry(view, mu.spacing)
-    sums = _reduce_slabs(mu.data, np.add, lambda slab: slab.astype(np.float64, copy=False))
+    sums = _reduce_slabs(_row_slabs(mu.data), np.add,
+                         lambda slab: slab.astype(np.float64, copy=False))
     return Projection(data=sums[View(view)] * depth, view=view, spacing=in_plane)
 
 
@@ -122,7 +123,7 @@ def project_mask(lab: LabelVolume, view: View,
     """
     _, _, in_plane = _view_geometry(view, spacing)
     # A bool footprint is viewed as 0/1, not scanned, by Mask2D.
-    return Mask2D(data=_reduce_slabs(lab.data.view(bool), np.logical_or)[View(view)],
+    return Mask2D(data=_label_footprints(lab.data)[View(view)],
                   view=view, spacing=in_plane, label_id=lab.label_id)
 
 
@@ -246,42 +247,80 @@ class StudyProjection:
 _SLAB_ROWS = 16
 
 
-def _reduce_slabs(data: np.ndarray, ufunc: np.ufunc, each=np.asarray,
-                  stop: threading.Event | None = None) -> dict[View, np.ndarray]:
-    """``ufunc.reduce(each(data), axis)`` for both views, PA then LL, bit for
-    bit, with one slab that ``each`` made alive at a time: PA reduces each row
-    along j and LL combines the planes in order of i, as numpy reduces a whole
-    array. Once ``stop`` is set, no further slab is begun and {} is returned."""
+def _row_slabs(data: np.ndarray):
+    """The slabs of _SLAB_ROWS rows along i of an in-memory (H, W, D) array,
+    as views. numpy reduces an array whose planes are one voxel pairwise, not
+    plane by plane; such an array (H values) is one slab."""
     h, w, d = data.shape
-    # numpy reduces an array whose planes are one voxel pairwise, not plane
-    # by plane; such an array (h values) is one slab.
     rows = _SLAB_ROWS if w * d > 1 else h
-    pa = ll = None
-    for lo in range(0, h, rows):
+    return (data[lo:lo + rows] for lo in range(0, h, rows))
+
+
+def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each=np.asarray,
+                  stop: threading.Event | None = None) -> dict[View, np.ndarray]:
+    """``ufunc.reduce(each(data), axis)`` for both views, PA then LL, of the
+    (H, W, D) array that ``slabs`` cut along i, bit for bit, with one slab
+    that ``each`` made alive at a time: PA reduces each row along j and LL
+    combines the planes in order of i, as numpy reduces a whole array.
+    With ``np.logical_or``, ``each`` may return None for an all-zero slab,
+    which is skipped: its PA rows stay 0 and LL is unchanged. Once ``stop``
+    is set, no further slab is begun and {} is returned."""
+    pa, ll = [], None
+    for slab in slabs:
         if stop is not None and stop.is_set():
             return {}
-        slab = each(data[lo:lo + rows])
+        x = each(slab)
+        if x is None:
+            pa.append(np.zeros(slab.shape[::2], dtype=bool))
+            continue
+        pa.append(ufunc.reduce(x, axis=1))
         if ll is None:
-            pa = np.empty((h, d), dtype=slab.dtype)
-            ll = ufunc.reduce(slab, axis=0)
+            ll = ufunc.reduce(x, axis=0)
         else:
-            for i in range(len(slab)):  # a loop variable would keep a view of slab alive
-                ufunc(ll, slab[i], out=ll)
-        ufunc.reduce(slab, axis=1, out=pa[lo:lo + rows])
-        del slab    # freed before the next slab is made
-    return {View.PA: pa, View.LL: ll}
+            for i in range(len(x)):     # a loop variable would keep a view of x alive
+                ufunc(ll, x[i], out=ll)
+        del x   # freed before the next slab is made
+    if ll is None:      # every slab was skipped
+        ll = np.zeros(slab.shape[1:], dtype=bool)
+    return {View.PA: np.concatenate(pa), View.LL: ll}
 
 
-def project_study(vol: Volume, labels: Iterable[LabelVolume],
+def _occupancy(slab: np.ndarray) -> np.ndarray | None:
+    """A uint8 label slab as bool, or None when it is all 0: a 0/1 slab is
+    viewed and any other is binarized, nonzero voxels mapping to True."""
+    top = slab.max(initial=0)
+    if not top:
+        return None
+    return slab.view(bool) if top <= 1 else slab != 0
+
+
+def _label_footprints(data: np.ndarray) -> dict[View, np.ndarray]:
+    """The bool PA and LL footprints of a uint8 label array."""
+    return _reduce_slabs(_row_slabs(data), np.logical_or, _occupancy)
+
+
+@dataclass(frozen=True, eq=False)
+class _Footprints:
+    """A label's footprints, reduced by the caller as it read the label's
+    file, for project_study to check and resample like a LabelVolume's."""
+
+    label_id: int
+    shape: tuple[int, int, int]
+    views: Mapping[View, np.ndarray]
+
+
+def project_study(vol: Volume, labels: Iterable[LabelVolume | _Footprints],
                   config: ProjectionConfig | None = None) -> StudyProjection:
     """Project a volume and its label set into both views, PA then LL.
 
-    ``labels`` may be any iterable, a generator included. It is consumed once,
-    and each label volume is released as soon as its footprints are built, so
-    a study holds one label volume at a time if the iterable does. The line
-    integrals are summed on a second thread meanwhile, which has ended
-    whenever this returns or raises; a label's error is raised before one of
-    theirs and stops them after the slab in progress.
+    ``labels`` may be any iterable, a generator included, of label volumes or
+    of footprints already reduced from a label file (``_Footprints``). It is
+    consumed once, and each label volume is released as soon as its
+    footprints are built, so a study holds one label volume at a time if the
+    iterable does. The line integrals are summed on a second thread
+    meanwhile, which has ended whenever this returns or raises; a label's
+    error is raised before one of theirs and stops them after the slab in
+    progress.
     """
     config = config or ProjectionConfig()
     # An oversized grid is refused before a label is read or an image allocated.
@@ -290,7 +329,8 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        integrals = pool.submit(_reduce_slabs, vol.data, np.add, _attenuation, stop)
+        integrals = pool.submit(_reduce_slabs, _row_slabs(vol.data), np.add, _attenuation,
+                                stop)
         try:
             masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
             for lab in labels:
@@ -299,7 +339,9 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume],
                 if lab.shape != vol.shape:
                     raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
                                           f"do not match volume dims {vol.shape}")
-                for view, data in _reduce_slabs(lab.data.view(bool), np.logical_or).items():
+                views = (lab.views if isinstance(lab, _Footprints)
+                         else _label_footprints(lab.data))
+                for view, data in views.items():
                     footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
                                        spacing=_view_geometry(view, vol.spacing)[2])
                     masks[view][lab.label_id] = resample_and_orient(footprint, config)

@@ -285,22 +285,167 @@ def _slow_hashes(monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", Slow)
 
 
-@pytest.mark.parametrize("bad,code", [
-    (None, 0),
-    ({"label_id": 9, "path": "lab2.json"}, 1),
-    ("missing.json", 2),
-], ids=["success", "exit_1", "exit_2"])
-def test_project_leaves_no_thread_behind(tmp_path, monkeypatch, bad, code):
+def _shrink_after_fstat(monkeypatch, path, size):
+    """``path`` shrinks to ``size`` bytes once the reader has opened it and
+    checked its size, just before its first read."""
+    real_open = builtins.open
+
+    class Shrinking:
+        def __init__(self, f):
+            self._f = f
+
+        def readinto(self, buf):
+            os.truncate(path, size)
+            return self._f.readinto(buf)
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+    def opener(file, *args, **kwargs):
+        f = real_open(file, *args, **kwargs)
+        return Shrinking(f) if Path(file) == path else f
+
+    monkeypatch.setattr(drrkit.io, "open", opener, raising=False)
+
+
+def _fail_hashes_of(monkeypatch, nbytes):
+    # hashlib.sha256 whose update fails on any buffer of nbytes bytes.
+    real = hashlib.sha256
+
+    class Failing:
+        def __init__(self):
+            self._h = real()
+
+        def update(self, blob):
+            if memoryview(blob).nbytes == nbytes:
+                raise MemoryError("simulated")
+            self._h.update(blob)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Failing)
+
+
+@pytest.mark.parametrize("bad,code,message", [
+    (None, 0, ""),
+    ({"label_id": 9, "path": "lab2.json"}, 1, "manifest says label_id 9"),
+    ("missing.json", 2, "missing.json"),
+    ("truncated", 1, "lab2.raw: payload ended after 50 bytes, sidecar dims imply 120"),
+    ("hash_fails", 3, "internal error: RuntimeError: hashing lab1.raw failed"),
+], ids=["success", "exit_1", "exit_2", "truncated", "hash_fails"])
+def test_project_leaves_no_thread_behind(tmp_path, monkeypatch, capsys, bad, code, message):
     manifest = _write_study_inputs(tmp_path, n_labels=2)
-    if bad is not None:
+    if isinstance(bad, dict) or bad == "missing.json":
         doc = json.loads(manifest.read_text())
         doc["studies"][0]["labels"] = [{"label_id": 1, "path": "lab1.json"}, bad]
         manifest.write_text(json.dumps(doc))
     _slow_hashes(monkeypatch)
+    if bad == "truncated":
+        # Its size passes the check, then it shrinks while being read.
+        _shrink_after_fstat(monkeypatch, tmp_path / "lab2.raw", 50)
+    elif bad == "hash_fails":
+        # Both label payloads (120 bytes) fail to hash; the first is reported.
+        _fail_hashes_of(monkeypatch, 120)
     before = set(threading.enumerate())
-    assert cli.main(["project", "--manifest", str(manifest),
-                     "--out", str(tmp_path / "out")]) == code
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == code
     assert set(threading.enumerate()) == before
+    assert message in capsys.readouterr().err
+    assert (out / "case01").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("labels,message", [
+    (["lab1.json", "lab1.json", "missing.json"], "duplicate label id 1"),
+    (["short.json", "missing.json"], "label 7 dims (6, 5, 3) do not match volume dims (6, 5, 4)"),
+    ([{"label_id": 9, "path": "lab1.json"}, "missing.json"],
+     "manifest says label_id 9 but lab1.json holds 1"),
+], ids=["repeated_id_before_missing_file", "bad_dims_before_missing_label",
+        "wrong_id_before_missing_label"])
+def test_project_reports_the_first_failing_label_in_manifest_order(tmp_path, monkeypatch,
+                                                                   capsys, labels, message,
+                                                                   jobs):
+    # Every hash is slow, so the missing file, read by the other label
+    # worker, fails before the earlier label's fault is found; the earlier
+    # label's error is still the one reported.
+    manifest = _write_study_inputs(tmp_path, n_labels=1)
+    save_label_volume(LabelVolume(data=np.ones((6, 5, 3), dtype=np.uint8), label_id=7),
+                      tmp_path / "short.json")
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["labels"] = labels
+    manifest.write_text(json.dumps(doc))
+    _slow_hashes(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                     "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: study case01: {message}\n"
+    assert not (out / "case01").exists()
+
+
+def test_project_same_error_and_studies_for_any_jobs(tmp_path, capsys):
+    # s01 repeats a label before a missing one, s03 misses its only label:
+    # the first failure in manifest order is reported, and s02 is written.
+    manifest = _write_cohort(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["labels"] = ["s01_lab.json", "s01_lab.json", "missing.json"]
+    doc["studies"][2]["labels"] = ["missing.json"]
+    manifest.write_text(json.dumps(doc))
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        code = cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                         "--jobs", jobs])
+        runs.append((code, capsys.readouterr().err, _collect_bytes(out)))
+    assert runs[0] == runs[1]
+    code, err, tree = runs[0]
+    assert (code, err) == (1, "error: study s01: duplicate label id 1\n")
+    assert {Path(name).parts[0] for name in tree} == {"s02"}
+
+
+def _tall_study(root, n_labels):
+    """A 128 x 48 x 48 volume with n_labels box labels of its size, each
+    label payload 8 slabs of 16 rows; returns the manifest path."""
+    dims = (128, 48, 48)
+    rng = np.random.default_rng(4)
+    save_volume(Volume(data=rng.integers(-1000, 1500, size=dims).astype(np.int16),
+                       spacing=(1.0, 1.0, 1.0)), root / "vol.json")
+    labels = []
+    for i in range(1, n_labels + 1):
+        lab = np.zeros(dims, dtype=np.uint8)
+        lab[8 * i:8 * i + 40, 4 + i:30 + i, 10:30] = 1
+        save_label_volume(LabelVolume(data=lab, label_id=i), root / f"lab{i}.json")
+        labels.append(f"lab{i}.json")
+    path = root / "manifest.json"
+    path.write_text(json.dumps({"studies": [{"id": "s", "volume": "vol.json",
+                                             "labels": labels}]}))
+    return path
+
+
+def test_project_memory_does_not_grow_with_the_label_count(tmp_path):
+    # Each label is read, hashed and reduced one 16-row slab at a time, so
+    # more labels add less than a label payload to the peak, and the first
+    # two, read at once by the two label workers, less than half of one.
+    peaks = {}
+    for n in (0, 2, 8):
+        root = tmp_path / str(n)
+        root.mkdir()
+        argv = ["project", "--manifest", str(_tall_study(root, n)), "--out", str(root / "out")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    payload = 128 * 48 * 48
+    assert peaks[8] - peaks[2] < payload, peaks
+    assert peaks[2] - peaks[0] < payload // 2, peaks
 
 
 def _hashing_run(tmp_path, command, code):

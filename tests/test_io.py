@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import threading
 import time
 import tracemalloc
@@ -116,6 +117,58 @@ def test_payload_read_in_short_pieces_is_read_whole(tmp_path, monkeypatch):
     assert np.array_equal(vol.data, data)
     assert sizes == [7] * 17 + [1]
     assert got["v.raw"] == hashlib.sha256(data.astype("<i2").tobytes()).hexdigest()
+
+
+def test_payload_slabs_reuse_one_read_only_buffer_and_hash_the_file(tmp_path):
+    # 37 rows in slabs of 16: two full slabs and a partial one, each a
+    # read-only view of one buffer, and the digest is the file's.
+    data = np.arange(37 * 3 * 2, dtype=np.uint8).reshape(37, 3, 2)
+    (tmp_path / "l.raw").write_bytes(data.tobytes())
+    digests = {}
+    addresses, rows = set(), []
+    for slab in io._payload_slabs(tmp_path / "l.raw", [37, 3, 2], "u1", 16, digests, "l.raw"):
+        assert not slab.flags.writeable
+        with pytest.raises(ValueError):
+            slab.setflags(write=True)
+        addresses.add(slab.__array_interface__["data"][0])
+        rows.append(slab.copy())
+        # The digest is recorded once the last slab has been hashed.
+        assert ("l.raw" in digests) == (sum(map(len, rows)) == 37)
+    assert [len(r) for r in rows] == [16, 16, 5] and len(addresses) == 1
+    assert np.array_equal(np.concatenate(rows), data)
+    assert digests == {"l.raw": hashlib.sha256(data.tobytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda path: os.truncate(path, 20 * 6), "payload ended after 120 bytes, sidecar dims imply 222"),
+    (lambda path: path.write_bytes(bytes(37 * 6 + 1)), "payload runs past the 222 bytes sidecar dims imply"),
+], ids=["shrinks", "grows"])
+def test_payload_that_changes_after_fstat_is_refused_mid_stream(tmp_path, change, message):
+    # The file is 37 rows when its size is checked; it shrinks or grows while
+    # the first slab is in use, so the reader finds out only as it reads on.
+    raw = tmp_path / "l.raw"
+    raw.write_bytes(bytes(37 * 6))
+    slabs = io._payload_slabs(raw, [37, 3, 2], "u1", 16, {}, "l.raw")
+    assert len(next(slabs)) == 16
+    change(raw)
+    with pytest.raises(FormatError, match=message):
+        list(slabs)
+
+
+def test_payload_slab_hash_failure_names_the_file(tmp_path):
+    class Broken(_LoggedSha256):
+        def update(self, blob):
+            raise MemoryError("simulated")
+
+    (tmp_path / "l.raw").write_bytes(bytes(8))
+    digests = {}
+    slabs = io._payload_slabs(tmp_path / "l.raw", [2, 2, 2], "u1", 1, digests, "lab.raw")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashlib, "sha256", Broken)
+        with pytest.raises(RuntimeError, match="hashing lab.raw failed") as failed:
+            next(slabs)
+    assert isinstance(failed.value.__cause__, MemoryError)
+    assert digests == {}
 
 
 def test_load_volume_layout_k_fastest(tmp_path):

@@ -17,7 +17,8 @@ from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     ValidationError, View, Volume, attenuation_transform,
                     normalize_to_8bit, project_image, project_mask,
                     project_study, resample_and_orient)
-from drrkit.projection import _reduce_slabs
+from drrkit.io import _payload_slabs
+from drrkit.projection import _label_footprints, _occupancy, _reduce_slabs, _row_slabs
 
 
 def _random_volume(rng, max_dim=6):
@@ -106,6 +107,64 @@ def test_project_mask_carries_volume_spacing():
     pa = project_mask(lab, View.PA, spacing=(0.5, 0.7, 1.9))
     assert pa.spacing == (0.5, 1.9)
     assert pa.label_id == 9
+
+
+def _sparse_label(case):
+    """A uint8 label payload of one kind that skipping all-zero slabs must
+    handle: slabs are 16 rows along i."""
+    rng = np.random.default_rng(3)
+    sparse = (rng.random((37, 6, 5)) < 0.05).astype(np.uint8)
+    if case == "all_zero":
+        return np.zeros((37, 6, 5), dtype=np.uint8)
+    if case == "last_partial_slab":     # rows 32-36 of 37
+        data = np.zeros((37, 6, 5), dtype=np.uint8)
+        data[32:, 2:4, 1:3] = 1
+        data[36, 5, 4] = 1
+        return data
+    if case == "0_255":
+        return sparse * np.uint8(255)
+    if case == "below_one_slab":
+        return (rng.random((5, 6, 5)) < 0.3).astype(np.uint8)
+    return sparse       # 37 rows: two full slabs and part of a third
+
+
+@pytest.mark.parametrize("case", ["all_zero", "last_partial_slab", "0_255", "below_one_slab",
+                                  "not_a_slab_multiple"])
+def test_footprints_skipping_all_zero_slabs_are_the_or_of_nonzero(tmp_path, case):
+    data = _sparse_label(case)
+    raw = tmp_path / "l.raw"
+    raw.write_bytes(data.tobytes())
+    # The public footprint of a 0/1 label, and the footprints of the stored
+    # payload as project reads it, slab by slab.
+    lab = LabelVolume(data=data != 0, label_id=1)
+    streamed = _reduce_slabs(_payload_slabs(raw, list(data.shape), "u1", projection._SLAB_ROWS),
+                             np.logical_or, _occupancy)
+    for view, axis in ((View.PA, 1), (View.LL, 0)):
+        want = np.logical_or.reduce(data != 0, axis=axis)
+        assert np.array_equal(project_mask(lab, view).data, want), view
+        assert streamed[view].dtype == bool
+        assert np.array_equal(streamed[view], want), view
+
+
+def test_all_zero_slabs_are_skipped():
+    # Only the last slab (rows 32-36) holds a voxel, so it is the only one reduced.
+    data = np.zeros((37, 6, 5), dtype=np.uint8)
+    data[33, 1, 1] = 1
+    reduced = []
+
+    class Spy:
+        def reduce(self, x, axis):
+            reduced.append((len(x), axis))
+            return np.logical_or.reduce(x, axis=axis)
+
+        def __call__(self, a, b, out):
+            reduced.append(("plane",))
+            return np.logical_or(a, b, out=out)
+
+    footprints = _reduce_slabs(_row_slabs(data), Spy(), _occupancy)
+    assert reduced == [(5, 1), (5, 0)]
+    assert np.array_equal(footprints[View.PA], data.max(axis=1))
+    assert np.array_equal(footprints[View.LL], data.max(axis=0))
 
 
 def test_resample_identity_when_at_target():
@@ -385,8 +444,8 @@ def test_slab_line_integrals_match_whole_volume(rows):
         spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, size=3))
         vol = Volume(data=voxels[dtype]((rows, w, depth)).astype(dtype), spacing=spacing)
         lab = _random_label(rng, vol.shape)
-        sums = _reduce_slabs(vol.data, np.add, projection._attenuation)
-        footprints = _reduce_slabs(lab.data.view(bool), np.logical_or)
+        sums = _reduce_slabs(_row_slabs(vol.data), np.add, projection._attenuation)
+        footprints = _label_footprints(lab.data)
         mu = attenuation_transform(vol)
         # PA collapses j, LL collapses i.
         for view, axis in ((View.PA, 1), (View.LL, 0)):
@@ -407,10 +466,10 @@ def test_line_integrals_hold_one_slab_at_a_time():
     slab = _S * 64 * 64 * 8     # bytes of one float64 slab
     tracemalloc.start()
     try:
-        _reduce_slabs(vol.data, np.add, projection._attenuation)
+        _reduce_slabs(_row_slabs(vol.data), np.add, projection._attenuation)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _reduce_slabs(lab.data.view(bool), np.logical_or)
+        _label_footprints(lab.data)
         label_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
