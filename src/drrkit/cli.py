@@ -31,13 +31,12 @@ import numpy as np
 
 from . import __version__
 from .io import (FormatError, Mask2D, ValidationError, View, _Digests, _load_json_file,
-                 _nonneg_int, _payload_slabs, _read_input, _read_sidecar, _repeated, _sha256,
-                 _sidecar_paths, load_mask, load_volume, save_mask, save_projection)
+                 _nonneg_int, _read_input, _read_pair, _repeated, load_mask, load_volume,
+                 save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
 from .metrics import evaluate_class_set
-from .projection import (_SLAB_ROWS, ProjectionConfig, _Footprints, _occupancy, _reduce_slabs,
-                         project_study)
+from .projection import _SLAB_ROWS, ProjectionConfig, _Footprints, _label_footprints, project_study
 from .stats import (_MAX_RESAMPLES, PairwiseComparison, _check_alpha, confusion_from_labels,
                     ordinal_metrics, pairwise_model_comparison, weighted_kappa)
 
@@ -179,6 +178,8 @@ def _parse_label_entry(entry) -> tuple[int | None, str]:
 
 def _load_manifest(path: Path) -> list[dict]:
     doc = _load_json_file(path)
+    if isinstance(doc, dict) and (unknown := sorted(set(doc) - {"studies"})):
+        raise ValidationError(f"{path}: manifest has unknown keys {unknown}")
     studies = _json_list(doc.get("studies") if isinstance(doc, dict) else doc,
                          f"{path}: manifest 'studies'", nonempty=True)
     seen = set()
@@ -211,45 +212,42 @@ def _read_label(entry, stop: threading.Event) -> tuple[_Footprints, dict[str, st
     memory. Returns the footprints and the two files' digests under their
     manifest names. Once ``stop`` is set, no further slab is read."""
     declared_id, rel, lpath = entry
-    json_path, raw_path = _sidecar_paths(lpath)
-    json_name, raw_name = map(str, _sidecar_paths(rel))
-    sidecar, meta, dims = _read_sidecar(json_path, "u8")
+    digests: dict[str, str] = {}
+    meta, slabs = _read_pair(lpath, "u8", _SLAB_ROWS, digests, rel)
     label_id = meta["label_id"]
     if declared_id is not None and declared_id != label_id:
         raise ValidationError(f"manifest says label_id {declared_id} but {rel} holds {label_id}")
-    digests = {json_name: _sha256(sidecar, json_name)}
-    slabs = _payload_slabs(raw_path, dims, "u1", _SLAB_ROWS, digests, raw_name)
-    views = _reduce_slabs(slabs, np.logical_or, _occupancy, stop)
-    return _Footprints(label_id, tuple(dims), views), digests
+    return _Footprints(label_id, tuple(meta["dims"]), _label_footprints(slabs, stop)), digests
 
 
 def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
     # Two label workers read the label files in manifest order, at most two
     # in flight, while project_study checks and resamples each one's
     # footprints in that order, so the first failing label in manifest order
-    # is the error raised. Nothing is written before it returns, so a missing
-    # or bad file leaves no partial output.
+    # is the error raised. The first two start before the volume is read and
+    # hashed, to overlap it, yet its error wins. Nothing is written before
+    # project_study returns, so a missing or bad file leaves no partial output.
     stop = threading.Event()
-    label_inputs: dict[str, str] = {}
+    inputs: dict[str, str] = {}
+    entries = iter(study["labels"])
 
-    def labels(workers):
-        entries = iter(study["labels"])
-        pending = deque(workers.submit(_read_label, e, stop) for e in islice(entries, 2))
+    def labels(workers, pending):
         while pending:
             footprints, digests = pending.popleft().result()
             pending.extend(workers.submit(_read_label, e, stop) for e in islice(entries, 1))
-            label_inputs.update(digests)
+            inputs.update(digests)
             yield footprints
 
-    with _Digests() as hashes, ThreadPoolExecutor(max_workers=2) as workers:
-        vol = load_volume(study["volume_path"], _digests=hashes, _name=study["volume"])
+    with ThreadPoolExecutor(max_workers=2) as workers:
         try:
-            result = project_study(vol, labels(workers), config)
-        except ValidationError as exc:
-            raise ValidationError(f"study {study['id']}: {exc}") from exc
+            pending = deque(workers.submit(_read_label, e, stop) for e in islice(entries, 2))
+            vol = load_volume(study["volume_path"], _digests=inputs, _name=study["volume"])
+            try:
+                result = project_study(vol, labels(workers, pending), config)
+            except ValidationError as exc:
+                raise ValidationError(f"study {study['id']}: {exc}") from exc
         finally:
-            stop.set()      # after a failure, the label in flight ends after its slab
-        inputs = {**hashes.to_dict(), **label_inputs}
+            stop.set()      # after a failure, the labels in flight end after their slab
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_json_dict()}, inputs=inputs)
@@ -474,6 +472,8 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
         names = [h.strip() for h in header[start:]]
         if not names:
             raise ValidationError(f"{path}: no model columns found")
+        if "" in names:     # as pandas heads an index column, whose row numbers are no model
+            raise ValidationError(f"{path}: column {start + names.index('') + 1} has no name")
         if twice := _repeated(names):
             raise ValidationError(f"{path}: repeated model columns {twice}")
         scores: dict[str, list[float]] = {name: [] for name in names}
@@ -488,6 +488,8 @@ def _read_scores(path: str, hashes: _Digests) -> dict:
     doc = _load_json_file(path, hashes, Path(path).name)
     if not isinstance(doc, dict) or not doc:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
+    if any(not name.strip() for name in doc):
+        raise ValidationError(f"{path}: a model name is empty or blank")
     for name, values in doc.items():
         if isinstance(values, list) and any(isinstance(v, bool) for v in values):
             raise ValidationError(f"{path}: model {name!r} has a boolean score")

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -230,15 +230,14 @@ def _sha256(blob, name) -> str:
 
 
 class _Digests:
-    """SHA-256 digests of a command's input files, by name.
+    """SHA-256 digests of a command's JSON and PGM input files, by name.
 
     A one-worker executor hashes the files in turn while the caller parses
-    each and reads the next. A file goes in as the buffer it was read into,
-    ``bytes`` or a payload's array, so its digest is of the bytes
-    parsed. At most one hash is pending: ``add`` waits for the previous one
-    first, so one extra file's bytes stay alive at most.
-    Use it as a context manager, so the worker ends with the command, and
-    read it with ``to_dict``, which waits for the pending hash.
+    each and reads the next, so each digest is of the bytes parsed. At most
+    one hash is pending: ``add`` waits for the previous one first, so one
+    extra file's bytes stay alive at most. Use it as a context manager, so
+    the worker ends with the command, and read it with ``to_dict``, which
+    waits for the pending hash. _read_pair hashes a volume file pair instead.
     """
 
     def __init__(self) -> None:
@@ -333,27 +332,6 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
 
 
-def _read_sidecar(json_path, dtype: str) -> tuple[bytes, dict, list[int]]:
-    """The bytes, the JSON object and the dims of one checked sidecar of the
-    given dtype. A label's ``label_id`` is checked here too, so every fault
-    of a sidecar is found before its payload is opened."""
-    blob = _read_input(json_path)
-    meta = _decode_json(blob, json_path)
-    if not isinstance(meta, dict):
-        raise FormatError(f"{json_path}: sidecar must be a JSON object")
-    dims = meta.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 3
-            or not all(type(d) is int and d >= 1 for d in dims)):    # true is not 1
-        raise FormatError(f"{json_path}: 'dims' must be three positive integers")
-    kind = _PAYLOADS[dtype][0]
-    if meta.get("dtype") != dtype:
-        raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
-                          f"got {meta.get('dtype')!r}")
-    if kind == "label":
-        _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
-    return blob, meta, dims
-
-
 def _payload_slabs(raw_path, dims, dtype: str, rows: int,
                    digests: dict | None = None, name=None):
     """The read-only (n, W, D) slabs of ``rows`` rows along i of a .raw
@@ -411,20 +389,33 @@ def _payload_slabs(raw_path, dims, dtype: str, rows: int,
             yield slab.view(dtype).reshape(-1, w, d)
 
 
-def _read_volume_pair(path, dtype: str, digests, name) -> tuple[dict, np.ndarray]:
-    """The checked sidecar and the read-only (H, W, D) payload of one volume
-    file pair. Each file is read once and hashed under the pair that ``name``
-    declares."""
+def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
+               name=None) -> tuple[dict, Iterator[np.ndarray]]:
+    """The checked sidecar of one volume file pair and the slabs of ``rows``
+    rows of its payload, or the whole payload as one slab if ``rows`` is
+    None. Every fault of the sidecar, a label's ``label_id`` included, is
+    found here; the payload is opened only when its first slab is asked for.
+    With ``digests``, each file is hashed by the thread that reads it, under
+    the pair that ``name`` declares, or else the path as given."""
     json_path, raw_path = _sidecar_paths(path)
-    json_name, raw_name = _sidecar_paths(path if name is None else name)
-    sidecar, meta, dims = _read_sidecar(json_path, dtype)
-    (payload,) = _payload_slabs(raw_path, dims, _PAYLOADS[dtype][1], dims[0])
+    json_name, raw_name = map(str, _sidecar_paths(path if name is None else name))
+    blob = _read_input(json_path)
+    meta = _decode_json(blob, json_path)
+    if not isinstance(meta, dict):
+        raise FormatError(f"{json_path}: sidecar must be a JSON object")
+    dims = meta.get("dims")
+    if (not isinstance(dims, list) or len(dims) != 3
+            or not all(type(d) is int and d >= 1 for d in dims)):    # true is not 1
+        raise FormatError(f"{json_path}: 'dims' must be three positive integers")
+    kind, payload = _PAYLOADS[dtype]
+    if meta.get("dtype") != dtype:
+        raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
+                          f"got {meta.get('dtype')!r}")
+    if kind == "label":
+        _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
     if digests is not None:
-        # The pair is hashed once both files are read, so the previous
-        # file's hash, which add() joins first, runs on through both reads.
-        digests.add(str(json_name), sidecar)
-        digests.add(str(raw_name), payload)
-    return meta, payload
+        digests[json_name] = _sha256(blob, json_name)
+    return meta, _payload_slabs(raw_path, dims, payload, rows or dims[0], digests, raw_name)
 
 
 def load_volume(path, *, _digests=None, _name=None) -> Volume:
@@ -433,7 +424,7 @@ def load_volume(path, *, _digests=None, _name=None) -> Volume:
     The spacing is the sidecar's ``spacing_mm``, which is required: it is
     hashed with the sidecar, so provenance names the geometry projected.
     """
-    meta, data = _read_volume_pair(path, "i16", _digests, _name)
+    meta, (data,) = _read_pair(path, "i16", None, _digests, _name)
     spacing = meta.get("spacing_mm")
     if spacing is None:
         raise FormatError(f"{_sidecar_paths(path)[0]}: missing 'spacing_mm'")
@@ -457,13 +448,13 @@ def save_volume(vol: Volume, path) -> None:
     raw_path.write_bytes(np.ascontiguousarray(data, dtype="<i2").tobytes())
 
 
-def load_label_volume(path, *, _digests=None, _name=None) -> LabelVolume:
+def load_label_volume(path) -> LabelVolume:
     """Load a uint8 binary label volume; nonzero voxels map to 1.
 
     A payload already of 0/1 is viewed, not copied: the volume holds the
     read-only bytes read from the file. Any other payload is binarized.
     """
-    meta, data = _read_volume_pair(path, "u8", _digests, _name)
+    meta, (data,) = _read_pair(path, "u8", None)
     binary = data.view(bool) if data.max(initial=0) <= 1 else data != 0
     return LabelVolume(data=binary, label_id=meta["label_id"])
 

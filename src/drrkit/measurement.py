@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rowruns import _component_sizes, _label_runs, _paint_runs, _runs
-from .io import ValidationError, _Record, _as_binary
+from .io import ValidationError, _Record, _as_binary, _nonneg_int
 
 
 class Condition(str, Enum):
@@ -272,6 +272,7 @@ def fit_spine_curve(points: Sequence[tuple[float, float]],
     caps at n - 1 so small spines interpolate instead of overfitting the
     normal equations.
     """
+    degree = _nonneg_int(degree, "degree")
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < 2:
         raise ValidationError("curve fit needs at least two points")
@@ -280,7 +281,7 @@ def fit_spine_curve(points: Sequence[tuple[float, float]],
     if total == 0 or np.any(seg == 0):
         raise ValidationError("coincident centroids make arc length degenerate")
     t = np.concatenate([[0.0], np.cumsum(seg)]) / total
-    deg = min(int(degree), len(pts) - 1)
+    deg = min(degree, len(pts) - 1)
     return np.polyfit(t, pts[:, 0], deg), np.polyfit(t, pts[:, 1], deg)
 
 
@@ -300,6 +301,7 @@ def kyphosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 5,
                    min_component_px: int = 8, fit_degree: int = 4) -> MeasurementResult:
     """Cobb-style angle between spine tangents at the cranial and caudal ends."""
     cond = Condition.KYPHOSIS
+    fit_degree = _nonneg_int(fit_degree, "fit_degree")     # an error, not an exclusion
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
         return _excluded(cond, reason)

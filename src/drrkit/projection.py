@@ -123,7 +123,7 @@ def project_mask(lab: LabelVolume, view: View,
     """
     _, _, in_plane = _view_geometry(view, spacing)
     # A bool footprint is viewed as 0/1, not scanned, by Mask2D.
-    return Mask2D(data=_label_footprints(lab.data)[View(view)],
+    return Mask2D(data=_label_footprints(_row_slabs(lab.data))[View(view)],
                   view=view, spacing=in_plane, label_id=lab.label_id)
 
 
@@ -256,7 +256,7 @@ def _row_slabs(data: np.ndarray):
     return (data[lo:lo + rows] for lo in range(0, h, rows))
 
 
-def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each=np.asarray,
+def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each,
                   stop: threading.Event | None = None) -> dict[View, np.ndarray]:
     """``ufunc.reduce(each(data), axis)`` for both views, PA then LL, of the
     (H, W, D) array that ``slabs`` cut along i, bit for bit, with one slab
@@ -294,9 +294,11 @@ def _occupancy(slab: np.ndarray) -> np.ndarray | None:
     return slab.view(bool) if top <= 1 else slab != 0
 
 
-def _label_footprints(data: np.ndarray) -> dict[View, np.ndarray]:
-    """The bool PA and LL footprints of a uint8 label array."""
-    return _reduce_slabs(_row_slabs(data), np.logical_or, _occupancy)
+def _label_footprints(slabs: Iterable[np.ndarray], stop=None) -> dict[View, np.ndarray]:
+    """The bool PA and LL footprints of the uint8 label array that ``slabs``
+    cut along i, in memory or as read from its file; ``stop`` as in
+    _reduce_slabs."""
+    return _reduce_slabs(slabs, np.logical_or, _occupancy, stop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +342,7 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume | _Footprints],
                     raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
                                           f"do not match volume dims {vol.shape}")
                 views = (lab.views if isinstance(lab, _Footprints)
-                         else _label_footprints(lab.data))
+                         else _label_footprints(_row_slabs(lab.data)))
                 for view, data in views.items():
                     footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
                                        spacing=_view_geometry(view, vol.spacing)[2])

@@ -251,14 +251,16 @@ def _as_confusion(matrix) -> np.ndarray:
 
 def confusion_from_labels(truth, pred, n_classes: int) -> np.ndarray:
     """Counts matrix with truth on rows and prediction on columns."""
-    t = np.asarray(truth, dtype=np.int64)
-    p = np.asarray(pred, dtype=np.int64)
+    t = np.asarray(truth, dtype=object)
+    p = np.asarray(pred, dtype=object)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise ValidationError("truth and pred must be equal-length nonempty 1D")
+    for v in (*t, *p):      # never a cast: 0.5 is not 0 and true is not 1
+        _nonneg_int(v, "label")
     if t.min() < 0 or p.min() < 0 or t.max() >= n_classes or p.max() >= n_classes:
         raise ValidationError(f"labels must lie in [0, {n_classes})")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(out, (t, p), 1)
+    np.add.at(out, (t.astype(np.int64), p.astype(np.int64)), 1)
     return out
 
 

@@ -362,6 +362,62 @@ def test_project_leaves_no_thread_behind(tmp_path, monkeypatch, capsys, bad, cod
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
+        tmp_path, monkeypatch, capsys, jobs):
+    # The label workers start before the volume is read, and here the missing
+    # label has failed before the volume is opened; the volume's own error is
+    # still the one reported, as load_volume raised it, with no study prefix.
+    manifest = _write_study_inputs(tmp_path, n_labels=1)
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["labels"] = ["missing.json", "lab1.json"]
+    manifest.write_text(json.dumps(doc))
+    raw = tmp_path / "vol.raw"
+    raw.write_bytes(raw.read_bytes()[:-2])
+    failed = threading.Event()
+    real_read, real_load = cli._read_label, cli.load_volume
+
+    def read_label(entry, stop):
+        try:
+            return real_read(entry, stop)
+        except OSError:
+            failed.set()
+            raise
+
+    def load_volume(*args, **kwargs):
+        assert failed.wait(10)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_label", read_label)
+    monkeypatch.setattr(cli, "load_volume", load_volume)
+    before = set(threading.enumerate())
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
+                     "--jobs", jobs]) == 1
+    assert set(threading.enumerate()) == before
+    err = capsys.readouterr().err
+    assert err == f"error: {raw}: payload is 238 bytes, sidecar dims imply 240\n"
+    assert not out.exists()
+
+
+def test_project_hashes_each_file_pair_on_the_thread_that_reads_it(tmp_path, monkeypatch):
+    # No _Digests worker: the volume's files are hashed as load_volume reads
+    # them, and each label's by the label worker that reads it.
+    def refuse():
+        raise AssertionError("project needs no hash worker")
+
+    monkeypatch.setattr(drrkit.io, "_Digests", refuse)
+    monkeypatch.setattr(cli, "_Digests", refuse)
+    manifest = _write_study_inputs(tmp_path, n_labels=2)
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 0
+    inputs = json.loads((out / "case01" / "provenance.json").read_text())["inputs"]
+    assert sorted(inputs) == ["lab1.json", "lab1.raw", "lab2.json", "lab2.raw",
+                              "vol.json", "vol.raw"]
+    for name, digest in inputs.items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("labels,message", [
     (["lab1.json", "lab1.json", "missing.json"], "duplicate label id 1"),
     (["short.json", "missing.json"], "label 7 dims (6, 5, 3) do not match volume dims (6, 5, 4)"),
@@ -621,6 +677,16 @@ def test_project_unknown_study_key_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(argv) == 1
     assert "study 'case01' has unknown keys ['lables']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_project_unknown_manifest_key_exits_1(tmp_path, capsys):
+    # A "labels" beside "studies" would otherwise project the study without them.
+    argv, path, doc = _cli_input(tmp_path, "project")
+    doc["labels"] = doc["studies"][0].pop("labels")
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert "manifest has unknown keys ['labels']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1113,6 +1179,25 @@ def test_stats_repeated_csv_model_exits_1(tmp_path, capsys):
     assert cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
                      "--out", str(out)]) == 1
     assert "repeated model columns ['a', 'b']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("scores.csv", ",a,b\n1,0.9,0.8\n2,0.7,0.6\n3,0.9,0.7\n", "column 1 has no name"),
+    ("scores.csv", "class, ,b\n1,0.9,0.8\n2,0.7,0.6\n3,0.9,0.7\n",
+     "column 2 has no name"),
+    ("scores.json", '{"": [0.9, 0.7, 0.9], "a": [0.8, 0.6, 0.7]}',
+     "a model name is empty or blank"),
+], ids=["csv_index_column", "csv_blank_column", "json_empty_key"])
+def test_stats_unnamed_model_exits_1(tmp_path, capsys, name, text, message):
+    # The header pandas writes for an index column: its row numbers would be
+    # compared with each model as the scores of a model named ''.
+    scores = tmp_path / name
+    scores.write_text(text)
+    out = tmp_path / "p.json"
+    assert cli.main(["stats", "--mode", "pairwise", "--scores", str(scores),
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

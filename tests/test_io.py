@@ -111,12 +111,32 @@ def test_payload_read_in_short_pieces_is_read_whole(tmp_path, monkeypatch):
             self._f.close()
 
     monkeypatch.setattr(io, "open", lambda *a, **k: Trickle(open(*a, **k)), raising=False)
-    with io._Digests() as digests:
-        vol = load_volume(tmp_path / "v.json", _digests=digests, _name="v.json")
-        got = digests.to_dict()
+    got = {}
+    vol = load_volume(tmp_path / "v.json", _digests=got, _name="v.json")
     assert np.array_equal(vol.data, data)
     assert sizes == [7] * 17 + [1]
     assert got["v.raw"] == hashlib.sha256(data.astype("<i2").tobytes()).hexdigest()
+
+
+def test_load_volume_records_both_digests_in_a_dict(tmp_path):
+    # Each file of the pair is hashed as it is read, under the declared name,
+    # or else under the path as given.
+    save_volume(Volume(data=np.arange(24, dtype=np.int16).reshape(2, 3, 4), spacing=(1, 2, 3)),
+                tmp_path / "v")
+    want = {suffix: hashlib.sha256((tmp_path / f"v{suffix}").read_bytes()).hexdigest()
+            for suffix in (".json", ".raw")}
+    digests = {}
+    load_volume(tmp_path / "v.json", _digests=digests, _name="case/v.json")
+    assert digests == {"case/v.json": want[".json"], "case/v.raw": want[".raw"]}
+    digests = {}
+    load_volume(tmp_path / "v", _digests=digests)
+    assert digests == {str(tmp_path / "v.json"): want[".json"],
+                       str(tmp_path / "v.raw"): want[".raw"]}
+    # A label volume is loaded whole and takes no private keyword.
+    save_label_volume(LabelVolume(data=np.ones((2, 3, 4), dtype=np.uint8), label_id=1),
+                      tmp_path / "l")
+    with pytest.raises(TypeError):
+        load_label_volume(tmp_path / "l.json", _digests={})
 
 
 def test_payload_slabs_reuse_one_read_only_buffer_and_hash_the_file(tmp_path):

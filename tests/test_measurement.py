@@ -398,6 +398,25 @@ def test_fit_spine_curve_interpolates_when_few_points():
         assert np.polyval(cy, ti) == pytest.approx(y, abs=1e-8)
 
 
+@pytest.mark.parametrize("degree", [-1, 2.5, True, "3"])
+def test_fit_degree_is_a_nonnegative_integer_never_a_cast(degree):
+    # int() would take 2.5 as 2 and true as 1; numpy would refuse -1 with
+    # its own ValueError. Both fits refuse each with a validation error.
+    pts = [(12, 5), (18, 15), (14, 25), (11, 35), (13, 45)]
+    with pytest.raises(ValidationError, match="degree must be a nonnegative integer"):
+        fit_spine_curve(pts, degree=degree)
+    with pytest.raises(ValidationError, match="fit_degree must be a nonnegative integer"):
+        kyphosis_angle(_pixel_masks(pts, view=View.LL), min_component_px=1,
+                       fit_degree=degree)
+
+
+def test_fit_degree_takes_a_numpy_integer():
+    pts = [(12, 5), (18, 15), (14, 25), (11, 35), (13, 45)]
+    masks = _pixel_masks(pts, view=View.LL)
+    assert (kyphosis_angle(masks, min_component_px=1, fit_degree=np.int64(3))
+            == kyphosis_angle(masks, min_component_px=1, fit_degree=3))
+
+
 def test_tangent_angle_scale_invariance():
     pts = [(63, 16), (60, 25), (56, 33), (52, 39), (39, 52), (33, 56)]
     scaled = [(3 * x, 3 * y) for x, y in pts]

@@ -445,7 +445,7 @@ def test_slab_line_integrals_match_whole_volume(rows):
         vol = Volume(data=voxels[dtype]((rows, w, depth)).astype(dtype), spacing=spacing)
         lab = _random_label(rng, vol.shape)
         sums = _reduce_slabs(_row_slabs(vol.data), np.add, projection._attenuation)
-        footprints = _label_footprints(lab.data)
+        footprints = _label_footprints(_row_slabs(lab.data))
         mu = attenuation_transform(vol)
         # PA collapses j, LL collapses i.
         for view, axis in ((View.PA, 1), (View.LL, 0)):
@@ -469,7 +469,7 @@ def test_line_integrals_hold_one_slab_at_a_time():
         _reduce_slabs(_row_slabs(vol.data), np.add, projection._attenuation)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _label_footprints(lab.data)
+        _label_footprints(_row_slabs(lab.data))
         label_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

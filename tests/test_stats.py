@@ -349,6 +349,23 @@ def test_confusion_from_labels():
         confusion_from_labels([0, 1], [0], 4)
 
 
+@pytest.mark.parametrize("truth,pred", [
+    ([0.5, 1.7, True], [0, 1, 1]),
+    ([0, 1, 1], [0, 1, True]),
+    ([0, 1], np.array([0.0, 1.0])),
+    (np.array([True, False]), [1, 0]),
+], ids=["floats_and_true", "true_in_pred", "float_array", "bool_array"])
+def test_confusion_from_labels_refuses_what_is_not_an_integer(truth, pred):
+    # Never a cast: 0.5 is not 0, 1.7 is not 1, and true is not 1.
+    with pytest.raises(ValidationError, match="label must be a nonnegative integer"):
+        confusion_from_labels(truth, pred, 4)
+
+
+def test_confusion_from_labels_takes_numpy_integers():
+    m = confusion_from_labels(np.array([0, 3], dtype=np.uint8), [np.int64(0), 3], 4)
+    assert m.dtype == np.int64 and m[0, 0] == m[3, 3] == 1 and m.sum() == 2
+
+
 # --- pairwise model comparison ---------------------------------------------------------
 
 def test_pairwise_three_models():
