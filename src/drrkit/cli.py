@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io as _io
 import json
@@ -20,17 +21,17 @@ import os
 import re
 import shutil
 import sys
-import tempfile
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .io import (FormatError, Mask2D, ValidationError, View, _Digests, _load_json_file,
+from .io import (FormatError, Mask2D, ValidationError, View, _load_json_file,
                  _nonneg_int, _read_input, _read_pair, _repeated, load_mask, load_volume,
                  save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
@@ -62,11 +63,24 @@ def _provenance(command: str, **fields) -> dict:
             "version": __version__, "command": command, **fields}
 
 
+def _create_fresh(parent: Path, prefix: str, create):
+    """A new path in ``parent`` under a random name, and what ``create(path)``
+    returns. ``create`` makes it as a plain create would, so the umask sets
+    its mode, where mkstemp makes a file 0600 and mkdtemp a directory 0700."""
+    for _ in range(100):
+        path = parent / f"{prefix}{os.urandom(6).hex()}"
+        try:
+            return path, create(path)
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary name in {parent}")
+
+
 def _atomic_write_text(text: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-")
+    tmp, f = _create_fresh(target.parent, ".tmp-", lambda path: open(path, "xb"))
     try:
-        with os.fdopen(fd, "wb") as f:
+        with f:
             f.write(text.encode("utf-8"))
         os.replace(tmp, target)
     except BaseException:
@@ -254,7 +268,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
 
     target = out_root / study["id"]
     out_root.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{study['id']}.tmp-", dir=out_root))
+    tmp, _ = _create_fresh(out_root, f".{study['id']}.tmp-", os.mkdir)
     try:
         for view, proj in result.images.items():
             save_projection(proj, tmp / f"{view.value}.pgm")
@@ -300,7 +314,7 @@ _CONDITION_INPUTS = {
 _ROLE_KEYS = {role for _, roles in _CONDITION_INPUTS.values() for role in roles}
 
 
-def _load_mapping(path: Path, hashes: _Digests) -> dict[str, list[int]]:
+def _load_mapping(path: Path, hashes: dict[str, str]) -> dict[str, list[int]]:
     doc = _load_json_file(path, hashes, "mapping.json")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: mapping must be a JSON object")
@@ -325,7 +339,7 @@ def _load_mapping(path: Path, hashes: _Digests) -> dict[str, list[int]]:
 
 def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
-                       hashes: _Digests, loaded: dict[tuple[View, int], Mask2D]) -> dict:
+                       hashes: dict[str, str], loaded: dict[tuple[View, int], Mask2D]) -> dict:
     view, roles = _CONDITION_INPUTS[condition]
     for role in roles:
         if role not in mapping:
@@ -376,21 +390,26 @@ def cmd_measure(args) -> int:
     study_dir = Path(args.study)
     if not study_dir.is_dir():
         raise FileNotFoundError(f"study directory not found: {study_dir}")
-    with _Digests() as hashes:
-        mapping = _load_mapping(Path(args.mapping), hashes)
+    inputs: dict[str, str] = {}
+    mapping = _load_mapping(Path(args.mapping), inputs)
 
-        min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
-                             "min_component_px")
-        # argparse lower-cased and checked each name; a repeated one counts once.
-        conditions = [Condition(name) for name in
-                      dict.fromkeys(args.conditions or [c.value for c in Condition])]
-
-        loaded: dict[tuple[View, int], Mask2D] = {}
-        reports = {c: _measure_condition(c, study_dir, mapping, min_px, hashes, loaded)
-                   for c in conditions}
-        inputs = hashes.to_dict()
-
+    min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
+                         "min_component_px")
+    # argparse lower-cased and checked each name; a repeated one counts once.
+    conditions = [Condition(name) for name in
+                  dict.fromkeys(args.conditions or [c.value for c in Condition])]
+    # --out holds one run's reports: a report of another condition there
+    # would sit beside this run's as if the two were one run.
     out_dir = Path(args.out)
+    if stale := [f"{c.value}.json" for c in Condition
+                 if c not in conditions and (out_dir / f"{c.value}.json").exists()]:
+        raise ValidationError(f"{out_dir} holds {', '.join(stale)}, which this run "
+                              "would not rewrite; measure into another directory")
+
+    loaded: dict[tuple[View, int], Mask2D] = {}
+    reports = {c: _measure_condition(c, study_dir, mapping, min_px, inputs, loaded)
+               for c in conditions}
+
     provenance = _provenance(
         "measure",
         config={"measure": {"min_component_px": min_px},
@@ -416,29 +435,46 @@ def cmd_evaluate(args) -> int:
     eff = _effective_config(args, "evaluate")
 
     base = manifest_path.parent
+    inputs: dict[str, str] = {}
 
-    def pairs(hashes):
-        # One class pair at a time: each entry is checked, then its two masks
-        # are loaded and hashed, only when evaluate_class_set asks for it.
-        for entry in doc:
-            if (not isinstance(entry, dict)
-                    or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
-                raise ValidationError(
-                    f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
-            class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
-            masks = []      # drops the previous pair before this one is read
-            for key in ("pred_path", "ref_path"):
-                rel = _path_str(entry[key], f"class {class_id}: {key}")
-                try:
-                    masks.append(load_mask(base / rel, view=View.PA, label_id=class_id,
-                                           _digests=hashes, _name=rel))
-                except ValidationError as exc:
-                    raise ValidationError(f"class {class_id}: {exc}") from exc
-            yield (class_id, *masks)
+    def read_mask(entry, key):
+        # Runs on the reader, which checks the entry, so that its faults are
+        # raised only when its masks are due: after every earlier class's.
+        if (not isinstance(entry, dict)
+                or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
+            raise ValidationError(
+                f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
+        class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
+        rel = _path_str(entry[key], f"class {class_id}: {key}")
+        try:
+            return load_mask(base / rel, view=View.PA, label_id=class_id,
+                             _digests=inputs, _name=rel)
+        except ValidationError as exc:
+            raise ValidationError(f"class {class_id}: {exc}") from exc
 
-    with _Digests() as hashes:
-        report = evaluate_class_set(pairs(hashes), **eff, seed=args.seed)
-        inputs = hashes.to_dict()
+    def pairs(reader):
+        # The reader loads and hashes the masks in manifest order, one file
+        # ahead: the next class's prediction is read while this one is scored.
+        tasks = ((entry, key) for entry in doc for key in ("pred_path", "ref_path"))
+        ahead = deque(reader.submit(read_mask, *t) for t in islice(tasks, 1))
+
+        def next_mask():
+            mask = ahead.popleft().result()
+            ahead.extend(reader.submit(read_mask, *t) for t in islice(tasks, 1))
+            return mask
+
+        while ahead:
+            pred, ref = next_mask(), next_mask()
+            yield pred.label_id, pred, ref
+            del pred, ref   # before the next reference is read, not when rebound
+
+    # glibc gives each thread a malloc arena: masks the reader allocated and
+    # this thread freed stayed out of this thread's reach, and now and then a
+    # run peaked one mask higher. M_ARENA_MAX = 1 has them share one arena.
+    with suppress(OSError, AttributeError, TypeError):      # not glibc
+        ctypes.CDLL(None).mallopt(-8, 1)
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        report = evaluate_class_set(pairs(reader), **eff, seed=args.seed)
 
     out = _provenance("evaluate", seed=args.seed,
                       config={"evaluate": {k: eff[k] for k in sorted(eff)}},
@@ -456,7 +492,7 @@ def cmd_evaluate(args) -> int:
 _DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", re.ASCII)
 
 
-def _read_scores(path: str, hashes: _Digests) -> dict:
+def _read_scores(path: str, hashes: dict[str, str]) -> dict:
     # The input is named by its file name, so the report does not change with
     # the working directory or the way the path was typed.
     if Path(path).suffix.lower() == ".csv":
@@ -513,7 +549,7 @@ def _parse_grade_list(values, name: str) -> list[int]:
     return out
 
 
-def _read_ordinal(path: str, hashes: _Digests) -> np.ndarray:
+def _read_ordinal(path: str, hashes: dict[str, str]) -> np.ndarray:
     """Truth-by-prediction counts: a given matrix, or tallied from grade lists.
     The input is named by its file name, as in _read_scores."""
     doc = _load_json_file(path, hashes, Path(path).name)
@@ -552,12 +588,11 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_stats(args) -> int:
     alpha = _effective_config(args, "stats")["alpha"]
     _check_alpha(alpha)     # in ordinal mode too, where nothing else reads it
-    with _Digests() as hashes:
-        if args.mode == "pairwise":
-            scores = _read_scores(args.scores, hashes)
-        else:
-            matrix = _read_ordinal(args.scores, hashes)
-        inputs = hashes.to_dict()
+    inputs: dict[str, str] = {}
+    if args.mode == "pairwise":
+        scores = _read_scores(args.scores, inputs)
+    else:
+        matrix = _read_ordinal(args.scores, inputs)
 
     # Each mode builds its report fields, echoed config and CSV table; one
     # writer below emits whichever --format asks for.

@@ -13,7 +13,6 @@ import numbers
 import os
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -229,51 +228,13 @@ def _sha256(blob, name) -> str:
         raise RuntimeError(f"hashing {name} failed") from exc
 
 
-class _Digests:
-    """SHA-256 digests of a command's JSON and PGM input files, by name.
-
-    A one-worker executor hashes the files in turn while the caller parses
-    each and reads the next, so each digest is of the bytes parsed. At most
-    one hash is pending: ``add`` waits for the previous one first, so one
-    extra file's bytes stay alive at most. Use it as a context manager, so
-    the worker ends with the command, and read it with ``to_dict``, which
-    waits for the pending hash. _read_pair hashes a volume file pair instead.
-    """
-
-    def __init__(self) -> None:
-        self._hex: dict[str, str] = {}
-        self._pending = None        # (name, future) of the file being hashed
-        self._pool = ThreadPoolExecutor(max_workers=1)
-
-    def add(self, name: str, blob) -> None:
-        self._join()
-        self._pending = name, self._pool.submit(_sha256, blob, name)
-
-    def _join(self) -> None:
-        if self._pending is None:
-            return
-        (name, future), self._pending = self._pending, None
-        self._hex[name] = future.result()
-
-    def to_dict(self) -> dict[str, str]:
-        self._join()
-        return dict(self._hex)
-
-    def __enter__(self) -> "_Digests":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # After a failure the pending hash still ends before the worker
-        # does, so no thread outlives the command; its digest goes unread.
-        self._pool.shutdown()
-
-
-def _read_input(path, digests: _Digests | None = None, name=None) -> bytes:
-    """The bytes of one input file; their SHA-256 goes into ``digests``, if
-    given, under the declared ``name`` or else the path as given."""
-    blob = Path(path).read_bytes()
+def _read_input(path, digests: dict | None = None, name=None, read=Path.read_bytes):
+    """One input file, read whole by ``read`` and hashed on this thread into
+    ``digests``, if given, under the declared ``name`` or else the path."""
+    blob = read(Path(path))
     if digests is not None:
-        digests.add(str(path if name is None else name), blob)
+        name = str(path if name is None else name)
+        digests[name] = _sha256(blob, name)
     return blob
 
 
@@ -303,7 +264,7 @@ def _decode_json(blob: bytes, path):
     return doc
 
 
-def _load_json_file(path, digests: _Digests | None = None, name=None):
+def _load_json_file(path, digests: dict | None = None, name=None):
     """One JSON input file, read once and hashed as read."""
     return _decode_json(_read_input(path, digests, name), path)
 
@@ -330,6 +291,30 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 
 # Sidecar dtype -> what the pair holds and the dtype of its payload.
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
+
+
+def _read_exactly(f, buf: np.ndarray, start: int, size: int, what: str, source: str) -> None:
+    """Fill the uint8 ``buf`` from ``f``, ``start`` bytes into a file that
+    must hold the ``size`` bytes ``source`` says, reading on after a short
+    read; a file that ends early or runs past ``size`` is refused."""
+    with memoryview(buf) as view:
+        got = 0
+        while got < len(view):
+            n = f.readinto(view[got:])
+            if not n:
+                raise FormatError(f"{what} ended after {start + got} bytes, {source} {size}")
+            got += n
+    if start + got == size and f.read(1):
+        raise FormatError(f"{what} runs past the {size} bytes {source}")
+
+
+def _read_buffer(path: Path) -> np.ndarray:
+    """The bytes of one file in one writable uint8 buffer of its fstat size."""
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = np.empty(size, dtype=np.uint8)
+        _read_exactly(f, buf, 0, size, f"{path}: file", "fstat reported")
+    return buf
 
 
 def _payload_slabs(raw_path, dims, dtype: str, rows: int,
@@ -362,18 +347,8 @@ def _payload_slabs(raw_path, dims, dtype: str, rows: int,
             last = lo + rows >= h
             n_bytes = min(rows, h - lo) * row_bytes
             buf.setflags(write=True)
-            with memoryview(buf) as view:
-                got = 0
-                while got < n_bytes:
-                    n = f.readinto(view[got:n_bytes])
-                    if not n:
-                        raise FormatError(f"{raw_path}: payload ended after "
-                                          f"{lo * row_bytes + got} bytes, "
-                                          f"sidecar dims imply {expected}")
-                    got += n
-            if last and f.read(1):
-                raise FormatError(
-                    f"{raw_path}: payload runs past the {expected} bytes sidecar dims imply")
+            _read_exactly(f, buf[:n_bytes], lo * row_bytes, expected,
+                          f"{raw_path}: payload", "sidecar dims imply")
             # Before anything views it, so no view of it can be made writable
             # while it holds this slab.
             buf.setflags(write=False)
@@ -478,8 +453,10 @@ def save_label_volume(lab: LabelVolume, path) -> None:
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+([0-9]{1,18})" * 3 + rb"\s")
 
 
-def _parse_pgm(blob: bytes, origin: str) -> np.ndarray:
-    if not blob.startswith(b"P5"):
+def _parse_pgm(blob, origin: str) -> np.ndarray:
+    """The pixels of the PGM in ``blob``, any bytes-like object, as a view of it."""
+    blob = memoryview(blob)
+    if blob[:2] != b"P5":
         raise FormatError(f"{origin}: not a binary PGM (magic must be P5)")
     header = _PGM_HEADER.match(blob)
     if header is None:
@@ -489,7 +466,7 @@ def _parse_pgm(blob: bytes, origin: str) -> np.ndarray:
         raise FormatError(f"{origin}: PGM dimensions must be positive")
     if maxval != 255:
         raise FormatError(f"{origin}: PGM maxval must be 255, got {maxval}")
-    payload = memoryview(blob)[header.end():]     # a view: the payload is not copied
+    payload = blob[header.end():]
     if len(payload) != width * height:
         raise FormatError(
             f"{origin}: PGM payload is {len(payload)} bytes, header implies {width * height}")
@@ -515,9 +492,12 @@ def save_projection(proj: Projection, path) -> None:
 
 def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0), *,
               _digests=None, _name=None) -> Mask2D:
-    """Load a PGM mask; any nonzero pixel counts as foreground."""
-    arr = _parse_pgm(_read_input(path, _digests, _name), str(path))
-    return Mask2D(data=arr != 0, view=view, spacing=spacing, label_id=label_id)
+    """Load a PGM mask; any nonzero pixel counts as foreground. The file is
+    read into one buffer, hashed into ``_digests`` if given, then parsed and
+    binarized in place, so the mask holds that buffer and no copy of it."""
+    arr = _parse_pgm(_read_input(path, _digests, _name, _read_buffer), str(path))
+    return Mask2D(data=np.not_equal(arr, 0, out=arr.view(bool)), view=view,
+                  spacing=spacing, label_id=label_id)
 
 
 def save_mask(mask: Mask2D, path) -> None:

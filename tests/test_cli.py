@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -399,22 +400,60 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
     assert not out.exists()
 
 
-def test_project_hashes_each_file_pair_on_the_thread_that_reads_it(tmp_path, monkeypatch):
-    # No _Digests worker: the volume's files are hashed as load_volume reads
-    # them, and each label's by the label worker that reads it.
-    def refuse():
-        raise AssertionError("project needs no hash worker")
+# The io functions that read an input file; each hashes what it read.
+_READERS = {"_read_input", "_read_pair", "_payload_slabs"}
 
-    monkeypatch.setattr(drrkit.io, "_Digests", refuse)
-    monkeypatch.setattr(cli, "_Digests", refuse)
-    manifest = _write_study_inputs(tmp_path, n_labels=2)
+
+@pytest.mark.parametrize("command", ["project", "measure", "evaluate", "stats"])
+def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, monkeypatch,
+                                                                   command):
+    # No hash worker: every SHA-256 runs inside the reader of its file, so on
+    # the thread that read it, and measure and stats start no thread at all.
+    if command == "project":
+        argv = ["project", "--manifest", str(_write_study_inputs(tmp_path, n_labels=2)),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = _hashing_run(tmp_path, command, 0)
+    real_sha256, real_start = hashlib.sha256, threading.Thread.start
+    hashed_in, started = [], []
+
+    class Recording:
+        def __init__(self):
+            self._h = real_sha256()
+
+        def update(self, blob):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            hashed_in.append(callers & _READERS)
+            self._h.update(blob)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(hashlib, "sha256", Recording)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert hashed_in and all(hashed_in)
+    if command in ("measure", "stats"):
+        assert started == []
+    elif command == "evaluate":
+        assert len(started) == 1        # the one reader
     out = tmp_path / "out"
-    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 0
-    inputs = json.loads((out / "case01" / "provenance.json").read_text())["inputs"]
-    assert sorted(inputs) == ["lab1.json", "lab1.raw", "lab2.json", "lab2.raw",
-                              "vol.json", "vol.raw"]
+    report = out / "case01" / "provenance.json" if command == "project" else (
+        out / "provenance.json" if command == "measure" else out)
+    inputs = json.loads(report.read_text())["inputs"]
+    assert len(inputs) == {"project": 6, "measure": 13, "evaluate": 4, "stats": 1}[command]
+    base = {"measure": tmp_path / "study"}.get(command, tmp_path)
     for name, digest in inputs.items():
-        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        path = tmp_path / name if name == "mapping.json" else base / name
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), name
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -538,6 +577,62 @@ def test_hashing_commands_leave_no_thread_behind(tmp_path, monkeypatch, command,
     before = set(threading.enumerate())
     assert cli.main(argv) == code
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("command,name", [
+    ("measure", "PA/1.pgm"), ("evaluate", "pred1.pgm"), ("stats", "scores.csv")])
+def test_a_failed_hash_is_an_error_that_names_the_file(tmp_path, monkeypatch, command, name):
+    argv = _hashing_run(tmp_path, command, 0)
+    path = (tmp_path / "study" if command == "measure" else tmp_path) / name
+    _fail_hashes_of(monkeypatch, path.stat().st_size)
+    args = cli.build_parser().parse_args(argv)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"^hashing {name} failed$") as failed:
+        args.func(args)
+    assert isinstance(failed.value.__cause__, MemoryError)
+    assert set(threading.enumerate()) == before
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_take_the_modes_a_plain_create_gets(tmp_path, monkeypatch, umask):
+    # Every file and directory a command writes is 0666 or 0777 less the
+    # umask, as with a plain create; an interrupted rerun keeps all of them.
+    out = tmp_path / "out"
+
+    def writing_to(argv, name):
+        argv[argv.index("--out") + 1] = str(out / name)
+        return argv
+
+    runs = [writing_to(["project", "--manifest", str(_write_study_inputs(tmp_path, 2)),
+                        "--out", ""], "projected"),
+            writing_to(_hashing_run(tmp_path, "measure", 0), "measured"),
+            writing_to(_hashing_run(tmp_path, "evaluate", 0), "evaluation.json"),
+            writing_to(_hashing_run(tmp_path, "stats", 0), "pairwise.json")]
+
+    def modes():
+        return {p: stat.S_IMODE(p.stat().st_mode) for p in [out, *out.rglob("*")]}
+
+    old = os.umask(umask)
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0
+        first = modes()
+        assert first == {p: (0o777 if p.is_dir() else 0o666) & ~umask for p in first}
+        assert len(first) == 19
+        written = _collect_bytes(out)
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        for argv in runs:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+    finally:
+        os.umask(old)
+    assert modes() == first
+    assert _collect_bytes(out) == written
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -835,6 +930,26 @@ def test_measure_rerun_byte_identical(tmp_path):
     assert _collect_bytes(out) == first
 
 
+def test_measure_refuses_an_out_holding_a_report_it_would_not_rewrite(tmp_path, capsys):
+    study, mapping = _make_measure_study(tmp_path)
+    out = tmp_path / "reports"
+    argv = ["measure", "--study", str(study), "--mapping", str(mapping), "--out", str(out)]
+    assert cli.main(argv) == 0
+    first = _collect_bytes(out)
+    # Scoliosis alone would leave the other two reports beside its own.
+    assert cli.main(argv + ["--conditions", "scoliosis"]) == 1
+    assert (f"{out} holds cardiomegaly.json, kyphosis.json, which this run would not "
+            "rewrite") in capsys.readouterr().err
+    assert _collect_bytes(out) == first
+    # The same set again rewrites them all; so does a larger set.
+    assert cli.main(argv) == 0
+    assert _collect_bytes(out) == first
+    one = tmp_path / "one"
+    assert cli.main(argv[:-1] + [str(one), "--conditions", "kyphosis"]) == 0
+    assert cli.main(argv[:-1] + [str(one)]) == 0
+    assert _collect_bytes(one) == first
+
+
 def test_measure_conditions_case_insensitive_and_collapsed(tmp_path):
     study, mapping = _make_measure_study(tmp_path)
     out = tmp_path / "reports"
@@ -1035,12 +1150,49 @@ def test_evaluate_reports_errors_in_manifest_order(tmp_path, capsys, second, err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("third", [
+    {"class_id": 3, "pred_path": "missing.pgm", "ref_path": "ref1.pgm"},
+    {"class_id": 3, "pred_path": "bad.pgm", "ref_path": "ref1.pgm"},
+    {"class_id": 3, "pred_path": "pred1.pgm"},
+    {"class_id": True, "pred_path": "pred1.pgm", "ref_path": "ref1.pgm"},
+], ids=["missing-file", "bad-file", "malformed-entry", "bad-id"])
+@pytest.mark.parametrize("second,error", [
+    ((2, "pred2.pgm", "ref2.pgm"), "class 2: mask geometry mismatch"),
+    ((1, "pred1.pgm", "ref1.pgm"), "duplicate class id 1"),
+], ids=["shape-mismatch", "repeated-class"])
+def test_evaluate_reports_a_class_fault_before_the_next_entry_s(tmp_path, monkeypatch,
+                                                                 capsys, second, error, third):
+    # Hashes are slow and each pair reaches the scoring 0.1 s late, so the
+    # reader, one mask ahead, meets the third entry's fault before the second
+    # class is scored; the second class's fault is still the one reported.
+    _make_eval_inputs(tmp_path, ref2_shape=(16, 18))
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n255\n")
+    manifest = _write_eval_manifest(tmp_path, [(1, "pred1.pgm", "ref1.pgm"), second])
+    manifest.write_text(json.dumps(json.loads(manifest.read_text()) + [third]))
+    real_evaluate = cli.evaluate_class_set
+
+    def late(pairs):
+        for pair in pairs:
+            time.sleep(0.1)
+            yield pair
+
+    monkeypatch.setattr(cli, "evaluate_class_set",
+                        lambda pairs, **kwargs: real_evaluate(late(pairs), **kwargs))
+    _slow_hashes(monkeypatch)
+    before = set(threading.enumerate())
+    out = tmp_path / "r.json"
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert set(threading.enumerate()) == before
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_reads_each_pair_after_dropping_the_previous(tmp_path, monkeypatch):
     manifest = _make_eval_inputs(tmp_path)
     loaded, alive_at_load = [], []
 
     def load_mask(*args, **kwargs):
-        alive_at_load.append(sum(mask() is not None for mask in loaded))
+        alive_at_load.append({i for i, mask in enumerate(loaded) if mask() is not None})
         mask = real_load_mask(*args, **kwargs)
         loaded.append(weakref.ref(mask))
         return mask
@@ -1049,8 +1201,25 @@ def test_evaluate_reads_each_pair_after_dropping_the_previous(tmp_path, monkeypa
     monkeypatch.setattr(cli, "load_mask", load_mask)
     assert cli.main(["evaluate", "--manifest", str(manifest),
                      "--out", str(tmp_path / "r.json"), "--resamples", "10"]) == 0
-    # Only a class's own predicted mask is alive when its reference is read.
-    assert alive_at_load == [0, 1, 0, 1]
+    # The reader is one mask ahead: at most one mask beyond the current pair
+    # is alive when a mask is loaded, so none older than the last two loaded.
+    assert len(alive_at_load) == 4
+    assert all(alive <= {i - 2, i - 1} for i, alive in enumerate(alive_at_load)), alive_at_load
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: types.SimpleNamespace()],
+                         ids=["no-libc", "no-mallopt"])
+def test_evaluate_runs_where_malloc_arenas_cannot_be_shared(tmp_path, monkeypatch, cdll):
+    manifest = _make_eval_inputs(tmp_path)
+    argv = ["evaluate", "--manifest", str(manifest), "--resamples", "10", "--out"]
+    assert cli.main(argv + [str(tmp_path / "glibc.json")]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli.main(argv + [str(tmp_path / "other.json")]) == 0
+    assert (tmp_path / "other.json").read_bytes() == (tmp_path / "glibc.json").read_bytes()
 
 
 def test_evaluate_holds_one_class_pair_at_a_time(tmp_path):

@@ -3,8 +3,6 @@
 import hashlib
 import json
 import os
-import threading
-import time
 import tracemalloc
 import types
 
@@ -175,16 +173,20 @@ def test_payload_that_changes_after_fstat_is_refused_mid_stream(tmp_path, change
         list(slabs)
 
 
+class _BrokenSha256:
+    """hashlib.sha256 whose every update fails."""
+
+    def update(self, blob):
+        raise MemoryError("simulated")
+
+
 def test_payload_slab_hash_failure_names_the_file(tmp_path):
-    class Broken(_LoggedSha256):
-        def update(self, blob):
-            raise MemoryError("simulated")
 
     (tmp_path / "l.raw").write_bytes(bytes(8))
     digests = {}
     slabs = io._payload_slabs(tmp_path / "l.raw", [2, 2, 2], "u1", 1, digests, "lab.raw")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hashlib, "sha256", Broken)
+        mp.setattr(hashlib, "sha256", _BrokenSha256)
         with pytest.raises(RuntimeError, match="hashing lab.raw failed") as failed:
             next(slabs)
     assert isinstance(failed.value.__cause__, MemoryError)
@@ -265,60 +267,6 @@ def test_volume_payload_is_a_read_only_view(tmp_path):
         vol.data[0, 0, 0] = 1
     with pytest.raises(ValueError):
         vol.data.setflags(write=True)
-
-
-class _LoggedSha256:
-    """hashlib.sha256 that sleeps in update() and logs when each hash ends."""
-
-    real = hashlib.sha256
-    log: list = []
-
-    def __init__(self):
-        self._h = self.real()
-
-    def update(self, blob):
-        time.sleep(0.01)
-        self._h.update(blob)
-        self.log.append(len(blob))
-
-    def hexdigest(self):
-        return self._h.hexdigest()
-
-
-def test_digests_hash_one_file_at_a_time(monkeypatch):
-    # Each digest is the SHA-256 of its bytes, and add() returns only once
-    # the previous file's hash has ended, so at most one is pending.
-    monkeypatch.setattr(_LoggedSha256, "log", [])
-    monkeypatch.setattr(hashlib, "sha256", _LoggedSha256)
-    blobs = {f"f{i}": bytes([i]) * (1000 * i + 1) for i in range(6)}
-    before = set(threading.enumerate())
-    with io._Digests() as digests:
-        for i, (name, blob) in enumerate(blobs.items()):
-            digests.add(name, blob)
-            assert _LoggedSha256.log[:i] == [len(b) for b in list(blobs.values())[:i]]
-        got = digests.to_dict()
-    monkeypatch.undo()
-    assert got == {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
-    assert set(threading.enumerate()) == before
-
-
-def test_digests_report_a_failed_hash(monkeypatch):
-    failures = []
-
-    class Broken(_LoggedSha256):
-        def update(self, blob):
-            raise MemoryError("simulated")
-
-    monkeypatch.setattr(hashlib, "sha256", Broken)
-    monkeypatch.setattr(threading, "excepthook", failures.append)
-    with io._Digests() as digests:
-        digests.add("a", b"x")
-        with pytest.raises(RuntimeError, match="hashing a failed") as failed:
-            digests.to_dict()
-    # The hash's own error is the cause, raised on the caller's thread, so
-    # the worker reports nothing of its own.
-    assert isinstance(failed.value.__cause__, MemoryError)
-    assert failures == []
 
 
 def test_sidecar_validation(tmp_path):
@@ -532,6 +480,59 @@ def test_mask_load_maps_any_nonzero_to_one(tmp_path):
     back = load_mask(tmp_path / "m.pgm", view=View.PA)
     assert back.data.dtype == np.uint8
     assert back.data.tolist() == [[0, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("header,values", [
+    (b"P5\n4 3\n255\n", (0, 255)),
+    (b"P5\n4 3\n255\n", (0, 1)),
+    (b"P5 # made by hand\n4\t3\r# rows\n255\n", (0, 9)),
+], ids=["0-255", "0-1", "comments"])
+def test_load_mask_digest_is_of_the_file_as_read(tmp_path, header, values):
+    # The buffer is hashed before it is binarized in place, so the digest is
+    # that of the file's bytes, whatever its foreground value.
+    pixels = np.array(values, dtype=np.uint8)[np.arange(12).reshape(3, 4) % 3 % 2]
+    blob = header + pixels.tobytes()
+    (tmp_path / "m.pgm").write_bytes(blob)
+    digests = {}
+    mask = load_mask(tmp_path / "m.pgm", View.PA, _digests=digests, _name="masks/m.pgm")
+    assert digests == {"masks/m.pgm": hashlib.sha256(blob).hexdigest()}
+    assert np.array_equal(mask.data, pixels != 0)
+    assert (tmp_path / "m.pgm").read_bytes() == blob
+
+
+def test_load_mask_holds_one_buffer(tmp_path):
+    # The file is read into one buffer and binarized in place: no bytes
+    # object beside it, and no bool copy.
+    rng = np.random.default_rng(0)
+    save_mask(Mask2D(data=rng.integers(0, 2, (1024, 1024), dtype=np.uint8), view=View.PA,
+                     spacing=(1, 1)), tmp_path / "m.pgm")
+    size = (tmp_path / "m.pgm").stat().st_size
+    tracemalloc.start()
+    try:
+        mask = load_mask(tmp_path / "m.pgm", View.PA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size, (peak, size)
+    assert mask.data.sum() > 0
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda path: os.truncate(path, 20), "m.pgm: file ended after 20 bytes, fstat reported 27"),
+    (lambda path: path.write_bytes(bytes(28)), "m.pgm: file runs past the 27 bytes fstat reported"),
+], ids=["shrinks", "grows"])
+def test_pgm_that_changes_after_fstat_is_refused(tmp_path, monkeypatch, change, message):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+
+    def fstat_then_change(fd):
+        st = os.fstat(fd)
+        change(path)
+        return st
+
+    monkeypatch.setattr(io, "os", types.SimpleNamespace(fstat=fstat_then_change))
+    with pytest.raises(FormatError, match=message):
+        load_mask(path, View.PA)
 
 
 def test_pgm_malformed_headers(tmp_path):
