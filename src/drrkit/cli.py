@@ -15,13 +15,13 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import errno
 import io as _io
 import json
 import os
 import re
 import shutil
 import sys
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -92,10 +92,13 @@ def _atomic_write_text(text: str, target: Path) -> None:
 def _replace_dir(new: Path, target: Path) -> None:
     """Move directory new into place as target. An existing target is renamed
     aside first and only deleted once new is in place, so a failed swap
-    leaves the earlier output where it was."""
-    if not target.exists():
+    leaves the earlier output where it was. A target that is a file or a
+    symbolic link is no earlier output: it is refused, and left as it is."""
+    if not os.path.lexists(target):
         os.replace(new, target)
         return
+    if target.is_symlink() or not target.is_dir():
+        raise FileExistsError(errno.EEXIST, "not a study directory, left as it is", str(target))
     aside = new.with_name(new.name + ".old")
     os.replace(target, aside)
     try:
@@ -219,49 +222,48 @@ def _load_manifest(path: Path) -> list[dict]:
     return out
 
 
-def _read_label(entry, stop: threading.Event) -> tuple[_Footprints, dict[str, str]]:
+def _read_label(entry) -> tuple[_Footprints, dict[str, str]]:
     """One label file end to end, on a label worker: its sidecar is checked,
     then its payload is read in row slabs, each hashed and reduced to both
     footprints before the next is read, so the payload is never whole in
     memory. Returns the footprints and the two files' digests under their
-    manifest names. Once ``stop`` is set, no further slab is read."""
+    manifest names."""
     declared_id, rel, lpath = entry
     digests: dict[str, str] = {}
     meta, slabs = _read_pair(lpath, "u8", _SLAB_ROWS, digests, rel)
     label_id = meta["label_id"]
     if declared_id is not None and declared_id != label_id:
         raise ValidationError(f"manifest says label_id {declared_id} but {rel} holds {label_id}")
-    return _Footprints(label_id, tuple(meta["dims"]), _label_footprints(slabs, stop)), digests
+    return _Footprints(label_id, tuple(meta["dims"]), _label_footprints(slabs)), digests
 
 
 def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
-    # Two label workers read the label files in manifest order, at most two
-    # in flight, while project_study checks and resamples each one's
-    # footprints in that order, so the first failing label in manifest order
-    # is the error raised. The first two start before the volume is read and
-    # hashed, to overlap it, yet its error wins. Nothing is written before
-    # project_study returns, so a missing or bad file leaves no partial output.
-    stop = threading.Event()
+    # Every label read of the study is queued on two label workers before the
+    # volume is read and hashed, and project_study sums the line integrals on
+    # this thread meanwhile. It takes the footprints in manifest order, so the
+    # volume's error comes first, then the line integrals', then the first
+    # failing label's in manifest order. A read that has finished holds only
+    # its footprints until then. Nothing is written before project_study
+    # returns, so a missing or bad file leaves no partial output.
     inputs: dict[str, str] = {}
-    entries = iter(study["labels"])
 
-    def labels(workers, pending):
+    def labels(pending):
         while pending:
             footprints, digests = pending.popleft().result()
-            pending.extend(workers.submit(_read_label, e, stop) for e in islice(entries, 1))
             inputs.update(digests)
             yield footprints
 
     with ThreadPoolExecutor(max_workers=2) as workers:
+        pending = deque(workers.submit(_read_label, e) for e in study["labels"])
         try:
-            pending = deque(workers.submit(_read_label, e, stop) for e in islice(entries, 2))
             vol = load_volume(study["volume_path"], _digests=inputs, _name=study["volume"])
             try:
-                result = project_study(vol, labels(workers, pending), config)
+                result = project_study(vol, labels(pending), config)
             except ValidationError as exc:
                 raise ValidationError(f"study {study['id']}: {exc}") from exc
         finally:
-            stop.set()      # after a failure, the labels in flight end after their slab
+            for fut in pending:     # after a failure, the reads not yet begun
+                fut.cancel()
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_json_dict()}, inputs=inputs)
@@ -445,6 +447,9 @@ def cmd_evaluate(args) -> int:
             raise ValidationError(
                 f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
         class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
+        if unknown := sorted(set(entry) - {"class_id", "pred_path", "ref_path"}):
+            raise ValidationError(
+                f"{manifest_path}: class {class_id} entry has unknown keys {unknown}")
         rel = _path_str(entry[key], f"class {class_id}: {key}")
         try:
             return load_mask(base / rel, view=View.PA, label_id=class_id,
@@ -553,6 +558,10 @@ def _read_ordinal(path: str, hashes: dict[str, str]) -> np.ndarray:
     """Truth-by-prediction counts: a given matrix, or tallied from grade lists.
     The input is named by its file name, as in _read_scores."""
     doc = _load_json_file(path, hashes, Path(path).name)
+    # A key beside the input read, say grade lists beside a matrix, is refused.
+    if isinstance(doc, dict) and (unknown := sorted(
+            set(doc) - ({"matrix"} if "matrix" in doc else {"truth", "pred"}))):
+        raise ValidationError(f"{path}: ordinal input has unknown keys {unknown}")
     if isinstance(doc, dict) and "matrix" in doc:
         try:
             cells = np.asarray(doc["matrix"], dtype=object)
@@ -607,7 +616,7 @@ def cmd_stats(args) -> int:
         metrics = ordinal_metrics(matrix)
         kappa_lin = weighted_kappa(matrix, "linear")
         kappa_quad = weighted_kappa(matrix, "quadratic")
-        config = {"n_classes": len(Grade)}
+        config = {"n_classes": len(matrix)}
         fields = {"confusion": matrix.tolist(), "ordinal": metrics.to_json_dict(),
                   "kappa_linear": kappa_lin.to_json_dict(),
                   "kappa_quadratic": kappa_quad.to_json_dict()}

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
@@ -256,19 +254,15 @@ def _row_slabs(data: np.ndarray):
     return (data[lo:lo + rows] for lo in range(0, h, rows))
 
 
-def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each,
-                  stop: threading.Event | None = None) -> dict[View, np.ndarray]:
+def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each) -> dict[View, np.ndarray]:
     """``ufunc.reduce(each(data), axis)`` for both views, PA then LL, of the
     (H, W, D) array that ``slabs`` cut along i, bit for bit, with one slab
     that ``each`` made alive at a time: PA reduces each row along j and LL
     combines the planes in order of i, as numpy reduces a whole array.
     With ``np.logical_or``, ``each`` may return None for an all-zero slab,
-    which is skipped: its PA rows stay 0 and LL is unchanged. Once ``stop``
-    is set, no further slab is begun and {} is returned."""
+    which is skipped: its PA rows stay 0 and LL is unchanged."""
     pa, ll = [], None
     for slab in slabs:
-        if stop is not None and stop.is_set():
-            return {}
         x = each(slab)
         if x is None:
             pa.append(np.zeros(slab.shape[::2], dtype=bool))
@@ -294,11 +288,10 @@ def _occupancy(slab: np.ndarray) -> np.ndarray | None:
     return slab.view(bool) if top <= 1 else slab != 0
 
 
-def _label_footprints(slabs: Iterable[np.ndarray], stop=None) -> dict[View, np.ndarray]:
+def _label_footprints(slabs: Iterable[np.ndarray]) -> dict[View, np.ndarray]:
     """The bool PA and LL footprints of the uint8 label array that ``slabs``
-    cut along i, in memory or as read from its file; ``stop`` as in
-    _reduce_slabs."""
-    return _reduce_slabs(slabs, np.logical_or, _occupancy, stop)
+    cut along i, in memory or as read from its file."""
+    return _reduce_slabs(slabs, np.logical_or, _occupancy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,40 +312,32 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume | _Footprints],
     of footprints already reduced from a label file (``_Footprints``). It is
     consumed once, and each label volume is released as soon as its
     footprints are built, so a study holds one label volume at a time if the
-    iterable does. The line integrals are summed on a second thread
-    meanwhile, which has ended whenever this returns or raises; a label's
-    error is raised before one of theirs and stops them after the slab in
-    progress.
+    iterable does. Everything runs on the calling thread: the grids are
+    checked and the line integrals summed before the first label is drawn,
+    so an error of theirs is raised before any label's.
     """
     config = config or ProjectionConfig()
     # An oversized grid is refused before a label is read or an image allocated.
     for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
         _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        integrals = pool.submit(_reduce_slabs, _row_slabs(vol.data), np.add, _attenuation,
-                                stop)
-        try:
-            masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
-            for lab in labels:
-                if lab.label_id in masks[View.PA]:
-                    raise ValidationError(f"duplicate label id {lab.label_id}")
-                if lab.shape != vol.shape:
-                    raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
-                                          f"do not match volume dims {vol.shape}")
-                views = (lab.views if isinstance(lab, _Footprints)
-                         else _label_footprints(_row_slabs(lab.data)))
-                for view, data in views.items():
-                    footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
-                                       spacing=_view_geometry(view, vol.spacing)[2])
-                    masks[view][lab.label_id] = resample_and_orient(footprint, config)
-                del lab     # the iterable may build the next label before the loop rebinds it
-        except BaseException:
-            stop.set()
-            raise
+    integrals = _reduce_slabs(_row_slabs(vol.data), np.add, _attenuation)
+    masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
+    for lab in labels:
+        if lab.label_id in masks[View.PA]:
+            raise ValidationError(f"duplicate label id {lab.label_id}")
+        if lab.shape != vol.shape:
+            raise ValidationError(f"label {lab.label_id} dims {lab.shape} "
+                                  f"do not match volume dims {vol.shape}")
+        views = (lab.views if isinstance(lab, _Footprints)
+                 else _label_footprints(_row_slabs(lab.data)))
+        for view, data in views.items():
+            footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
+                               spacing=_view_geometry(view, vol.spacing)[2])
+            masks[view][lab.label_id] = resample_and_orient(footprint, config)
+        del lab     # the iterable may build the next label before the loop rebinds it
     images = {}
-    for view, sums in integrals.result().items():
+    for view, sums in integrals.items():
         _, depth, in_plane = _view_geometry(view, vol.spacing)
         proj = Projection(data=sums * depth, view=view, spacing=in_plane)
         images[view] = normalize_to_8bit(resample_and_orient(proj, config))

@@ -229,6 +229,31 @@ def test_project_failure_leaves_same_studies_for_any_jobs(tmp_path):
     assert left[0] == left[1] == ["s02", "s03"]
 
 
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_project_leaves_a_file_or_link_at_a_study_s_path_as_it_is(tmp_path, capsys, kind):
+    # No earlier study is at out/s01 but the user's own file, or a link to
+    # their directory: it is refused untouched, and the other studies written.
+    manifest = _write_cohort(tmp_path)
+    out, theirs = tmp_path / "out", tmp_path / "theirs"
+    out.mkdir()
+    theirs.mkdir()
+    (theirs / "notes.txt").write_text("keep")
+    if kind == "file":
+        (out / "s01").write_bytes(b"not a study")
+    else:
+        (out / "s01").symlink_to(theirs, target_is_directory=True)
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno 17] not a study directory, left as it is: '{out / 's01'}'\n")
+    if kind == "file":
+        assert (out / "s01").read_bytes() == b"not a study"
+    else:
+        assert os.readlink(out / "s01") == str(theirs)
+    assert _collect_bytes(theirs) == {"notes.txt": b"keep"}
+    assert sorted(p.name for p in out.iterdir()) == ["s01", "s02", "s03"]
+    assert (out / "s02" / "provenance.json").is_file()
+
+
 def test_project_dotted_volume_names_hash_their_own_files(tmp_path):
     manifest = _write_study_inputs(tmp_path, n_labels=0)
     for suffix in (".json", ".raw"):
@@ -377,9 +402,9 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
     failed = threading.Event()
     real_read, real_load = cli._read_label, cli.load_volume
 
-    def read_label(entry, stop):
+    def read_label(entry):
         try:
-            return real_read(entry, stop)
+            return real_read(entry)
         except OSError:
             failed.set()
             raise
@@ -412,6 +437,15 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
     if command == "project":
         argv = ["project", "--manifest", str(_write_study_inputs(tmp_path, n_labels=2)),
                 "--out", str(tmp_path / "out")]
+        # The two reads meet before either ends, so the first worker is still
+        # busy when the second read is queued, however fast a label is read.
+        meet, real_read = threading.Barrier(2, timeout=10), cli._read_label
+
+        def read_label(entry):
+            meet.wait()
+            return real_read(entry)
+
+        monkeypatch.setattr(cli, "_read_label", read_label)
     else:
         argv = _hashing_run(tmp_path, command, 0)
     real_sha256, real_start = hashlib.sha256, threading.Thread.start
@@ -445,6 +479,8 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
         assert started == []
     elif command == "evaluate":
         assert len(started) == 1        # the one reader
+    else:
+        assert len(started) == 3        # the study pool and two label workers
     out = tmp_path / "out"
     report = out / "case01" / "provenance.json" if command == "project" else (
         out / "provenance.json" if command == "measure" else out)
@@ -454,6 +490,41 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
     for name, digest in inputs.items():
         path = tmp_path / name if name == "mapping.json" else base / name
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), name
+
+
+def test_project_cancels_the_label_reads_queued_behind_a_failure(tmp_path, monkeypatch,
+                                                                  capsys):
+    # The first of eight labels is missing. Every other read waits until the
+    # label pool shuts down, which is after project_study has raised and the
+    # reads not yet begun were cancelled: only those the two workers had
+    # begun by then are read.
+    manifest = _write_study_inputs(tmp_path, n_labels=8)
+    doc = json.loads(manifest.read_text())
+    doc["studies"][0]["labels"][0] = "missing.json"
+    manifest.write_text(json.dumps(doc))
+    shut = threading.Event()
+    real_read, begun = cli._read_label, []
+
+    def read_label(entry):
+        begun.append(entry[1])
+        if entry[1] != "missing.json":
+            assert shut.wait(10)
+        return real_read(entry)
+
+    class Pool(cli.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shut.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_label", read_label)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    out = tmp_path / "out"
+    assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "missing.json" in capsys.readouterr().err
+    # The first two or three in manifest order, whichever worker began which.
+    first = ["missing.json", "lab2.json", "lab3.json"]
+    assert sorted(begun) in (sorted(first[:2]), sorted(first))
+    assert not (out / "case01").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -782,6 +853,22 @@ def test_project_unknown_manifest_key_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(argv) == 1
     assert "manifest has unknown keys ['labels']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # A class weight would otherwise be ignored.
+    ("evaluate", [{"class_id": 1, "pred_path": "pred1.pgm", "ref_path": "ref1.pgm",
+                   "weight": 2}], "class 1 entry has unknown keys ['weight']"),
+    # Grade lists beside a matrix would otherwise be ignored as the matrix is scored.
+    ("ordinal", {"matrix": [[1, 0], [0, 1]], "truth": [0, 1, 2], "pred": [3, 3, 3], "extra": 1},
+     "ordinal input has unknown keys ['extra', 'pred', 'truth']"),
+], ids=["evaluate", "ordinal"])
+def test_unknown_input_key_exits_1_and_is_named(tmp_path, capsys, command, doc, message):
+    argv, path, _ = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1399,6 +1486,16 @@ def test_stats_ordinal_matrix_input(tmp_path):
     assert rep["ordinal"]["off_by_one"] == 1.0
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stats_ordinal_matrix_echoes_its_own_class_count(tmp_path, k):
+    scores = tmp_path / "matrix.json"
+    scores.write_text(json.dumps({"matrix": np.eye(k, dtype=int).tolist()}))
+    out = tmp_path / "ordinal.json"
+    assert cli.main(["stats", "--mode", "ordinal", "--scores", str(scores),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"stats": {"n_classes": k}}
+
+
 def test_stats_ordinal_bad_grade_exits_1(tmp_path, capsys):
     scores = tmp_path / "grades.json"
     scores.write_text(json.dumps({"truth": ["huge"], "pred": [0]}))
@@ -1612,6 +1709,11 @@ _BAD_DOCUMENTS = {
     "matrix-nan": ("ordinal", {"matrix": [[float("nan"), 1], [1, 1]]}),
     "truth-scalar": ("ordinal", {"truth": 3, "pred": [3]}),
     "truth-huge": ("ordinal", {"truth": [10 ** 30], "pred": [3]}),
+    # A key no one reads is refused, not ignored.
+    "entry-unknown-key": ("evaluate", _entry(weight=2)),
+    "matrix-beside-grades": ("ordinal", {"matrix": [[1, 0], [0, 1]], "truth": [0, 1, 2],
+                                         "pred": [3, 3, 3], "extra": 1}),
+    "grades-unknown-key": ("ordinal", {"truth": [0, 1], "pred": [0, 1], "weights": [1, 1]}),
 }
 
 

@@ -480,63 +480,37 @@ def test_line_integrals_hold_one_slab_at_a_time():
     assert label_peak < slab // 8
 
 
-def test_label_error_wins_over_the_line_integrals_and_ends_their_thread(monkeypatch):
-    vol = Volume(data=np.zeros((40, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
-    started, release = threading.Event(), threading.Event()
+def test_project_study_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(3)
+    vol = _random_volume(rng, max_dim=12)
+    started, real_start = [], threading.Thread.start
 
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    result = project_study(vol, [_random_label(rng, vol.shape, label_id) for label_id in (1, 2)])
+    assert started == []
+    assert sorted(result.masks[View.PA]) == [1, 2]
+
+
+def test_line_integrals_are_summed_before_the_first_label_is_drawn(monkeypatch):
     # Only the line integrals call _attenuation: footprints reduce bool views.
     def attenuation(hu):
-        started.set()
-        release.wait(10)
         raise RuntimeError("line integrals failed")
 
     monkeypatch.setattr(projection, "_attenuation", attenuation)
-    before = set(threading.enumerate())
-    running = []
+    vol = Volume(data=np.zeros((40, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
+    drawn = []
 
     def labels():
-        yield LabelVolume(data=np.zeros(vol.shape, dtype=np.uint8), label_id=1)
-        assert started.wait(10)
-        running.extend(t for t in threading.enumerate() if t not in before)
-        release.set()
-        yield LabelVolume(data=np.zeros((4, 5, 6), dtype=np.uint8), label_id=2)
-
-    with pytest.raises(ValidationError, match=r"label 2 dims \(4, 5, 6\)"):
-        project_study(vol, labels())
-    assert len(running) == 1 and not running[0].is_alive()
-    assert set(threading.enumerate()) == before
-
-
-def test_label_error_stops_the_line_integrals_after_the_slab_in_progress(monkeypatch):
-    # Eight slabs; the first is held until the failed label has set the stop
-    # event, so the count of slabs begun does not depend on timing.
-    vol = Volume(data=np.zeros((8 * _S, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
-    stops, begun, entered = [], [], threading.Event()
-    real_reduce, real_attenuation = projection._reduce_slabs, projection._attenuation
-
-    def reduce_slabs(data, ufunc, each=np.asarray, stop=None):
-        stops.append(stop)
-        return real_reduce(data, ufunc, each, stop)
-
-    def attenuation(hu):
-        begun.append(len(hu))
-        if len(begun) == 1:
-            entered.set()
-            stops[0].wait(10)
-        return real_attenuation(hu)
-
-    monkeypatch.setattr(projection, "_reduce_slabs", reduce_slabs)
-    monkeypatch.setattr(projection, "_attenuation", attenuation)
-    before = set(threading.enumerate())
-
-    def labels():
-        assert entered.wait(10)
+        drawn.append(1)
         yield LabelVolume(data=np.zeros((4, 5, 6), dtype=np.uint8), label_id=1)
 
-    with pytest.raises(ValidationError, match=r"label 1 dims \(4, 5, 6\)"):
+    with pytest.raises(RuntimeError, match="line integrals failed"):
         project_study(vol, labels())
-    assert begun == [_S]
-    assert set(threading.enumerate()) == before
+    assert drawn == []
 
 
 def test_line_integral_error_is_raised_by_project_study(monkeypatch):
