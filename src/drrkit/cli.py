@@ -503,7 +503,9 @@ def _read_scores(path: str, hashes: dict[str, str]) -> dict:
     if Path(path).suffix.lower() == ".csv":
         blob = _read_input(path, hashes, Path(path).name)
         try:
-            rows = list(csv.reader(_io.StringIO(blob.decode("utf-8"), newline="")))
+            # utf-8-sig drops the byte-order mark spreadsheets write, which
+            # would otherwise make the class column a model named '\ufeffclass'.
+            rows = list(csv.reader(_io.StringIO(str(blob, "utf-8-sig"), newline="")))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
         if len(rows) < 2:
@@ -531,9 +533,13 @@ def _read_scores(path: str, hashes: dict[str, str]) -> dict:
         raise ValidationError(f"{path}: expected a model -> scores mapping")
     if any(not name.strip() for name in doc):
         raise ValidationError(f"{path}: a model name is empty or blank")
+    # A score is a JSON number: numpy would also read true as 1, "0.9" as
+    # 0.9 and " 1_0 " as 10.
     for name, values in doc.items():
-        if isinstance(values, list) and any(isinstance(v, bool) for v in values):
-            raise ValidationError(f"{path}: model {name!r} has a boolean score")
+        if isinstance(values, list) and (bad := [v for v in values
+                                                 if type(v) not in (int, float)]):
+            raise ValidationError(f"{path}: model {name!r} has a score that is not "
+                                  f"a JSON number: {bad[0]!r}")
     return doc      # stats checks each score list
 
 

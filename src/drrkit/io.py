@@ -12,6 +12,7 @@ import json
 import numbers
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -212,30 +213,77 @@ def _as_binary(mask, name: str = "mask") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# input files: each is read once, and its digest is taken of the bytes parsed
+# input files: each is read once, by one reader, and hashed as it is read
 
 
-def _sha256(blob, name) -> str:
-    """The hex SHA-256 of ``blob``; a hash that fails is a RuntimeError that
-    names the file, chained from the hash's own error."""
-    # update() releases the GIL for large buffers; hashlib.sha256(blob) does
-    # not in every build.
-    try:
-        h = hashlib.sha256()
-        h.update(blob)
-        return h.hexdigest()
-    except Exception as exc:
-        raise RuntimeError(f"hashing {name} failed") from exc
+def _file_chunks(path, chunk: int | None = None, digests: dict | None = None, name=None,
+                 size: int | None = None) -> Iterator[np.ndarray]:
+    """The one reader of input files: the bytes of ``path`` as uint8 arrays.
+    With ``chunk``, read-only chunks of that many bytes share one buffer,
+    each valid only until the next is asked for; without, the whole file is
+    one writable buffer of its own. With ``digests``, each chunk goes into
+    one SHA-256 on this thread before it is yielded, and ``digests`` holds
+    the file's digest under ``name``, or else the path, once the last has.
+
+    A payload must hold the ``size`` bytes its sidecar's dims imply, and any
+    other regular file its fstat size. That is checked before a buffer is
+    allocated, and a file that ends early or runs past it while read is
+    refused, so no chunk holds a zero-filled or garbage tail. A pipe has no
+    size and is read to its end. numpy advises its large allocations for
+    huge pages, so reading into one faults in fewer pages than a ``bytes``.
+    """
+    what, source = ("file", "fstat reported") if size is None else ("payload", "sidecar dims imply")
+    name = str(path if name is None else name)
+    sha = None if digests is None else hashlib.sha256()
+    with open(path, "rb", buffering=0) as f:
+        st = os.fstat(f.fileno())
+        to_end = size is None and not stat.S_ISREG(st.st_mode)
+        if size is None:
+            size = st.st_size
+        elif st.st_size != size:
+            raise FormatError(f"{path}: payload is {st.st_size} bytes, sidecar dims imply {size}")
+        buf = np.empty(1 << 16 if to_end else min(chunk or size, size), dtype=np.uint8)
+        start = 0
+        while True:
+            got = 0
+            if to_end:      # into a buffer doubled whenever it fills
+                while n := f.readinto(buf[got:]):
+                    got += n
+                    if got == buf.size:
+                        buf = np.concatenate((buf, buf))
+                size = got
+            else:
+                want = min(buf.size, size - start)
+                buf.setflags(write=True)
+                while got < want:
+                    if not (n := f.readinto(buf[got:want])):
+                        raise FormatError(
+                            f"{path}: {what} ended after {start + got} bytes, {source} {size}")
+                    got += n
+                if start + got == size and f.read(1):
+                    raise FormatError(f"{path}: {what} runs past the {size} bytes {source}")
+            start += got
+            # Before anything views it, so no view of it can be made writable
+            # while it holds this chunk.
+            buf.setflags(write=chunk is None)
+            part = buf[:got]
+            if sha is not None:
+                try:
+                    sha.update(part)
+                    if start == size:
+                        digests[name] = sha.hexdigest()
+                except Exception as exc:
+                    raise RuntimeError(f"hashing {name} failed") from exc
+            yield part
+            if start == size:
+                return
 
 
-def _read_input(path, digests: dict | None = None, name=None, read=Path.read_bytes):
-    """One input file, read whole by ``read`` and hashed on this thread into
-    ``digests``, if given, under the declared ``name`` or else the path."""
-    blob = read(Path(path))
-    if digests is not None:
-        name = str(path if name is None else name)
-        digests[name] = _sha256(blob, name)
-    return blob
+def _read_input(path, digests: dict | None = None, name=None) -> np.ndarray:
+    """One input file, read whole into a writable uint8 buffer of its own
+    and hashed on this thread into ``digests``, if given."""
+    (buf,) = _file_chunks(path, None, digests, name)
+    return buf
 
 
 def _repeated(items) -> list:
@@ -251,11 +299,11 @@ def _json_object(pairs: list) -> dict:
     return doc
 
 
-def _decode_json(blob: bytes, path):
+def _decode_json(buf, path):
     """The one JSON decoder of input files: strict UTF-8, bounded nesting,
     no key repeated within an object."""
     try:
-        doc = json.loads(blob.decode("utf-8"), object_pairs_hook=_json_object)
+        doc = json.loads(str(buf, "utf-8"), object_pairs_hook=_json_object)
         # A lone surrogate escape such as "\ud800" loads, but no path or CSV
         # built from it can be encoded; reject it here with the rest.
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
@@ -293,75 +341,19 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
 
 
-def _read_exactly(f, buf: np.ndarray, start: int, size: int, what: str, source: str) -> None:
-    """Fill the uint8 ``buf`` from ``f``, ``start`` bytes into a file that
-    must hold the ``size`` bytes ``source`` says, reading on after a short
-    read; a file that ends early or runs past ``size`` is refused."""
-    with memoryview(buf) as view:
-        got = 0
-        while got < len(view):
-            n = f.readinto(view[got:])
-            if not n:
-                raise FormatError(f"{what} ended after {start + got} bytes, {source} {size}")
-            got += n
-    if start + got == size and f.read(1):
-        raise FormatError(f"{what} runs past the {size} bytes {source}")
-
-
-def _read_buffer(path: Path) -> np.ndarray:
-    """The bytes of one file in one writable uint8 buffer of its fstat size."""
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        buf = np.empty(size, dtype=np.uint8)
-        _read_exactly(f, buf, 0, size, f"{path}: file", "fstat reported")
-    return buf
-
-
 def _payload_slabs(raw_path, dims, dtype: str, rows: int,
                    digests: dict | None = None, name=None):
     """The read-only (n, W, D) slabs of ``rows`` rows along i of a .raw
-    payload, in order, each read into one buffer that the next slab reuses:
-    a slab is valid only until the next one is asked for. With ``digests``,
-    each slab goes into one SHA-256 before it is yielded, and
-    ``digests[name]`` holds the file's digest once the last one has.
-
-    The file's size is checked by fstat before a buffer is allocated, and a
-    file that ends early or runs past the size its dims imply while being read
-    is refused, so no slab holds a zero-filled or garbage tail. With ``rows``
-    at least H, the one slab is the whole payload in a buffer of its own,
-    which the caller may keep. numpy advises its large allocations for huge
-    pages, so reading into one faults in fewer pages than a ``bytes`` of the
-    same size.
-    """
+    payload, in order: views of ``_file_chunks``' chunks of a payload that
+    must hold the bytes its sidecar's dims imply, so each slab is valid only
+    until the next one is asked for, and the file is opened only when the
+    first one is. With ``rows`` at least H, the one slab is the whole
+    payload in a buffer of its own, which the caller may keep."""
     h, w, d = dims
     row_bytes = w * d * np.dtype(dtype).itemsize
-    expected = h * row_bytes
-    with open(raw_path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != expected:
-            raise FormatError(
-                f"{raw_path}: payload is {size} bytes, sidecar dims imply {expected}")
-        sha = None if digests is None else hashlib.sha256()
-        buf = np.empty(min(rows, h) * row_bytes, dtype=np.uint8)
-        for lo in range(0, h, rows):
-            last = lo + rows >= h
-            n_bytes = min(rows, h - lo) * row_bytes
-            buf.setflags(write=True)
-            _read_exactly(f, buf[:n_bytes], lo * row_bytes, expected,
-                          f"{raw_path}: payload", "sidecar dims imply")
-            # Before anything views it, so no view of it can be made writable
-            # while it holds this slab.
-            buf.setflags(write=False)
-            slab = buf[:n_bytes]
-            if sha is not None:
-                try:
-                    sha.update(slab)
-                    if last:
-                        digests[name] = sha.hexdigest()
-                except Exception as exc:
-                    raise RuntimeError(f"hashing {name} failed") from exc
-            # C order with k fastest, matching the (H, W, D) reshape.
-            yield slab.view(dtype).reshape(-1, w, d)
+    # C order with k fastest, matching the (H, W, D) reshape.
+    return (chunk.view(dtype).reshape(-1, w, d) for chunk in
+            _file_chunks(raw_path, rows * row_bytes, digests, name, size=h * row_bytes))
 
 
 def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
@@ -370,12 +362,12 @@ def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
     rows of its payload, or the whole payload as one slab if ``rows`` is
     None. Every fault of the sidecar, a label's ``label_id`` included, is
     found here; the payload is opened only when its first slab is asked for.
-    With ``digests``, each file is hashed by the thread that reads it, under
-    the pair that ``name`` declares, or else the path as given."""
+    With ``digests``, each file is hashed as it is read, by the thread that
+    reads it, under the pair that ``name`` declares, or else the path as
+    given."""
     json_path, raw_path = _sidecar_paths(path)
-    json_name, raw_name = map(str, _sidecar_paths(path if name is None else name))
-    blob = _read_input(json_path)
-    meta = _decode_json(blob, json_path)
+    json_name, raw_name = _sidecar_paths(path if name is None else name)
+    meta = _load_json_file(json_path, digests, json_name)
     if not isinstance(meta, dict):
         raise FormatError(f"{json_path}: sidecar must be a JSON object")
     dims = meta.get("dims")
@@ -388,8 +380,6 @@ def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
                           f"got {meta.get('dtype')!r}")
     if kind == "label":
         _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
-    if digests is not None:
-        digests[json_name] = _sha256(blob, json_name)
     return meta, _payload_slabs(raw_path, dims, payload, rows or dims[0], digests, raw_name)
 
 
@@ -493,9 +483,10 @@ def save_projection(proj: Projection, path) -> None:
 def load_mask(path, view: View, label_id: int = 0, spacing=(1.0, 1.0), *,
               _digests=None, _name=None) -> Mask2D:
     """Load a PGM mask; any nonzero pixel counts as foreground. The file is
-    read into one buffer, hashed into ``_digests`` if given, then parsed and
-    binarized in place, so the mask holds that buffer and no copy of it."""
-    arr = _parse_pgm(_read_input(path, _digests, _name, _read_buffer), str(path))
+    read whole by ``_read_input`` into one writable buffer of its own,
+    hashed into ``_digests`` as read if given, then parsed and binarized in
+    place, so the mask holds that buffer and no copy of it."""
+    arr = _parse_pgm(_read_input(path, _digests, _name), str(path))
     return Mask2D(data=np.not_equal(arr, 0, out=arr.view(bool)), view=view,
                   spacing=spacing, label_id=label_id)
 

@@ -425,8 +425,8 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
     assert not out.exists()
 
 
-# The io functions that read an input file; each hashes what it read.
-_READERS = {"_read_input", "_read_pair", "_payload_slabs"}
+# The io functions that read an input file; every hash runs in _file_chunks.
+_READERS = {"_file_chunks", "_read_input", "_read_pair", "_payload_slabs"}
 
 
 @pytest.mark.parametrize("command", ["project", "measure", "evaluate", "stats"])
@@ -1420,11 +1420,47 @@ def test_stats_csv_scores_take_every_decimal_form(tmp_path):
     scores.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(*values.values())))
     as_json = tmp_path / "scores.json"
     as_json.write_text(json.dumps({k: [float(v) for v in vs] for k, vs in values.items()}))
-    for path in (scores, as_json):
+    # Excel's "CSV UTF-8" starts with a byte-order mark, which is no part of
+    # the first column's name.
+    with_bom = tmp_path / "bom.csv"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + scores.read_bytes())
+    for path in (scores, as_json, with_bom):
         assert cli.main(["stats", "--mode", "pairwise", "--scores", str(path),
                          "--out", str(path.with_suffix(".out"))]) == 0
     assert (json.loads(scores.with_suffix(".out").read_text())["comparisons"]
-            == json.loads(as_json.with_suffix(".out").read_text())["comparisons"])
+            == json.loads(as_json.with_suffix(".out").read_text())["comparisons"]
+            == json.loads(with_bom.with_suffix(".out").read_text())["comparisons"])
+
+
+def test_stats_reads_scores_and_config_through_pipes(tmp_path):
+    # A pipe reports no size, so it is read to its end: scores on stdin and a
+    # config on a pipe of its own give the report their files give.
+    scores = json.dumps({"a": [0.9, 0.85, 0.92, 0.88], "b": [0.8, 0.7, 0.81, 0.79]})
+    config = json.dumps({"stats": {"alpha": 0.1}})
+    (tmp_path / "scores.json").write_text(scores)
+    (tmp_path / "config.json").write_text(config)
+    env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
+
+    def stats(scores_path, config_path, out, **kwargs):
+        subprocess.run([sys.executable, "-m", "drrkit.cli", "stats", "--mode", "pairwise",
+                        "--scores", scores_path, "--config", config_path, "--out", str(out)],
+                       env=env, check=True, **kwargs)
+        return json.loads(out.read_text())
+
+    from_files = stats(str(tmp_path / "scores.json"), str(tmp_path / "config.json"),
+                       tmp_path / "files.out")
+    r, w = os.pipe()
+    try:
+        os.write(w, config.encode())
+        os.close(w)
+        piped = stats("/dev/stdin", f"/dev/fd/{r}", tmp_path / "piped.out",
+                      input=scores.encode(), pass_fds=(r,))
+    finally:
+        os.close(r)
+    assert from_files["config"]["stats"]["alpha"] == 0.1
+    # Each input is named by its file name: stdin's is "stdin".
+    assert piped.pop("inputs") == {"stdin": from_files.pop("inputs")["scores.json"]}
+    assert piped == from_files
 
 
 def test_stats_repeated_csv_model_exits_1(tmp_path, capsys):
@@ -1697,6 +1733,9 @@ _BAD_DOCUMENTS = {
     # Models map straight to their scores; no wrapper object is unwrapped.
     "scores-wrapped": ("pairwise", {"models": {"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}}),
     "scores-string": ("pairwise", {"a": "abc", "b": "def"}),
+    # A score is a JSON number, not text that float() would read as one.
+    "scores-text": ("pairwise", {"a": ["0.9", "0.8", "0.7"], "b": [0.5, 0.4, 0.6]}),
+    "scores-underscore": ("pairwise", {"a": [" 1_0 ", 0.8, 0.7], "b": [0.5, 0.4, 0.6]}),
     "scores-ragged": ("pairwise", {"a": [[0.9, 0.8], [0.7]], "b": [0.5, 0.4]}),
     "scores-overflow": ("pairwise", {"a": [10 ** 400, 1, 2], "b": [0.5, 0.4, 0.6]}),
     "differences-overflow": ("pairwise", {"a": [1e308, -1e308, 1e308],

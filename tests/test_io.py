@@ -76,9 +76,14 @@ def test_payload_unlike_its_reported_size_is_refused(tmp_path, monkeypatch, held
     # fstat reports the 8 bytes the dims imply, but the file holds fewer or
     # more by the time it is read: no partly filled or truncated array.
     (tmp_path / "l.json").write_text('{"dims": [2, 2, 2], "dtype": "u8", "label_id": 1}')
-    (tmp_path / "l.raw").write_bytes(b"\x01" * held)
-    monkeypatch.setattr(io, "os", types.SimpleNamespace(
-        fstat=lambda fd: types.SimpleNamespace(st_size=8)))
+    raw = tmp_path / "l.raw"
+    raw.write_bytes(b"\x01" * held)
+
+    def fstat(fd):      # the sidecar's own size stands
+        st = os.fstat(fd)
+        return types.SimpleNamespace(st_size=8) if os.path.samestat(st, raw.stat()) else st
+
+    monkeypatch.setattr(io, "os", types.SimpleNamespace(fstat=fstat))
     with pytest.raises(FormatError, match=message):
         load_label_volume(tmp_path / "l.json")
 
@@ -108,7 +113,11 @@ def test_payload_read_in_short_pieces_is_read_whole(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self._f.close()
 
-    monkeypatch.setattr(io, "open", lambda *a, **k: Trickle(open(*a, **k)), raising=False)
+    def trickling(file, *args, **kwargs):     # the payload only, not its sidecar
+        f = open(file, *args, **kwargs)
+        return Trickle(f) if str(file).endswith(".raw") else f
+
+    monkeypatch.setattr(io, "open", trickling, raising=False)
     got = {}
     vol = load_volume(tmp_path / "v.json", _digests=got, _name="v.json")
     assert np.array_equal(vol.data, data)
@@ -517,13 +526,28 @@ def test_load_mask_holds_one_buffer(tmp_path):
     assert mask.data.sum() > 0
 
 
-@pytest.mark.parametrize("change,message", [
-    (lambda path: os.truncate(path, 20), "m.pgm: file ended after 20 bytes, fstat reported 27"),
-    (lambda path: path.write_bytes(bytes(28)), "m.pgm: file runs past the 27 bytes fstat reported"),
-], ids=["shrinks", "grows"])
-def test_pgm_that_changes_after_fstat_is_refused(tmp_path, monkeypatch, change, message):
-    path = tmp_path / "m.pgm"
-    path.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+# Three readers of a 27-byte file, each through io's one reader; the mask's
+# cases keep their plain ids.
+_READ_27 = {
+    "load_mask": ("m.pgm", b"P5\n4 4\n255\n" + bytes(16), lambda path: load_mask(path, View.PA)),
+    "load_projection": ("p.pgm", b"P5\n4 4\n255\n" + bytes(16),
+                        lambda path: load_projection(path, View.PA)),
+    "_load_json_file": ("d.json", b'{"a": [1, 2, 3, 4, 5, 678]}', io._load_json_file),
+}
+_CHANGES = {
+    "shrinks": (lambda path: os.truncate(path, 20), "file ended after 20 bytes, fstat reported 27"),
+    "grows": (lambda path: path.write_bytes(bytes(28)), "file runs past the 27 bytes fstat reported"),
+}
+
+
+@pytest.mark.parametrize("reader,change", [
+    pytest.param(reader, change, id=change if reader == "load_mask" else f"{reader}-{change}")
+    for reader in _READ_27 for change in _CHANGES])
+def test_pgm_that_changes_after_fstat_is_refused(tmp_path, monkeypatch, reader, change):
+    name, blob, load = _READ_27[reader]
+    change, message = _CHANGES[change]
+    path = tmp_path / name
+    path.write_bytes(blob)
 
     def fstat_then_change(fd):
         st = os.fstat(fd)
@@ -531,8 +555,8 @@ def test_pgm_that_changes_after_fstat_is_refused(tmp_path, monkeypatch, change, 
         return st
 
     monkeypatch.setattr(io, "os", types.SimpleNamespace(fstat=fstat_then_change))
-    with pytest.raises(FormatError, match=message):
-        load_mask(path, View.PA)
+    with pytest.raises(FormatError, match=f"{name}: {message}"):
+        load(path)
 
 
 def test_pgm_malformed_headers(tmp_path):
