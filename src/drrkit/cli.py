@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import errno
 import io as _io
@@ -24,8 +23,6 @@ import shutil
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +33,7 @@ from .io import (FormatError, Mask2D, ValidationError, View, _load_json_file,
                  save_mask, save_projection)
 from .measurement import (Condition, Grade, _excluded, cardiothoracic_ratio,
                           compose_thorax, kyphosis_angle, scoliosis_angle)
-from .metrics import evaluate_class_set
+from .metrics import _mask_runs, evaluate_class_set
 from .projection import _SLAB_ROWS, ProjectionConfig, _Footprints, _label_footprints, project_study
 from .stats import (_MAX_RESAMPLES, PairwiseComparison, _check_alpha, confusion_from_labels,
                     ordinal_metrics, pairwise_model_comparison, weighted_kappa)
@@ -439,9 +436,9 @@ def cmd_evaluate(args) -> int:
     base = manifest_path.parent
     inputs: dict[str, str] = {}
 
-    def read_mask(entry, key):
-        # Runs on the reader, which checks the entry, so that its faults are
-        # raised only when its masks are due: after every earlier class's.
+    def read_class(entry):
+        # Runs on the reader: an entry's faults surface only when its class is
+        # due, after every earlier class's. Its masks become row runs here.
         if (not isinstance(entry, dict)
                 or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
             raise ValidationError(
@@ -450,34 +447,24 @@ def cmd_evaluate(args) -> int:
         if unknown := sorted(set(entry) - {"class_id", "pred_path", "ref_path"}):
             raise ValidationError(
                 f"{manifest_path}: class {class_id} entry has unknown keys {unknown}")
-        rel = _path_str(entry[key], f"class {class_id}: {key}")
-        try:
-            return load_mask(base / rel, view=View.PA, label_id=class_id,
-                             _digests=inputs, _name=rel)
-        except ValidationError as exc:
-            raise ValidationError(f"class {class_id}: {exc}") from exc
 
-    def pairs(reader):
-        # The reader loads and hashes the masks in manifest order, one file
-        # ahead: the next class's prediction is read while this one is scored.
-        tasks = ((entry, key) for entry in doc for key in ("pred_path", "ref_path"))
-        ahead = deque(reader.submit(read_mask, *t) for t in islice(tasks, 1))
+        def runs(key):
+            rel = _path_str(entry[key], f"class {class_id}: {key}")
+            try:
+                return _mask_runs(load_mask(base / rel, view=View.PA, label_id=class_id,
+                                            _digests=inputs, _name=rel))
+            except ValidationError as exc:
+                raise ValidationError(f"class {class_id}: {exc}") from exc
 
-        def next_mask():
-            mask = ahead.popleft().result()
-            ahead.extend(reader.submit(read_mask, *t) for t in islice(tasks, 1))
-            return mask
+        return class_id, runs("pred_path"), runs("ref_path")
 
-        while ahead:
-            pred, ref = next_mask(), next_mask()
-            yield pred.label_id, pred, ref
-            del pred, ref   # before the next reference is read, not when rebound
+    def pairs(reader):      # the next class is read while this one is scored, no further
+        ahead = reader.submit(read_class, doc[0])
+        for entry in doc[1:]:
+            current, ahead = ahead, reader.submit(read_class, entry)
+            yield current.result()
+        yield ahead.result()
 
-    # glibc gives each thread a malloc arena: masks the reader allocated and
-    # this thread freed stayed out of this thread's reach, and now and then a
-    # run peaked one mask higher. M_ARENA_MAX = 1 has them share one arena.
-    with suppress(OSError, AttributeError, TypeError):      # not glibc
-        ctypes.CDLL(None).mallopt(-8, 1)
     with ThreadPoolExecutor(max_workers=1) as reader:
         report = evaluate_class_set(pairs(reader), **eff, seed=args.seed)
 

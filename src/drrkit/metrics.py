@@ -9,7 +9,7 @@ cases are flagged in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,14 +44,27 @@ class MetricsReport(_Record):
 # them, and boundary points by subtracting each run's interior.
 
 
+class _MaskRuns(NamedTuple):     # a mask reduced to its row runs, without its pixels
+    shape: tuple[int, int]
+    first: np.ndarray
+    end: np.ndarray
+
+
+def _mask_runs(mask, name: str = "mask") -> _MaskRuns:
+    """The runs of a mask; one already reduced is taken as it is."""
+    if isinstance(mask, _MaskRuns):
+        return mask
+    fg = _as_binary(mask, name)
+    return _MaskRuns(fg.shape, *_runs(fg))
+
+
 def _pair_runs(pred, ref):
     """The common shape of two masks and the runs of each."""
-    p = _as_binary(pred, "predicted mask")
-    r = _as_binary(ref, "reference mask")
+    p, r = _mask_runs(pred, "predicted mask"), _mask_runs(ref, "reference mask")
     if p.shape != r.shape:
         raise ValidationError(
             f"mask geometry mismatch: predicted {p.shape} vs reference {r.shape}")
-    return p.shape, _runs(p), _runs(r)
+    return p.shape, (p.first, p.end), (r.first, r.end)
 
 
 def _area(runs) -> int:

@@ -67,6 +67,14 @@ def test_overlap_shape_mismatch_rejected():
         dice_iou(np.ones((2, 2), dtype=np.uint8), np.ones((2, 3), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("reduce", [np.asarray, metrics._mask_runs], ids=["masks", "reduced"])
+def test_evaluate_pair_names_both_shapes_of_a_mismatch(reduce):
+    pred, ref = (reduce(np.ones(shape, dtype=np.uint8)) for shape in ((2, 2), (2, 3)))
+    with pytest.raises(ValidationError,
+                       match=r"^mask geometry mismatch: predicted \(2, 2\) vs reference \(2, 3\)$"):
+        evaluate_pair(pred, ref)
+
+
 # --- boundaries ---------------------------------------------------------------
 
 def test_boundary_pixels_interior_excluded():
@@ -206,7 +214,9 @@ def _blobs(shape):
 ], ids=["nonempty", "ref-empty", "both-empty", "Mask2D"])
 def test_evaluate_pair_finds_each_masks_runs_once(monkeypatch, pred, ref):
     # Every metric comes from the two run lists: no further scan of a mask,
-    # and no boundary map turned into points.
+    # and no boundary map turned into points. Masks already reduced to their
+    # runs, as evaluate's reader hands them over, are not scanned at all.
+    reduced = [metrics._mask_runs(m) for m in (pred, ref)]
     scanned = []
     real_runs = metrics._runs
     monkeypatch.setattr(metrics, "_runs", lambda fg: scanned.append(fg.shape) or real_runs(fg))
@@ -216,6 +226,9 @@ def test_evaluate_pair_finds_each_masks_runs_once(monkeypatch, pred, ref):
     monkeypatch.setattr(np, "argwhere", forbidden)
     rep = evaluate_pair(pred, ref)
     assert scanned == [(18, 20), (18, 20)]
+    scanned.clear()
+    assert evaluate_pair(*reduced) == rep
+    assert scanned == []
     monkeypatch.undo()
     p, r = (m.data if isinstance(m, Mask2D) else m for m in (pred, ref))
     assert rep.dice == dice_iou(p, r)[0]
