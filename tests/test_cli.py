@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drrkit
-from drrkit import (LabelVolume, Mask2D, View, Volume, cli, projection, save_label_volume,
-                    save_mask, save_volume)
+from drrkit import (LabelVolume, Mask2D, View, Volume, _cmd_common, _cmd_evaluate, _cmd_project,
+                    cli, projection, save_label_volume, save_mask, save_volume)
 
 
 def _collect_bytes(root):
@@ -400,7 +400,7 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
     raw = tmp_path / "vol.raw"
     raw.write_bytes(raw.read_bytes()[:-2])
     failed = threading.Event()
-    real_read, real_load = cli._read_label, cli.load_volume
+    real_read, real_load = _cmd_project._read_label, _cmd_project.load_volume
 
     def read_label(entry):
         try:
@@ -413,8 +413,8 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
         assert failed.wait(10)
         return real_load(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_read_label", read_label)
-    monkeypatch.setattr(cli, "load_volume", load_volume)
+    monkeypatch.setattr(_cmd_project, "_read_label", read_label)
+    monkeypatch.setattr(_cmd_project, "load_volume", load_volume)
     before = set(threading.enumerate())
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
@@ -439,13 +439,13 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
                 "--out", str(tmp_path / "out")]
         # The two reads meet before either ends, so the first worker is still
         # busy when the second read is queued, however fast a label is read.
-        meet, real_read = threading.Barrier(2, timeout=10), cli._read_label
+        meet, real_read = threading.Barrier(2, timeout=10), _cmd_project._read_label
 
         def read_label(entry):
             meet.wait()
             return real_read(entry)
 
-        monkeypatch.setattr(cli, "_read_label", read_label)
+        monkeypatch.setattr(_cmd_project, "_read_label", read_label)
     else:
         argv = _hashing_run(tmp_path, command, 0)
     real_sha256, real_start = hashlib.sha256, threading.Thread.start
@@ -503,7 +503,7 @@ def test_project_cancels_the_label_reads_queued_behind_a_failure(tmp_path, monke
     doc["studies"][0]["labels"][0] = "missing.json"
     manifest.write_text(json.dumps(doc))
     shut = threading.Event()
-    real_read, begun = cli._read_label, []
+    real_read, begun = _cmd_project._read_label, []
 
     def read_label(entry):
         begun.append(entry[1])
@@ -511,13 +511,13 @@ def test_project_cancels_the_label_reads_queued_behind_a_failure(tmp_path, monke
             assert shut.wait(10)
         return real_read(entry)
 
-    class Pool(cli.ThreadPoolExecutor):
+    class Pool(_cmd_project.ThreadPoolExecutor):
         def shutdown(self, *args, **kwargs):
             shut.set()
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_read_label", read_label)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(_cmd_project, "_read_label", read_label)
+    monkeypatch.setattr(_cmd_project, "ThreadPoolExecutor", Pool)
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "missing.json" in capsys.readouterr().err
@@ -827,7 +827,7 @@ def test_one_config_file_serves_every_command(tmp_path):
     # Another command's section is no unknown section.
     manifest = _write_study_inputs(tmp_path, n_labels=0)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**{section: {} for section in cli._SETTINGS},
+    cfg.write_text(json.dumps({**{section: {} for section in _cmd_common._SETTINGS},
                                "projection": {"target_pixel_spacing": 2.0}}))
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
@@ -892,25 +892,38 @@ def test_each_config_key_is_the_dest_of_its_flag():
     assert set(subs.choices) == set(sections)
     for command, sub in subs.choices.items():
         dests = {a.dest for a in sub._actions} - _NOT_SETTINGS
-        assert dests == set(cli._SETTINGS[sections[command]]), command
+        assert dests == set(_cmd_common._SETTINGS[sections[command]]), command
 
 
-def _scipy_loaded(argv=()):
-    """Exit code and the scipy modules loaded by a fresh interpreter that
-    imports drrkit.cli and, given argv, runs it through cli.main."""
-    code = ("import json, sys; from drrkit import cli; "
-            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+def _loaded(argv=(), *, as_main=False):
+    """Exit code and the scipy, concurrent and drrkit modules, by top-level
+    package, loaded by a fresh interpreter that imports drrkit.cli and, given
+    argv, runs it through cli.main; or, as_main, that runs drrkit.cli as
+    ``python -m drrkit.cli`` does, as ``__main__``."""
+    run = ("runpy.run_module('drrkit.cli', run_name='__main__', alter_sys=True)" if as_main
+           else "from drrkit import cli; sys.exit(cli.main(sys.argv[1:]) if sys.argv[1:] else 0)")
+    code = ("import json, runpy, sys\n"
+            f"try:\n    {run}\nexcept SystemExit as exc:\n    rc = exc.code\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')]))")
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'drrkit'))]))")
     env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    loaded = {"scipy": [], "concurrent": [], "drrkit": []}
+    for name in modules:
+        loaded[name.split(".")[0]].append(name)
+    return rc, loaded
+
+
+def _command_modules(loaded):
+    return {m for m in loaded["drrkit"] if m.startswith("drrkit._cmd_")}
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # Importing scipy would add about half a second to every CLI call's start-up.
-    assert _scipy_loaded() == [0, []]
+    rc, loaded = _loaded()
+    assert rc == 0 and loaded["scipy"] == []
 
 
 @pytest.mark.parametrize("command", ["project", "measure", "pairwise", "ordinal", "evaluate"])
@@ -918,7 +931,58 @@ def test_no_command_loads_scipy(tmp_path, command):
     # numpy is drrkit's only runtime dependency, boundary distances included.
     argv, path, doc = _cli_input(tmp_path, command)
     path.write_text(json.dumps(doc))
-    assert _scipy_loaded(argv) == [0, []]
+    rc, loaded = _loaded(argv)
+    assert rc == 0 and loaded["scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"]], ids=["import", "help"])
+def test_cli_import_and_help_load_no_command_module(argv):
+    # Each command's code is imported when the command runs, and no thread
+    # pool before then.
+    rc, loaded = _loaded(argv)
+    assert rc == 0
+    assert _command_modules(loaded) == set()
+    assert loaded["concurrent"] == []
+
+
+# The module that holds each command's code, and whether it imports a thread pool.
+_COMMAND_MODULES = {"project": ("_cmd_project", True), "measure": ("_cmd_measure", False),
+                    "pairwise": ("_cmd_stats", False), "ordinal": ("_cmd_stats", False),
+                    "evaluate": ("_cmd_evaluate", True)}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_own_module(tmp_path, command):
+    # measure and stats start no thread, so they import no thread pool (and
+    # with it logging and queue). Run as __main__, as python -m drrkit.cli
+    # runs it, the commands' code never imports drrkit.cli, which would run
+    # cli.py a second time.
+    argv, path, doc = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    rc, loaded = _loaded(argv, as_main=True)
+    assert rc == 0
+    own, pool = _COMMAND_MODULES[command]
+    assert _command_modules(loaded) == {"drrkit._cmd_common", f"drrkit.{own}"}
+    assert ("concurrent.futures" in loaded["concurrent"]) == pool
+    assert "drrkit.cli" not in loaded["drrkit"]
+
+
+@pytest.mark.parametrize("command,name", [("project", "cmd_project"), ("measure", "cmd_measure"),
+                                          ("evaluate", "cmd_evaluate"), ("pairwise", "cmd_stats")])
+def test_main_runs_a_wrapper_bound_over_a_command(tmp_path, monkeypatch, command, name):
+    # A tracer times each command by binding a wrapper over cli.cmd_* before
+    # cli.main runs; the parser, built in main, dispatches to the wrapper.
+    argv, path, doc = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    real, calls = getattr(cli, name), []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    assert cli.main(argv) == 0
+    assert calls == [argv[0]]
 
 
 def test_all_names_every_public_name_the_package_binds():
@@ -1256,14 +1320,14 @@ def test_evaluate_reports_a_class_fault_before_the_next_entry_s(tmp_path, monkey
     (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n255\n")
     manifest = _write_eval_manifest(tmp_path, [(1, "pred1.pgm", "ref1.pgm"), second])
     manifest.write_text(json.dumps(json.loads(manifest.read_text()) + [third]))
-    real_evaluate = cli.evaluate_class_set
+    real_evaluate = _cmd_evaluate.evaluate_class_set
 
     def late(pairs):
         for pair in pairs:
             time.sleep(0.1)
             yield pair
 
-    monkeypatch.setattr(cli, "evaluate_class_set",
+    monkeypatch.setattr(_cmd_evaluate, "evaluate_class_set",
                         lambda pairs, **kwargs: real_evaluate(late(pairs), **kwargs))
     _slow_hashes(monkeypatch)
     before = set(threading.enumerate())
@@ -1284,8 +1348,8 @@ def test_evaluate_reads_each_pair_after_dropping_the_previous(tmp_path, monkeypa
         loaded.append(weakref.ref(mask))
         return mask
 
-    real_load_mask = cli.load_mask
-    monkeypatch.setattr(cli, "load_mask", load_mask)
+    real_load_mask = _cmd_evaluate.load_mask
+    monkeypatch.setattr(_cmd_evaluate, "load_mask", load_mask)
     assert cli.main(["evaluate", "--manifest", str(manifest),
                      "--out", str(tmp_path / "r.json"), "--resamples", "10"]) == 0
     # The reader frees each mask's pixels once it has found the mask's runs,
@@ -1298,13 +1362,13 @@ def test_evaluate_finds_each_masks_runs_on_the_thread_that_reads_it(tmp_path, mo
     # on the main thread never scans a mask's pixels.
     manifest = _make_eval_inputs(tmp_path)
     loaded_on, scanned_on = [], []
-    real_load_mask = cli.load_mask
+    real_load_mask = _cmd_evaluate.load_mask
 
     def load_mask(*args, **kwargs):
         loaded_on.append(threading.current_thread())
         return real_load_mask(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_mask", load_mask)
+    monkeypatch.setattr(_cmd_evaluate, "load_mask", load_mask)
     for module in [m for name, m in sys.modules.items()
                    if name.startswith("drrkit") and hasattr(m, "_runs")]:
         monkeypatch.setattr(module, "_runs", lambda fg, real=module._runs: (

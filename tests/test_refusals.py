@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from drrkit import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, apex_angle,
-                    boundary_distance_metrics, cardiothoracic_ratio, cli, compose_thorax,
+from drrkit import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _cmd_project,
+                    apex_angle, boundary_distance_metrics, cardiothoracic_ratio, compose_thorax,
                     dice_iou, endpoint_tangent_angle, fit_spine_curve, max_row_width,
                     weighted_kappa)
 
@@ -72,7 +72,7 @@ _REFUSALS = {
         lambda: weighted_kappa(np.zeros((2, 2))),
         "confusion matrix is empty"),
     "study_id_with_a_slash": (
-        lambda: cli._check_study_id("a/b"),
+        lambda: _cmd_project._check_study_id("a/b"),
         re.escape("study id 'a/b' has characters outside [A-Za-z0-9._-]")),
 }
 
