@@ -2,8 +2,9 @@
 
 The pipeline per view is: attenuation transform, axis-collapse projection,
 resampling to isotropic pixels, a transpose to the one radiographic
-orientation, then 8-bit normalization for grayscale images. Mask footprints
-follow the same geometry with nearest-neighbour sampling so they stay binary.
+orientation, then 8-bit normalization for grayscale images, which keep two
+bilinear passes. Masks follow the same geometry with nearest-neighbour sampling,
+so they stay binary, and share one composed gather per view, built once per study.
 """
 
 from __future__ import annotations
@@ -146,12 +147,9 @@ def _resample_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
             + (arr[np.ix_(r0, c1)] * (1 - fr) + arr[np.ix_(r1, c1)] * fr) * fc)
 
 
-def _resample_nearest(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    r_in, c_in = arr.shape
-    r_out, c_out = shape
-    ri = np.clip(_round_half_up(_sample_coords(r_in, r_out)), 0, r_in - 1).astype(np.intp)
-    ci = np.clip(_round_half_up(_sample_coords(c_in, c_out)), 0, c_in - 1).astype(np.intp)
-    return arr[np.ix_(ri, ci)]
+def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
+    """Source index of each of n_out nearest samples of n_in pixels (arange if equal)."""
+    return np.clip(_round_half_up(_sample_coords(n_in, n_out)), 0, n_in - 1).astype(np.intp)
 
 
 # The most pixels any grid of a view may hold, 8192² (512 MB as float64): far
@@ -161,10 +159,10 @@ _MAX_GRID_PX = 8192 ** 2
 
 
 def _grids(view: View, shape: tuple[int, int], spacing, config: ProjectionConfig
-           ) -> tuple[tuple[int, int], tuple[int, int]]:
+           ) -> tuple[tuple[int, int], tuple[int, int], tuple[float, float]]:
     """The (rows, cols) grid a view of ``shape`` at ``spacing`` is resampled
-    to, and its final grid after the transpose and output_size. Either above
-    _MAX_GRID_PX pixels is refused here, before it is allocated."""
+    to, its final grid after the transpose and output_size, and its final
+    spacing. A grid above _MAX_GRID_PX pixels is refused before it is built."""
     t = config.target_pixel_spacing
     # Counts stay floats until checked: a tiny spacing makes them too large
     # for an array size, or infinite.
@@ -175,7 +173,20 @@ def _grids(view: View, shape: tuple[int, int], spacing, config: ProjectionConfig
             raise ValidationError(
                 f"{View(view).value} view: a {rows:g} x {cols:g} pixel grid (rows x cols) "
                 f"is above the limit of {_MAX_GRID_PX:,} pixels")
-    return (int(counts[0]), int(counts[1])), (int(final[0]), int(final[1]))
+    grid, final = (int(counts[0]), int(counts[1])), (int(final[0]), int(final[1]))
+    # Transposed first; a pass that keeps its grid keeps the spacing (s * n / n may not be s).
+    spacing = spacing[::-1]
+    for before, after in ((shape[::-1], grid[::-1]), (grid[::-1], final)):
+        if after != before:
+            spacing = tuple(s * n / m for s, n, m in zip(spacing, before, after))
+    return grid, final, spacing
+
+
+def _mask_gather(shape: tuple[int, int], grid: tuple[int, int], final: tuple[int, int]):
+    """The np.ix_ pair that takes a ``shape`` mask's transpose to ``final`` in
+    one gather: its nearest samples at grid[::-1], then theirs at final."""
+    return np.ix_(*(_nearest_index(n, g)[_nearest_index(g, f)]
+                    for n, g, f in zip(shape[::-1], grid[::-1], final)))
 
 
 def resample_and_orient(obj, config: ProjectionConfig):
@@ -185,30 +196,19 @@ def resample_and_orient(obj, config: ProjectionConfig):
     which only copies pixels, so they stay strictly {0, 1}. Returns the same
     container type that was passed in.
     """
-    is_mask = isinstance(obj, Mask2D)
-    if not is_mask and obj.normalized:
+    if not isinstance(obj, Mask2D) and obj.normalized:
         raise ValidationError("resampling operates on raw projections, normalize afterwards")
-    resample = _resample_nearest if is_mask else _resample_bilinear
     arr = obj.data
-    rm, cm = obj.spacing
-    shape, final = _grids(obj.view, arr.shape, obj.spacing, config)
-
-    spacing = (rm, cm)
-    if shape != arr.shape:
-        spacing = (rm * arr.shape[0] / shape[0], cm * arr.shape[1] / shape[1])
-        arr = resample(arr, shape)
-
+    grid, final, spacing = _grids(obj.view, arr.shape, obj.spacing, config)
+    if isinstance(obj, Mask2D):
+        return Mask2D(data=arr.T[_mask_gather(arr.shape, grid, final)], view=obj.view,
+                      spacing=spacing, label_id=obj.label_id)
+    if grid != arr.shape:
+        arr = _resample_bilinear(arr, grid)
     # The one orientation: rows run along k, superior to inferior, as measure reads.
     arr = np.ascontiguousarray(arr.T)
-    spacing = (spacing[1], spacing[0])
-
     if final != arr.shape:
-        h, w = final
-        spacing = (spacing[0] * arr.shape[0] / h, spacing[1] * arr.shape[1] / w)
-        arr = resample(arr, final)
-
-    if is_mask:
-        return Mask2D(data=arr, view=obj.view, spacing=spacing, label_id=obj.label_id)
+        arr = _resample_bilinear(arr, final)
     return Projection(data=arr, view=obj.view, spacing=spacing, normalized=False)
 
 
@@ -317,10 +317,14 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume | _Footprints],
     so an error of theirs is raised before any label's.
     """
     config = config or ProjectionConfig()
-    # An oversized grid is refused before a label is read or an image allocated.
+    # An oversized grid is refused before an index map is built, a label read or an image allocated.
+    geometry = {}
     for view in View:
         axis, _, in_plane = _view_geometry(view, vol.spacing)
-        _grids(view, tuple(n for a, n in enumerate(vol.shape) if a != axis), in_plane, config)
+        shape = tuple(n for a, n in enumerate(vol.shape) if a != axis)
+        geometry[view] = shape, _grids(view, shape, in_plane, config)
+    maps = {view: (_mask_gather(shape, grid, final), spacing)
+            for view, (shape, (grid, final, spacing)) in geometry.items()}
     integrals = _reduce_slabs(_row_slabs(vol.data), np.add, _attenuation)
     masks: dict[View, dict[int, Mask2D]] = {view: {} for view in View}
     for lab in labels:
@@ -331,10 +335,10 @@ def project_study(vol: Volume, labels: Iterable[LabelVolume | _Footprints],
                                   f"do not match volume dims {vol.shape}")
         views = (lab.views if isinstance(lab, _Footprints)
                  else _label_footprints(_row_slabs(lab.data)))
-        for view, data in views.items():
-            footprint = Mask2D(data=data, view=view, label_id=lab.label_id,
-                               spacing=_view_geometry(view, vol.spacing)[2])
-            masks[view][lab.label_id] = resample_and_orient(footprint, config)
+        for view, footprint in views.items():
+            gather, spacing = maps[view]
+            masks[view][lab.label_id] = Mask2D(data=footprint.T[gather], view=view,
+                                               spacing=spacing, label_id=lab.label_id)
         del lab     # the iterable may build the next label before the loop rebinds it
     images = {}
     for view, sums in integrals.items():

@@ -726,7 +726,7 @@ def test_project_refuses_a_huge_grid_before_allocating_it(tmp_path, capsys, monk
         raise AssertionError(f"a {shape} grid was allocated")
 
     monkeypatch.setattr(projection, "_resample_bilinear", never)
-    monkeypatch.setattr(projection, "_resample_nearest", never)
+    monkeypatch.setattr(projection, "_nearest_index", never)
     manifest = _write_study_inputs(tmp_path, n_labels=1)
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out)]

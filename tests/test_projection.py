@@ -241,6 +241,79 @@ def test_resample_matches_reference_samplers():
         assert got_m.spacing == got.spacing
 
 
+_OUTPUT_SIZES = ("none", "transposed_grid", "larger", "smaller", "non_square")
+
+
+@pytest.mark.parametrize("view", list(View))
+@pytest.mark.parametrize("size", _OUTPUT_SIZES)
+def test_mask_resample_and_output_size_compose(view, size):
+    # A mask is one gather into the final grid; it must pick what the two
+    # nearest passes around the transpose pick, and carry the image's spacing.
+    rng = np.random.default_rng([list(View).index(view), _OUTPUT_SIZES.index(size)])
+    for _ in range(25):
+        shape = (int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+        spacing = (float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5)))
+        target = float(rng.uniform(0.4, 2.0))
+        gray = rng.uniform(0, 100, size=shape)
+        bits = (rng.random(size=shape) < 0.5).astype(np.uint8)
+        cols, rows = resample_and_orient(Projection(data=gray, view=view, spacing=spacing),
+                                         ProjectionConfig(target_pixel_spacing=target)).data.shape
+        output_size = {
+            "none": None,
+            "transposed_grid": (rows, cols),
+            "larger": (rows + int(rng.integers(1, 9)), cols + int(rng.integers(1, 9))),
+            "smaller": (max(1, rows - int(rng.integers(1, 9))),
+                        max(1, cols - int(rng.integers(1, 9)))),
+            "non_square": tuple(int(n) for n in rng.permutation([rng.integers(1, 7),
+                                                                 rng.integers(7, 13)])),
+        }[size]
+        cfg = ProjectionConfig(target_pixel_spacing=target, output_size=output_size)
+        final = (cols, rows) if output_size is None else output_size[::-1]
+
+        got = resample_and_orient(Projection(data=gray, view=view, spacing=spacing), cfg)
+        got_m = resample_and_orient(Mask2D(data=bits, view=view, spacing=spacing,
+                                           label_id=6), cfg)
+        ref = oracles.bilinear_reference(oracles.bilinear_reference(gray, (rows, cols)).T, final)
+        ref_m = oracles.nearest_reference(oracles.nearest_reference(bits, (rows, cols)).T, final)
+        assert np.allclose(got.data, ref, atol=1e-12, rtol=0)
+        assert np.array_equal(got_m.data, ref_m) and got_m.data.flags.c_contiguous
+        # Each pass that resizes sets extent / count, step by step; one that
+        # keeps its grid keeps the spacing bit for bit.
+        step = spacing
+        if (rows, cols) != shape:
+            step = (spacing[0] * shape[0] / rows, spacing[1] * shape[1] / cols)
+        step = (step[1], step[0])
+        if final != (cols, rows):
+            step = (step[0] * cols / final[0], step[1] * rows / final[1])
+        assert got.spacing == got_m.spacing == step
+        assert got_m.view == view and got_m.label_id == 6
+
+
+def test_project_study_builds_each_views_index_map_once(monkeypatch):
+    # Every label shares its view's gather, so the index maps built do not
+    # grow with the label count.
+    calls = []
+
+    def counted(n_in, n_out):
+        calls.append((n_in, n_out))
+        return nearest_index(n_in, n_out)
+
+    nearest_index = projection._nearest_index
+    monkeypatch.setattr(projection, "_nearest_index", counted)
+    rng = np.random.default_rng(41)
+    vol = Volume(data=rng.integers(-1000, 1000, size=(5, 4, 6)).astype(np.int16),
+                 spacing=(0.7, 1.3, 0.9))
+    cfg = ProjectionConfig(target_pixel_spacing=0.6, output_size=(7, 5))
+    counts = []
+    for n_labels in (1, 5):
+        calls.clear()
+        result = project_study(vol, [_random_label(rng, vol.shape, label_id=i)
+                                     for i in range(n_labels)], cfg)
+        assert all(len(result.masks[view]) == n_labels for view in View)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_orientation_ops():
     # The transpose is the one orientation op; no config names another.
     data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -373,7 +446,7 @@ def test_project_study_refuses_a_huge_grid_before_allocating(monkeypatch, cfg, g
         raise AssertionError("allocated before the grid was checked")
 
     monkeypatch.setattr(projection, "_resample_bilinear", never)
-    monkeypatch.setattr(projection, "_resample_nearest", never)
+    monkeypatch.setattr(projection, "_nearest_index", never)
     monkeypatch.setattr(projection, "_attenuation", never)
     vol = Volume(data=np.zeros((4, 5, 6), dtype=np.int16), spacing=(1, 1, 1))
 
