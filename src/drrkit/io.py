@@ -3,6 +3,11 @@
 Volumes travel as a JSON sidecar plus a flat little-endian raw file; projected
 images and mask footprints travel as binary (P5) PGM. PGM carries no metadata,
 so loaders take the view and label id as parameters.
+
+Each input rule has one body here: ``_file_chunks`` reads and hashes every
+input file, ``_load_json_file`` decodes every JSON one, ``_read_pair`` is the
+one sidecar/payload reader, and ``_occupancy`` is the one u8 label rule, for
+whole label files and for the slabs that ``project`` reduces as it reads.
 """
 
 from __future__ import annotations
@@ -299,9 +304,11 @@ def _json_object(pairs: list) -> dict:
     return doc
 
 
-def _decode_json(buf, path):
-    """The one JSON decoder of input files: strict UTF-8, bounded nesting,
-    no key repeated within an object."""
+def _load_json_file(path, digests: dict | None = None, name=None):
+    """One JSON input file, read once and hashed as read, then decoded by
+    the one JSON rule of input files: strict UTF-8, bounded nesting, no key
+    repeated within an object."""
+    buf = _read_input(path, digests, name)      # a read's refusal is not invalid JSON
     try:
         doc = json.loads(str(buf, "utf-8"), object_pairs_hook=_json_object)
         # A lone surrogate escape such as "\ud800" loads, but no path or CSV
@@ -310,11 +317,6 @@ def _decode_json(buf, path):
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return doc
-
-
-def _load_json_file(path, digests: dict | None = None, name=None):
-    """One JSON input file, read once and hashed as read."""
-    return _decode_json(_read_input(path, digests, name), path)
 
 
 def _nonneg_int(value, what: str) -> int:
@@ -341,30 +343,18 @@ def _sidecar_paths(path) -> tuple[Path, Path]:
 _PAYLOADS = {"i16": ("volume", "<i2"), "u8": ("label", "u1")}
 
 
-def _payload_slabs(raw_path, dims, dtype: str, rows: int,
-                   digests: dict | None = None, name=None):
-    """The read-only (n, W, D) slabs of ``rows`` rows along i of a .raw
-    payload, in order: views of ``_file_chunks``' chunks of a payload that
-    must hold the bytes its sidecar's dims imply, so each slab is valid only
-    until the next one is asked for, and the file is opened only when the
-    first one is. With ``rows`` at least H, the one slab is the whole
-    payload in a buffer of its own, which the caller may keep."""
-    h, w, d = dims
-    row_bytes = w * d * np.dtype(dtype).itemsize
-    # C order with k fastest, matching the (H, W, D) reshape.
-    return (chunk.view(dtype).reshape(-1, w, d) for chunk in
-            _file_chunks(raw_path, rows * row_bytes, digests, name, size=h * row_bytes))
-
-
 def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
                name=None) -> tuple[dict, Iterator[np.ndarray]]:
-    """The checked sidecar of one volume file pair and the slabs of ``rows``
-    rows of its payload, or the whole payload as one slab if ``rows`` is
-    None. Every fault of the sidecar, a label's ``label_id`` included, is
-    found here; the payload is opened only when its first slab is asked for.
-    With ``digests``, each file is hashed as it is read, by the thread that
-    reads it, under the pair that ``name`` declares, or else the path as
-    given."""
+    """The checked sidecar of one volume file pair and the read-only
+    (n, W, D) slabs of ``rows`` rows along i of its payload, in order, or,
+    if ``rows`` is None or at least H, the whole payload as one slab in a
+    buffer of its own, which the caller may keep. Every fault of the
+    sidecar, a label's ``label_id`` included, is found here. Each slab views
+    a chunk of ``_file_chunks``, so it is valid only until the next is asked
+    for, and the payload, which must hold the bytes the dims imply, is opened
+    only when the first is. With ``digests``, each file is hashed as it is
+    read, by the thread that reads it, under the pair that ``name``
+    declares, or else the path as given."""
     json_path, raw_path = _sidecar_paths(path)
     json_name, raw_name = _sidecar_paths(path if name is None else name)
     meta = _load_json_file(json_path, digests, json_name)
@@ -380,7 +370,12 @@ def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
                           f"got {meta.get('dtype')!r}")
     if kind == "label":
         _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
-    return meta, _payload_slabs(raw_path, dims, payload, rows or dims[0], digests, raw_name)
+    h, w, d = dims
+    row_bytes = w * d * np.dtype(payload).itemsize
+    # C order with k fastest, matching the (H, W, D) reshape.
+    return meta, (chunk.view(payload).reshape(-1, w, d) for chunk in
+                  _file_chunks(raw_path, (rows or h) * row_bytes, digests, raw_name,
+                               size=h * row_bytes))
 
 
 def load_volume(path, *, _digests=None, _name=None) -> Volume:
@@ -413,6 +408,16 @@ def save_volume(vol: Volume, path) -> None:
     raw_path.write_bytes(np.ascontiguousarray(data, dtype="<i2").tobytes())
 
 
+def _occupancy(slab: np.ndarray) -> np.ndarray | None:
+    """The one u8 label rule: a uint8 label slab as bool, or None when it is
+    all 0. A 0/1 slab is viewed and any other is binarized, nonzero voxels
+    mapping to True."""
+    top = slab.max(initial=0)
+    if not top:
+        return None
+    return slab.view(bool) if top <= 1 else slab != 0
+
+
 def load_label_volume(path) -> LabelVolume:
     """Load a uint8 binary label volume; nonzero voxels map to 1.
 
@@ -420,8 +425,9 @@ def load_label_volume(path) -> LabelVolume:
     read-only bytes read from the file. Any other payload is binarized.
     """
     meta, (data,) = _read_pair(path, "u8", None)
-    binary = data.view(bool) if data.max(initial=0) <= 1 else data != 0
-    return LabelVolume(data=binary, label_id=meta["label_id"])
+    binary = _occupancy(data)
+    return LabelVolume(data=data.view(bool) if binary is None else binary,
+                       label_id=meta["label_id"])
 
 
 def save_label_volume(lab: LabelVolume, path) -> None:

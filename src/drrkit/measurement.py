@@ -18,6 +18,7 @@ of producing a junk number.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -59,6 +60,9 @@ _THRESHOLDS = {
 def grade(condition: Condition, value: float) -> Grade:
     """Map a measurement value to its four-level severity grade."""
     condition = Condition(condition)
+    # A real number, not a bool: float() would take true and "0.61".
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"cannot grade {value!r}: not a real number")
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"cannot grade non-finite value {value}")
@@ -106,7 +110,7 @@ def _clean(mask, min_px: int) -> tuple[np.ndarray, np.ndarray]:
 
 def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
     """Drop 8-connected components smaller than min_component_px pixels."""
-    return _clean(mask, min_component_px)[0]
+    return _clean(mask, _nonneg_int(min_component_px, "min_component_px"))[0]
 
 
 def centroid(mask) -> tuple[float, float]:
@@ -173,6 +177,7 @@ def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> Measure
     excludes the study.
     """
     cond = Condition.CARDIOMEGALY
+    min_component_px = _nonneg_int(min_component_px, "min_component_px")
     heart, thorax = _of_one_shape((heart, thorax))
     h, h_sizes = _clean(heart, min_component_px)
     t = clean_mask(thorax, min_component_px)
@@ -251,6 +256,8 @@ def scoliosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 4,
     and scores 0.
     """
     cond = Condition.SCOLIOSIS
+    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae")
+    min_component_px = _nonneg_int(min_component_px, "min_component_px")
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
         return _excluded(cond, reason)
@@ -302,6 +309,8 @@ def kyphosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 5,
     """Cobb-style angle between spine tangents at the cranial and caudal ends."""
     cond = Condition.KYPHOSIS
     fit_degree = _nonneg_int(fit_degree, "fit_degree")     # an error, not an exclusion
+    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae")
+    min_component_px = _nonneg_int(min_component_px, "min_component_px")
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
         return _excluded(cond, reason)

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _Record
+from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _occupancy,
+                 _Record)
 
 
 def _round_half_up(x):
@@ -279,18 +280,9 @@ def _reduce_slabs(slabs: Iterable[np.ndarray], ufunc: np.ufunc, each) -> dict[Vi
     return {View.PA: np.concatenate(pa), View.LL: ll}
 
 
-def _occupancy(slab: np.ndarray) -> np.ndarray | None:
-    """A uint8 label slab as bool, or None when it is all 0: a 0/1 slab is
-    viewed and any other is binarized, nonzero voxels mapping to True."""
-    top = slab.max(initial=0)
-    if not top:
-        return None
-    return slab.view(bool) if top <= 1 else slab != 0
-
-
 def _label_footprints(slabs: Iterable[np.ndarray]) -> dict[View, np.ndarray]:
     """The bool PA and LL footprints of the uint8 label array that ``slabs``
-    cut along i, in memory or as read from its file."""
+    cut along i, in memory or as read from its file, by io's one u8 label rule."""
     return _reduce_slabs(slabs, np.logical_or, _occupancy)
 
 

@@ -426,7 +426,7 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
 
 
 # The io functions that read an input file; every hash runs in _file_chunks.
-_READERS = {"_file_chunks", "_read_input", "_read_pair", "_payload_slabs"}
+_READERS = {"_file_chunks", "_read_input", "_read_pair"}
 
 
 @pytest.mark.parametrize("command", ["project", "measure", "evaluate", "stats"])

@@ -146,14 +146,29 @@ def test_load_volume_records_both_digests_in_a_dict(tmp_path):
         load_label_volume(tmp_path / "l.json", _digests={})
 
 
+def _label_sidecar(path, dims) -> str:
+    """Write the sidecar of a u8 label pair at ``path``'s stem; returns its text."""
+    text = json.dumps({"dims": dims, "dtype": "u8", "label_id": 1})
+    path.with_suffix(".json").write_text(text)
+    return text
+
+
+def _pop_sidecar_digest(digests, name, text):
+    # _read_pair reads and hashes the sidecar before the first slab is asked for.
+    assert digests.pop(name) == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_payload_slabs_reuse_one_read_only_buffer_and_hash_the_file(tmp_path):
     # 37 rows in slabs of 16: two full slabs and a partial one, each a
     # read-only view of one buffer, and the digest is the file's.
     data = np.arange(37 * 3 * 2, dtype=np.uint8).reshape(37, 3, 2)
     (tmp_path / "l.raw").write_bytes(data.tobytes())
+    sidecar = _label_sidecar(tmp_path / "l.raw", [37, 3, 2])
     digests = {}
+    _, slabs = io._read_pair(tmp_path / "l.raw", "u8", 16, digests, "l.raw")
+    _pop_sidecar_digest(digests, "l.json", sidecar)
     addresses, rows = set(), []
-    for slab in io._payload_slabs(tmp_path / "l.raw", [37, 3, 2], "u1", 16, digests, "l.raw"):
+    for slab in slabs:
         assert not slab.flags.writeable
         with pytest.raises(ValueError):
             slab.setflags(write=True)
@@ -175,7 +190,8 @@ def test_payload_that_changes_after_fstat_is_refused_mid_stream(tmp_path, change
     # the first slab is in use, so the reader finds out only as it reads on.
     raw = tmp_path / "l.raw"
     raw.write_bytes(bytes(37 * 6))
-    slabs = io._payload_slabs(raw, [37, 3, 2], "u1", 16, {}, "l.raw")
+    _label_sidecar(raw, [37, 3, 2])
+    _, slabs = io._read_pair(raw, "u8", 16, {}, "l.raw")
     assert len(next(slabs)) == 16
     change(raw)
     with pytest.raises(FormatError, match=message):
@@ -192,8 +208,10 @@ class _BrokenSha256:
 def test_payload_slab_hash_failure_names_the_file(tmp_path):
 
     (tmp_path / "l.raw").write_bytes(bytes(8))
+    sidecar = _label_sidecar(tmp_path / "l.raw", [2, 2, 2])
     digests = {}
-    slabs = io._payload_slabs(tmp_path / "l.raw", [2, 2, 2], "u1", 1, digests, "lab.raw")
+    _, slabs = io._read_pair(tmp_path / "l.raw", "u8", 1, digests, "lab.raw")
+    _pop_sidecar_digest(digests, "lab.json", sidecar)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hashlib, "sha256", _BrokenSha256)
         with pytest.raises(RuntimeError, match="hashing lab.raw failed") as failed:

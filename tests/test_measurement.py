@@ -1,6 +1,9 @@
 """Mask cleaning, geometry primitives, graded measurements and exclusions."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +145,24 @@ def test_grade_monotone_in_value(condition, a, b):
 def test_grade_rejects_non_finite():
     with pytest.raises(ValidationError):
         grade(Condition.SCOLIOSIS, float("nan"))
+
+
+@pytest.mark.parametrize("value,message", [
+    *((v, f"cannot grade {v!r}: not a real number")
+      for v in (True, np.True_, "0.61", None, 0.61j, Decimal("0.61"))),
+    (float("nan"), "cannot grade non-finite value nan"),
+    (-np.inf, "cannot grade non-finite value -inf"),
+])
+def test_grade_takes_a_real_number_never_a_cast(value, message):
+    # float() would grade true as 1.0, severe, and the text "0.61" as 0.61.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        grade(Condition.CARDIOMEGALY, value)
+
+
+def test_grade_takes_numpy_and_rational_reals():
+    assert grade(Condition.CARDIOMEGALY, np.float32(0.61)) is Grade.SEVERE
+    assert grade(Condition.CARDIOMEGALY, np.int64(0)) is Grade.NEGATIVE
+    assert grade(Condition.CARDIOMEGALY, Fraction(11, 20)) is Grade.MILD
 
 
 # --- cardiothoracic ratio --------------------------------------------------------
@@ -396,6 +417,28 @@ def test_fit_spine_curve_interpolates_when_few_points():
     for (x, y), ti in zip(pts, ts):
         assert np.polyval(cx, ti) == pytest.approx(x, abs=1e-8)
         assert np.polyval(cy, ti) == pytest.approx(y, abs=1e-8)
+
+
+_SPINE = [(12, 5), (18, 15), (14, 25), (11, 35), (13, 45)]
+_COUNTED = {
+    "clean_mask": lambda v: clean_mask(_pixel_masks(_SPINE)[0], v),
+    "ctr": lambda v: cardiothoracic_ratio(*_pixel_masks(_SPINE[:2]), min_component_px=v),
+    "scoliosis_px": lambda v: scoliosis_angle(_pixel_masks(_SPINE), min_component_px=v),
+    "scoliosis_n": lambda v: scoliosis_angle(_pixel_masks(_SPINE), min_vertebrae=v),
+    "kyphosis_px": lambda v: kyphosis_angle(_pixel_masks(_SPINE, view=View.LL),
+                                            min_component_px=v),
+    "kyphosis_n": lambda v: kyphosis_angle(_pixel_masks(_SPINE, view=View.LL),
+                                           min_vertebrae=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, -3, "8"])
+@pytest.mark.parametrize("call", list(_COUNTED))
+def test_measurement_counts_are_nonnegative_integers_never_a_cast(call, value):
+    # A threshold of true or -3 would act as 1, and 2.5 as a fractional one.
+    name = "min_vertebrae" if call.endswith("_n") else "min_component_px"
+    with pytest.raises(ValidationError, match=f"^{name} must be a nonnegative integer"):
+        _COUNTED[call](value)
 
 
 @pytest.mark.parametrize("degree", [-1, 2.5, True, "3"])

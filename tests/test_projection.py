@@ -1,5 +1,6 @@
 """Projection pipeline: attenuation, axis collapse, resampling, normalization."""
 
+import json
 import re
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from drrkit import (LabelVolume, Mask2D, Projection, ProjectionConfig,
                     ValidationError, View, Volume, attenuation_transform,
                     normalize_to_8bit, project_image, project_mask,
                     project_study, resample_and_orient)
-from drrkit.io import _payload_slabs
+from drrkit.io import _read_pair, load_label_volume
 from drrkit.projection import _label_footprints, _occupancy, _reduce_slabs, _row_slabs
 
 
@@ -125,20 +126,26 @@ def _sparse_label(case):
         return sparse * np.uint8(255)
     if case == "below_one_slab":
         return (rng.random((5, 6, 5)) < 0.3).astype(np.uint8)
+    if case == "mixed_slabs":       # 0/1, all 0, then a 7: viewed, skipped, binarized
+        sparse[16:32] = 0
+        sparse[34, 2, 3] = 7
     return sparse       # 37 rows: two full slabs and part of a third
 
 
 @pytest.mark.parametrize("case", ["all_zero", "last_partial_slab", "0_255", "below_one_slab",
-                                  "not_a_slab_multiple"])
+                                  "not_a_slab_multiple", "mixed_slabs"])
 def test_footprints_skipping_all_zero_slabs_are_the_or_of_nonzero(tmp_path, case):
     data = _sparse_label(case)
-    raw = tmp_path / "l.raw"
-    raw.write_bytes(data.tobytes())
+    (tmp_path / "l.raw").write_bytes(data.tobytes())
+    (tmp_path / "l.json").write_text(
+        json.dumps({"dims": list(data.shape), "dtype": "u8", "label_id": 1}))
+    # The one u8 label rule, as load_label_volume applies it to the whole file.
+    assert np.array_equal(load_label_volume(tmp_path / "l").data, data != 0)
     # The public footprint of a 0/1 label, and the footprints of the stored
     # payload as project reads it, slab by slab.
     lab = LabelVolume(data=data != 0, label_id=1)
-    streamed = _reduce_slabs(_payload_slabs(raw, list(data.shape), "u1", projection._SLAB_ROWS),
-                             np.logical_or, _occupancy)
+    _, slabs = _read_pair(tmp_path / "l", "u8", projection._SLAB_ROWS)
+    streamed = _reduce_slabs(slabs, np.logical_or, _occupancy)
     for view, axis in ((View.PA, 1), (View.LL, 0)):
         want = np.logical_or.reduce(data != 0, axis=axis)
         assert np.array_equal(project_mask(lab, view).data, want), view
