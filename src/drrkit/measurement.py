@@ -58,12 +58,20 @@ _THRESHOLDS = {
 
 
 def grade(condition: Condition, value: float) -> Grade:
-    """Map a measurement value to its four-level severity grade."""
+    """Map a measurement value to its four-level severity grade.
+
+    ``value`` is a finite real number (numpy's and ``Fraction`` included) that
+    fits a float; a bool, a string, a complex or ``Decimal``, a NaN or an
+    infinity, or a number too large for a float raises ``ValidationError``.
+    """
     condition = Condition(condition)
     # A real number, not a bool: float() would take true and "0.61".
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"cannot grade {value!r}: not a real number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:       # an integer too large for a float, named without its digits
+        raise ValidationError("cannot grade a real number too large for a float") from None
     if not math.isfinite(value):
         raise ValidationError(f"cannot grade non-finite value {value}")
     thresholds, upper_inclusive = _THRESHOLDS[condition]

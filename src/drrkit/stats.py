@@ -9,6 +9,7 @@ worker counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -194,8 +195,19 @@ def wilcoxon_signed_rank(a, b=None) -> WilcoxonResult:
 
 
 def bonferroni(p_value: float, n_comparisons: int) -> float:
+    """``p_value`` times ``n_comparisons``, capped at 1.
+
+    ``p_value`` is a real number in [0, 1], not a bool or NaN; ``n_comparisons``
+    is a positive integer, not a bool or a float. Anything else raises
+    ``ValidationError``.
+    """
+    n_comparisons = _nonneg_int(n_comparisons, "n_comparisons")
     if n_comparisons < 1:
         raise ValidationError(f"n_comparisons must be positive, got {n_comparisons}")
+    # min(1.0, nan) is 1.0, so a NaN must be refused here, not capped.
+    if (isinstance(p_value, bool) or not isinstance(p_value, numbers.Real)
+            or not 0 <= p_value <= 1):
+        raise ValidationError(f"p_value must be a real number in [0, 1], got {p_value!r}")
     return min(1.0, float(p_value) * n_comparisons)
 
 
@@ -250,14 +262,20 @@ def _as_confusion(matrix) -> np.ndarray:
 
 
 def confusion_from_labels(truth, pred, n_classes: int) -> np.ndarray:
-    """Counts matrix with truth on rows and prediction on columns."""
+    """Counts matrix with truth on rows and prediction on columns.
+
+    ``n_classes`` and every label are nonnegative integers, numpy's included,
+    never a bool or a float; each label is below ``n_classes``. Anything else
+    raises ``ValidationError``.
+    """
+    n_classes = _nonneg_int(n_classes, "n_classes")
     t = np.asarray(truth, dtype=object)
     p = np.asarray(pred, dtype=object)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise ValidationError("truth and pred must be equal-length nonempty 1D")
     for v in (*t, *p):      # never a cast: 0.5 is not 0 and true is not 1
         _nonneg_int(v, "label")
-    if t.min() < 0 or p.min() < 0 or t.max() >= n_classes or p.max() >= n_classes:
+    if t.max() >= n_classes or p.max() >= n_classes:
         raise ValidationError(f"labels must lie in [0, {n_classes})")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (t.astype(np.int64), p.astype(np.int64)), 1)

@@ -986,12 +986,33 @@ def test_main_runs_a_wrapper_bound_over_a_command(tmp_path, monkeypatch, command
 
 
 def test_all_names_every_public_name_the_package_binds():
-    # __init__.py lists each name twice, in its imports and in __all__; the
-    # two lists agree, with no name twice. Submodules are bound, not exported.
+    # __init__.py binds the names its _EXPORTS table lists and builds __all__
+    # from that table; a stray public import there would bind a name __all__
+    # lacks. No name is listed twice. Submodules are bound, not exported.
     bound = {name for name, value in vars(drrkit).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(drrkit.__all__) == sorted(bound | {"__version__"})
     assert len(set(drrkit.__all__)) == len(drrkit.__all__)
+
+
+def test_each_exported_name_is_the_object_its_layer_defines():
+    # The table files each name under the module that defines it, and the
+    # package binds that very object, not a copy or a re-export.
+    assert drrkit.__all__[0] == "__version__"
+    for name in drrkit.__all__[1:]:
+        value = getattr(drrkit, name)
+        module = value.__module__
+        assert module.startswith("drrkit."), (name, module)
+        assert name in drrkit._EXPORTS[module.removeprefix("drrkit.")], (name, module)
+        assert vars(sys.modules[module])[name] is value, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from drrkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(drrkit.__all__)
+    assert all(value is getattr(drrkit, name) for name, value in namespace.items())
 
 
 # --- measure ---------------------------------------------------------------

@@ -152,6 +152,8 @@ def test_grade_rejects_non_finite():
       for v in (True, np.True_, "0.61", None, 0.61j, Decimal("0.61"))),
     (float("nan"), "cannot grade non-finite value nan"),
     (-np.inf, "cannot grade non-finite value -inf"),
+    (10**400, "cannot grade a real number too large for a float"),
+    (Fraction(10**400, 3), "cannot grade a real number too large for a float"),
 ])
 def test_grade_takes_a_real_number_never_a_cast(value, message):
     # float() would grade true as 1.0, severe, and the text "0.61" as 0.61.

@@ -1,5 +1,7 @@
 """Resampling, rank tests, effect sizes, agreement and grading statistics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,16 @@ def test_bonferroni_examples():
     assert bonferroni(0.2, 1) == pytest.approx(0.2)
     with pytest.raises(ValidationError):
         bonferroni(0.5, 0)
+    assert bonferroni(np.float64(0.25), np.int64(2)) == 0.5
+    assert bonferroni(0, 3) == 0.0 and bonferroni(1, 3) == 1.0
+    # Never a cast: 2.5 is not a count and true is not one comparison.
+    for n in (2.5, True, -1, "2"):
+        with pytest.raises(ValidationError, match="n_comparisons must be"):
+            bonferroni(0.01, n)
+    # min(1.0, nan) would be 1.0: a NaN is refused, not capped.
+    for p in (float("nan"), -0.1, 1.5, np.inf, True, "0.01", None):
+        with pytest.raises(ValidationError, match=r"^p_value must be a real number in \[0, 1\]"):
+            bonferroni(p, 2)
 
 
 def test_effect_sizes_constant_shift():
@@ -361,9 +373,18 @@ def test_confusion_from_labels_refuses_what_is_not_an_integer(truth, pred):
         confusion_from_labels(truth, pred, 4)
 
 
+@pytest.mark.parametrize("n_classes", [2.5, True, -1, np.float64(4.0)])
+def test_confusion_from_labels_refuses_a_class_count_that_is_not_a_count(n_classes):
+    # Never a cast: 2.5 and true are not counts, and -1 is no count at all.
+    message = f"n_classes must be a nonnegative integer, got {n_classes!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        confusion_from_labels([0, 1], [1, 0], n_classes)
+
+
 def test_confusion_from_labels_takes_numpy_integers():
     m = confusion_from_labels(np.array([0, 3], dtype=np.uint8), [np.int64(0), 3], 4)
     assert m.dtype == np.int64 and m[0, 0] == m[3, 3] == 1 and m.sum() == 2
+    assert np.array_equal(confusion_from_labels([0, 3], [0, 3], np.uint8(4)), m)
 
 
 # --- pairwise model comparison ---------------------------------------------------------
