@@ -7,8 +7,6 @@ scoring predicted masks against references with the usual segmentation and
 agreement statistics.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Each layer module and the public names it exports, in __all__'s order: the
@@ -37,9 +35,10 @@ __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in name
 
 
 def _bind_exports() -> None:
-    # Eager: the benchmark's tracer finds every layer in sys.modules.
+    # Eager: the benchmark's tracer finds every layer in sys.modules. By
+    # __import__, as importlib.import_module hides each from -X importtime.
     for module_name, names in _EXPORTS.items():
-        module = importlib.import_module(f".{module_name}", __name__)
+        module = getattr(__import__(f"{__name__}.{module_name}"), module_name)
         globals().update((name, getattr(module, name)) for name in names)
 
 

@@ -8,7 +8,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .io import ValidationError, _load_json_file
+from .io import ValidationError, _load_json_file, _nonneg_int, _real
 from .projection import ProjectionConfig
 
 SCHEMA_VERSION = 1
@@ -51,7 +51,8 @@ def _atomic_write_text(text: str, target: Path) -> None:
 
 
 # One check per kind of field read from a manifest, mapping or score file;
-# ids go through io._nonneg_int, which sidecars share.
+# counts and ids go through io._nonneg_int and real numbers through io._real,
+# the two rules that every library argument follows too.
 
 def _path_str(value, what: str) -> str:
     if not isinstance(value, str) or not value or "\0" in value:
@@ -79,9 +80,9 @@ _SETTINGS = {
 def _effective_config(args, section: str) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
     # None unless the user passed it, and types it when passed. A file value
-    # for a numeric default must be a JSON number of its kind: an integer for
-    # an int (not a bool), any number for a float, which it becomes here, so
-    # no command casts again.
+    # for a numeric default follows the rule of its kind: io._nonneg_int for
+    # an int, io._real for a float, which turns a JSON integer into the float
+    # it echoes, so no command casts again.
     cfg = _load_json_file(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config}: config file must be a JSON object")
@@ -96,16 +97,10 @@ def _effective_config(args, section: str) -> dict:
     for key, value in sect.items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
-        kind = type(defaults[key])
-        if kind in (int, float):
-            what = "an integer" if kind is int else "a number"
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise ValidationError(f"config {section}.{key} must be {what}, got {value!r}")
-            try:
-                value = kind(value)
-            except OverflowError:       # an integer too large for a float
-                raise ValidationError(f"config {section}.{key} must be {what}, "
-                                      f"got {value!r}") from None
+        if type(defaults[key]) is int:
+            value = _nonneg_int(value, f"config {section}.{key}")
+        elif type(defaults[key]) is float:
+            value = _real(value, f"config {section}.{key}")
         out[key] = value
     out.update({key: getattr(args, key) for key in defaults
                 if getattr(args, key) is not None})

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from ._cmd_common import _atomic_write_text, _dump_json, _effective_config, _json_list, _provenance
-from .io import FormatError, ValidationError, _load_json_file, _read_input, _repeated
+from .io import FormatError, ValidationError, _load_json_file, _read_input, _real, _repeated
 from .measurement import Grade
-from .stats import (PairwiseComparison, _check_alpha, confusion_from_labels, ordinal_metrics,
+from .stats import (PairwiseComparison, confusion_from_labels, ordinal_metrics,
                     pairwise_model_comparison, weighted_kappa)
 
 # A score cell is an ASCII decimal number. float() alone would also take
@@ -125,8 +125,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def run(args) -> int:
-    alpha = _effective_config(args, "stats")["alpha"]
-    _check_alpha(alpha)     # in ordinal mode too, where nothing else reads it
+    # Checked in ordinal mode too, where nothing else reads it.
+    alpha = _real(_effective_config(args, "stats")["alpha"], "alpha", lo=0, hi=1, open=True)
     inputs: dict[str, str] = {}
     # Each mode reads its input and builds its report fields, echoed config
     # and CSV table; one writer below emits whichever --format asks for.

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import re
 import stat
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -90,18 +92,13 @@ def _binary_u8(data, what: str) -> np.ndarray:
 
 
 def _check_spacing(spacing, n: int) -> tuple[float, ...]:
-    # float() also takes "1.5" and True, but text and booleans are not lengths.
     try:
-        if any(isinstance(s, (str, bool)) for s in spacing):
-            raise TypeError
-        sp = tuple(float(s) for s in spacing)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"spacing must be {n} numbers, got {spacing!r}") from None
+        sp = () if isinstance(spacing, str) else tuple(spacing)
+    except TypeError:       # not iterable
+        sp = ()
     if len(sp) != n:
-        raise ValidationError(f"expected {n} spacing entries, got {len(sp)}")
-    if not all(np.isfinite(s) and s > 0 for s in sp):
-        raise ValidationError(f"spacing entries must be finite and positive: {sp}")
-    return sp
+        raise ValidationError(f"spacing must be {n} numbers, got {_shown(spacing)}")
+    return tuple(_real(s, "spacing entry", lo=0, open=True) for s in sp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +316,46 @@ def _load_json_file(path, digests: dict | None = None, name=None):
     return doc
 
 
-def _nonneg_int(value, what: str) -> int:
-    # The one rule for ids in containers, sidecars, manifests and mappings: an
-    # integer, numpy's included, never a cast; true is not 1 and 1.9 is not 1.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{what} must be a nonnegative integer, got {value!r}")
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:      # an integer, or a Fraction of one, beyond Python's digit limit
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _interval(lo, hi, open: bool = False) -> str:
+    if hi is None:
+        return "" if lo is None else f" {'>' if open else '>='} {lo}"
+    if lo is None:
+        return f" {'<' if open else '<='} {hi}"
+    return f" in {'(' if open else '['}{lo}, {hi}{')' if open else ']'}"
+
+
+def _real(value, what: str, *, lo=None, hi=None, open: bool = False) -> float:
+    """The one rule for a real-number argument: a finite real number, numpy's
+    and ``Fraction`` included, that fits a float and lies in [lo, hi], or in
+    (lo, hi) when ``open``, as a float. float() is never the check: it would
+    take true, "0.5" and Decimal, and overflow on a huge integer."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:       # an integer too large for a float
+        x = math.nan
+    if (not math.isfinite(x) or (lo is not None and (x <= lo if open else x < lo))
+            or (hi is not None and (x >= hi if open else x > hi))):
+        raise ValidationError(f"{what} must be a finite real number{_interval(lo, hi, open)}, "
+                              f"got {_shown(value)}")
+    return x
+
+
+def _nonneg_int(value, what: str, *, lo: int = 0, hi: int | None = None) -> int:
+    """The one rule for a count, id or seed: an integer in [lo, hi], numpy's
+    included, never a cast; true is not 1 and 1.9 is not 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo
+            or (hi is not None and value > hi)):
+        rule = (f"an integer{_interval(lo, hi)}" if lo
+                else f"a nonnegative integer{_interval(None, hi)}")
+        raise ValidationError(f"{what} must be {rule}, got {_shown(value)}")
     return int(value)
 
 

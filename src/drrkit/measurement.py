@@ -18,7 +18,6 @@ of producing a junk number.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rowruns import _component_sizes, _label_runs, _paint_runs, _runs
-from .io import ValidationError, _Record, _as_binary, _nonneg_int
+from .io import ValidationError, _Record, _as_binary, _nonneg_int, _real
 
 
 class Condition(str, Enum):
@@ -60,20 +59,12 @@ _THRESHOLDS = {
 def grade(condition: Condition, value: float) -> Grade:
     """Map a measurement value to its four-level severity grade.
 
-    ``value`` is a finite real number (numpy's and ``Fraction`` included) that
-    fits a float; a bool, a string, a complex or ``Decimal``, a NaN or an
-    infinity, or a number too large for a float raises ``ValidationError``.
+    ``value`` is a real number, numpy's and ``Fraction`` included, and is
+    finite as a float. A bool, text, None, a complex or ``Decimal``, a NaN or
+    an infinity, or an integer too large for a float raises ``ValidationError``.
     """
     condition = Condition(condition)
-    # A real number, not a bool: float() would take true and "0.61".
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"cannot grade {value!r}: not a real number")
-    try:
-        value = float(value)
-    except OverflowError:       # an integer too large for a float, named without its digits
-        raise ValidationError("cannot grade a real number too large for a float") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"cannot grade non-finite value {value}")
+    value = _real(value, "graded value")
     thresholds, upper_inclusive = _THRESHOLDS[condition]
     # The grade is the number of thresholds below the value (right-closed
     # bins) or at or below it (left-closed bins).
@@ -209,6 +200,9 @@ def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> Measure
     return _measured(cond, hw / tw, evidence)
 
 
+_MAX_VERTEBRAE = 1000      # printed in an exclusion reason; a spine has about 33
+
+
 def _spine_centroids(vertebrae: Sequence, min_vertebrae: int,
                      min_component_px: int) -> tuple[list[tuple[float, float]], str | None]:
     """Cleaned vertebral centroids sorted top to bottom, or an exclusion reason.
@@ -261,10 +255,10 @@ def scoliosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 4,
     """Spinal curvature distortion: 180 degrees minus the apex angle.
 
     A perfectly straight spine subtends 180 degrees at any interior point
-    and scores 0.
+    and scores 0. ``min_vertebrae`` is at most 1000.
     """
     cond = Condition.SCOLIOSIS
-    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae")
+    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae", hi=_MAX_VERTEBRAE)
     min_component_px = _nonneg_int(min_component_px, "min_component_px")
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
@@ -314,10 +308,11 @@ def endpoint_tangent_angle(points: Sequence[tuple[float, float]],
 
 def kyphosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 5,
                    min_component_px: int = 8, fit_degree: int = 4) -> MeasurementResult:
-    """Cobb-style angle between spine tangents at the cranial and caudal ends."""
+    """Cobb-style angle between spine tangents at the cranial and caudal ends;
+    ``min_vertebrae`` is at most 1000."""
     cond = Condition.KYPHOSIS
     fit_degree = _nonneg_int(fit_degree, "fit_degree")     # an error, not an exclusion
-    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae")
+    min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae", hi=_MAX_VERTEBRAE)
     min_component_px = _nonneg_int(min_component_px, "min_component_px")
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ._rowruns import _boundary_points, _component_sizes, _intersect, _label_runs, _runs
-from .io import ValidationError, _Record, _as_binary, _nonneg_int
+from .io import ValidationError, _Record, _as_binary, _nonneg_int, _real
 from .stats import BootstrapCI, _check_resampling, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -249,6 +249,7 @@ def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
     hd95 is the max of the two directed 95th percentiles, asd the mean over
     both directions pooled, nsd the pooled fraction within tolerance.
     """
+    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     if not len(runs_p[0]) or not len(runs_r[0]):
         raise ValidationError("boundary metrics are undefined for empty masks; "
@@ -304,16 +305,9 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     broken on (pred index, ref index); a pair counts only at IoU at or above
     match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
     """
+    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     return _detection(shape, runs_p, runs_r, _intersect(runs_p, runs_r), match_iou)
-
-
-def _check_thresholds(nsd_tolerance_px: float, match_iou: float) -> None:
-    if not (np.isfinite(nsd_tolerance_px) and nsd_tolerance_px >= 0):
-        raise ValidationError(
-            f"nsd_tolerance_px must be finite and nonnegative, got {nsd_tolerance_px}")
-    if not 0 <= match_iou <= 1:
-        raise ValidationError(f"match_iou must be in [0, 1], got {match_iou}")
 
 
 def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
@@ -324,7 +318,8 @@ def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
     side 0; only the boundary distances need the conventions. Each mask's
     runs are found once, and the two are intersected once.
     """
-    _check_thresholds(nsd_tolerance_px, match_iou)
+    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
+    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     pieces = _intersect(runs_p, runs_r)
     dice, iou = _dice_iou(runs_p, runs_r, pieces)
@@ -365,7 +360,8 @@ def evaluate_class_set(pairs: Iterable[tuple[int, object, object]], *,
     Aggregates are 95% percentile-bootstrap CIs of the mean over per-class
     values; a single class collapses the interval onto its value.
     """
-    _check_thresholds(nsd_tolerance_px, match_iou)
+    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
+    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
     _check_resampling(n_resamples, seed)
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:

@@ -9,16 +9,14 @@ so they stay binary, and share one composed gather per view, built once per stud
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _occupancy,
-                 _Record)
+from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _nonneg_int,
+                 _occupancy, _real, _Record, _shown)
 
 
 def _round_half_up(x):
@@ -38,28 +36,17 @@ class ProjectionConfig(_Record):
     output_size: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        t = self.target_pixel_spacing
-        # A finite positive real, not a bool: float() would take true and "0.5".
-        try:
-            ok = (isinstance(t, numbers.Real) and not isinstance(t, bool)
-                  and 0 < float(t) < math.inf)
-        except OverflowError:       # an integer too large for a float
-            ok = False
-        if not ok:
-            raise ValidationError(
-                f"projection.target_pixel_spacing must be a positive number, got {t!r}")
-        object.__setattr__(self, "target_pixel_spacing", float(t))
-
+        object.__setattr__(self, "target_pixel_spacing", _real(
+            self.target_pixel_spacing, "projection.target_pixel_spacing", lo=0, open=True))
         size = self.output_size
         if size is not None:
-            # Two integers, neither a bool: int() would turn 64.9 into 64,
-            # true into 1 and "64" into 64.
-            if (not isinstance(size, (list, tuple)) or len(size) != 2
-                    or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                               and v >= 1 for v in size)):
+            if not isinstance(size, (list, tuple)) or len(size) != 2:
                 raise ValidationError(
-                    f"projection.output_size must be two positive integers, got {size!r}")
-            object.__setattr__(self, "output_size", (int(size[0]), int(size[1])))
+                    f"projection.output_size must be two positive integers, got {_shown(size)}")
+            # No side of a grid _grids takes is longer, and its refusal formats sides as floats.
+            object.__setattr__(self, "output_size", tuple(
+                _nonneg_int(v, "projection.output_size entry", lo=1, hi=_MAX_GRID_PX)
+                for v in size))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProjectionConfig":

@@ -9,14 +9,13 @@ worker counts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _Record, _freeze, _nonneg_int
+from .io import ValidationError, _Record, _freeze, _nonneg_int, _real
 
 
 def _as_1d(values, name: str) -> np.ndarray:
@@ -96,11 +95,8 @@ class BootstrapCI(_Record):
 
 def _check_resampling(n_resamples, seed) -> tuple[int, int]:
     """The resample count and seed of a bootstrap, each an integer, not a bool."""
-    n_resamples = _nonneg_int(n_resamples, "n_resamples")
-    if not 1 <= n_resamples <= _MAX_RESAMPLES:
-        raise ValidationError(
-            f"n_resamples must be in [1, {_MAX_RESAMPLES}], got {n_resamples}")
-    return n_resamples, _nonneg_int(seed, "seed")
+    return (_nonneg_int(n_resamples, "n_resamples", lo=1, hi=_MAX_RESAMPLES),
+            _nonneg_int(seed, "seed"))
 
 
 def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
@@ -112,8 +108,7 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
     n_resamples is at most 10**7, which bounds the means array at 80 MB.
     """
     arr = _as_1d(values, "values")
-    if not 0 < level < 1:
-        raise ValidationError(f"level must be in (0, 1), got {level}")
+    level = _real(level, "level", lo=0, hi=1, open=True)
     n_resamples, seed = _check_resampling(n_resamples, seed)
     # Rows are drawn a chunk at a time; successive integers() calls continue
     # one PCG64 stream, so the means equal those of a single (B, n) draw.
@@ -127,8 +122,7 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
     alpha = (1.0 - level) / 2.0
     lower, upper = np.percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return BootstrapCI(mean=float(arr.mean()), lower=float(lower),
-                       upper=float(upper), n_resamples=n_resamples,
-                       level=float(level))
+                       upper=float(upper), n_resamples=n_resamples, level=level)
 
 
 @dataclass(frozen=True)
@@ -195,20 +189,19 @@ def wilcoxon_signed_rank(a, b=None) -> WilcoxonResult:
 
 
 def bonferroni(p_value: float, n_comparisons: int) -> float:
-    """``p_value`` times ``n_comparisons``, capped at 1.
+    """``p_value`` times ``n_comparisons``, capped at 1 and correctly rounded.
 
-    ``p_value`` is a real number in [0, 1], not a bool or NaN; ``n_comparisons``
-    is a positive integer, not a bool or a float. Anything else raises
+    ``p_value`` is a real number in [0, 1], numpy's and ``Fraction`` included,
+    and ``n_comparisons`` a positive integer, numpy's included, of any size. A
+    bool, text, a float count, a NaN or a value out of range raises
     ``ValidationError``.
     """
-    n_comparisons = _nonneg_int(n_comparisons, "n_comparisons")
-    if n_comparisons < 1:
-        raise ValidationError(f"n_comparisons must be positive, got {n_comparisons}")
-    # min(1.0, nan) is 1.0, so a NaN must be refused here, not capped.
-    if (isinstance(p_value, bool) or not isinstance(p_value, numbers.Real)
-            or not 0 <= p_value <= 1):
-        raise ValidationError(f"p_value must be a real number in [0, 1], got {p_value!r}")
-    return min(1.0, float(p_value) * n_comparisons)
+    n = _nonneg_int(n_comparisons, "n_comparisons", lo=1)
+    num, den = _real(p_value, "p_value", lo=0, hi=1).as_integer_ratio()
+    # The exact product, rounded once by int division. float(p) * n would
+    # round n first beyond 2**53 and overflow past float range; up to 2**53
+    # both round the exact product once, so they agree bit for bit.
+    return 1.0 if num * n >= den else num * n / den
 
 
 @dataclass(frozen=True)
@@ -261,14 +254,18 @@ def _as_confusion(matrix) -> np.ndarray:
     return arr
 
 
+_MAX_CLASSES = 8192
+
+
 def confusion_from_labels(truth, pred, n_classes: int) -> np.ndarray:
     """Counts matrix with truth on rows and prediction on columns.
 
     ``n_classes`` and every label are nonnegative integers, numpy's included,
-    never a bool or a float; each label is below ``n_classes``. Anything else
-    raises ``ValidationError``.
+    never a bool or a float; ``n_classes`` is at most 8192, which bounds the
+    int64 matrix at 512 MiB, and each label is below it. Anything else raises
+    ``ValidationError``.
     """
-    n_classes = _nonneg_int(n_classes, "n_classes")
+    n_classes = _nonneg_int(n_classes, "n_classes", hi=_MAX_CLASSES)
     t = np.asarray(truth, dtype=object)
     p = np.asarray(pred, dtype=object)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
@@ -359,11 +356,6 @@ def ordinal_metrics(matrix) -> OrdinalMetrics:
                           flags=tuple(flags))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-
 @dataclass(frozen=True)
 class PairwiseComparison(_Record):
     first: str
@@ -384,7 +376,7 @@ def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
 
     Models are ordered by name; effect sizes are signed first minus second.
     """
-    _check_alpha(alpha)
+    alpha = _real(alpha, "alpha", lo=0, hi=1, open=True)
     names = sorted(scores)
     if len(names) < 2:
         raise ValidationError("need at least two models to compare")

@@ -916,6 +916,18 @@ def _loaded(argv=(), *, as_main=False):
     return rc, loaded
 
 
+def test_import_time_gives_each_layer_its_own_row():
+    # -X importtime times only imports made through the import statement's
+    # machinery; a layer loaded by importlib.import_module counts as drrkit's
+    # own time and has no row.
+    env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import drrkit"], env=env,
+                          capture_output=True, text=True, check=True)
+    rows = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+    assert {f"drrkit.{layer}" for layer in drrkit._EXPORTS} <= rows
+
+
 def _command_modules(loaded):
     return {m for m in loaded["drrkit"] if m.startswith("drrkit._cmd_")}
 
@@ -1303,7 +1315,7 @@ def test_evaluate_checks_settings_before_reading_a_mask(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out),
                      "--match-iou", "7"]) == 1
-    assert "match_iou must be in [0, 1], got 7.0" in capsys.readouterr().err
+    assert "match_iou must be a finite real number in [0, 1], got 7.0" in capsys.readouterr().err
     assert not out.exists()
 
 

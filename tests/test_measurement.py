@@ -1,8 +1,6 @@
 """Mask cleaning, geometry primitives, graded measurements and exclusions."""
 
 import math
-import re
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -145,20 +143,6 @@ def test_grade_monotone_in_value(condition, a, b):
 def test_grade_rejects_non_finite():
     with pytest.raises(ValidationError):
         grade(Condition.SCOLIOSIS, float("nan"))
-
-
-@pytest.mark.parametrize("value,message", [
-    *((v, f"cannot grade {v!r}: not a real number")
-      for v in (True, np.True_, "0.61", None, 0.61j, Decimal("0.61"))),
-    (float("nan"), "cannot grade non-finite value nan"),
-    (-np.inf, "cannot grade non-finite value -inf"),
-    (10**400, "cannot grade a real number too large for a float"),
-    (Fraction(10**400, 3), "cannot grade a real number too large for a float"),
-])
-def test_grade_takes_a_real_number_never_a_cast(value, message):
-    # float() would grade true as 1.0, severe, and the text "0.61" as 0.61.
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        grade(Condition.CARDIOMEGALY, value)
 
 
 def test_grade_takes_numpy_and_rational_reals():

@@ -553,7 +553,7 @@ def test_evaluate_class_set_without_pairs():
     with pytest.raises(ValidationError, match="no mask pairs to evaluate"):
         evaluate_class_set(iter(()))
     # The settings are checked before the pairs are read, even when there are none.
-    with pytest.raises(ValidationError, match="match_iou must be in"):
+    with pytest.raises(ValidationError, match="match_iou must be a finite real number in"):
         evaluate_class_set([], match_iou=7)
 
 

@@ -1,9 +1,12 @@
 """Resampling, rank tests, effect sizes, agreement and grading statistics."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from drrkit import (KappaResult, PairedSample, ValidationError, bonferroni,
@@ -182,8 +185,22 @@ def test_bonferroni_examples():
             bonferroni(0.01, n)
     # min(1.0, nan) would be 1.0: a NaN is refused, not capped.
     for p in (float("nan"), -0.1, 1.5, np.inf, True, "0.01", None):
-        with pytest.raises(ValidationError, match=r"^p_value must be a real number in \[0, 1\]"):
+        with pytest.raises(ValidationError,
+                           match=r"^p_value must be a finite real number in \[0, 1\]"):
             bonferroni(p, 2)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.integers(1, 2 ** 53))
+def test_bonferroni_matches_the_float_product_for_counts_up_to_2_to_the_53(p, n):
+    assert bonferroni(p, n).hex() == min(1.0, p * n).hex()
+
+
+@pytest.mark.parametrize("p,n", [(0.5, 10 ** 400), (5e-324, 10 ** 309), (1e-300, 2 ** 60 + 1),
+                                 (0.3, 3), (2 ** -60, 2 ** 59 + 1), (0.0, 10 ** 400)])
+def test_bonferroni_is_the_exact_product_rounded_once(p, n):
+    # float(n) would round first beyond 2**53, and overflow past float range.
+    assert bonferroni(p, n) == float(min(1, Fraction(p) * n))
 
 
 def test_effect_sizes_constant_shift():
@@ -373,10 +390,12 @@ def test_confusion_from_labels_refuses_what_is_not_an_integer(truth, pred):
         confusion_from_labels(truth, pred, 4)
 
 
-@pytest.mark.parametrize("n_classes", [2.5, True, -1, np.float64(4.0)])
+@pytest.mark.parametrize("n_classes", [2.5, True, -1, np.float64(4.0), 8193, 10 ** 21])
 def test_confusion_from_labels_refuses_a_class_count_that_is_not_a_count(n_classes):
     # Never a cast: 2.5 and true are not counts, and -1 is no count at all.
-    message = f"n_classes must be a nonnegative integer, got {n_classes!r}"
+    # Past 8192 classes the matrix would pass 512 MiB; 10**21 is past numpy's
+    # largest dimension.
+    message = f"n_classes must be a nonnegative integer <= 8192, got {n_classes!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         confusion_from_labels([0, 1], [1, 0], n_classes)
 
