@@ -1,4 +1,6 @@
-"""What every command shares. No command module imports ``drrkit.cli``: under
+"""What every command shares: how it writes its outputs and reads its
+settings. Every rule for a field read from an input, a setting's included,
+lives in ``io``. No command module imports ``drrkit.cli``: under
 ``python -m drrkit.cli``, which runs cli.py as ``__main__``, it would run twice."""
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .io import ValidationError, _load_json_file, _nonneg_int, _real
+from .io import _json_dict, _load_json_file, _nonneg_int, _real
 from .projection import ProjectionConfig
 
 SCHEMA_VERSION = 1
@@ -50,23 +52,6 @@ def _atomic_write_text(text: str, target: Path) -> None:
         raise
 
 
-# One check per kind of field read from a manifest, mapping or score file;
-# counts and ids go through io._nonneg_int and real numbers through io._real,
-# the two rules that every library argument follows too.
-
-def _path_str(value, what: str) -> str:
-    if not isinstance(value, str) or not value or "\0" in value:
-        raise ValidationError(f"{what} must be a nonempty path, got {value!r}")
-    return value
-
-
-def _json_list(value, what: str, *, nonempty: bool = False) -> list:
-    if not isinstance(value, list) or (nonempty and not value):
-        kind = "a nonempty JSON list" if nonempty else "a JSON list"
-        raise ValidationError(f"{what} must be {kind}, got {type(value).__name__}")
-    return value
-
-
 # Each config section's settings and their defaults. A setting has one name:
 # its config key is also the dest of the one flag that sets it.
 _SETTINGS = {
@@ -79,28 +64,22 @@ _SETTINGS = {
 
 def _effective_config(args, section: str) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
-    # None unless the user passed it, and types it when passed. A file value
-    # for a numeric default follows the rule of its kind: io._nonneg_int for
-    # an int, io._real for a float, which turns a JSON integer into the float
-    # it echoes, so no command casts again.
-    cfg = _load_json_file(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{args.config}: config file must be a JSON object")
-    for name in cfg:
-        if name not in _SETTINGS:
-            raise ValidationError(f"{args.config}: unknown config section {name!r}")
-    sect = cfg.get(section, {})
-    if not isinstance(sect, dict):
-        raise ValidationError(f"{args.config}: section {section!r} must be an object")
+    # None unless the user passed it, and types it when passed. Every section
+    # of the file is checked, whichever command reads it. A file value for a
+    # numeric default follows the rule of its kind: io._nonneg_int for an int,
+    # io._real for a float, which turns a JSON integer into the float it
+    # echoes, so no command casts again.
+    cfg = _json_dict(_load_json_file(args.config) if args.config else {},
+                     f"{args.config}: config file", _SETTINGS)
+    for name, sect in cfg.items():
+        _json_dict(sect, f"{args.config}: config section {name!r}", _SETTINGS[name])
     defaults = _SETTINGS[section]
     out = dict(defaults)
-    for key, value in sect.items():
-        if key not in defaults:
-            raise ValidationError(f"unknown config key {key!r}")
+    for key, value in cfg.get(section, {}).items():
         if type(defaults[key]) is int:
-            value = _nonneg_int(value, f"config {section}.{key}")
+            value = _nonneg_int(value, f"{args.config}: config {section}.{key}")
         elif type(defaults[key]) is float:
-            value = _real(value, f"config {section}.{key}")
+            value = _real(value, f"{args.config}: config {section}.{key}")
         out[key] = value
     out.update({key: getattr(args, key) for key in defaults
                 if getattr(args, key) is not None})

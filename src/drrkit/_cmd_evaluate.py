@@ -5,9 +5,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ._cmd_common import (_atomic_write_text, _dump_json, _effective_config, _json_list,
-                          _path_str, _provenance)
-from .io import ValidationError, View, _load_json_file, _nonneg_int, load_mask
+from ._cmd_common import _atomic_write_text, _dump_json, _effective_config, _provenance
+from .io import (_MAX_ID, ValidationError, View, _json_dict, _json_list, _load_json_file,
+                 _nonneg_int, _path_str, load_mask)
 from .metrics import _mask_runs, evaluate_class_set
 
 
@@ -21,20 +21,16 @@ def run(args) -> int:
     base = manifest_path.parent
     inputs: dict[str, str] = {}
 
-    def read_class(entry):
+    def read_class(n):
         # Runs on the reader: an entry's faults surface only when its class is
         # due, after every earlier class's. Its masks become row runs here.
-        if (not isinstance(entry, dict)
-                or not {"class_id", "pred_path", "ref_path"} <= set(entry)):
-            raise ValidationError(
-                f"{manifest_path}: each entry needs class_id, pred_path, ref_path: {entry}")
-        class_id = _nonneg_int(entry["class_id"], f"{manifest_path}: class_id")
-        if unknown := sorted(set(entry) - {"class_id", "pred_path", "ref_path"}):
-            raise ValidationError(
-                f"{manifest_path}: class {class_id} entry has unknown keys {unknown}")
+        what = f"{manifest_path}: entry {n}"
+        keys = ("class_id", "pred_path", "ref_path")
+        entry = _json_dict(doc[n], what, keys, required=keys)
+        class_id = _nonneg_int(entry["class_id"], f"{what} class_id", hi=_MAX_ID)
 
         def runs(key):
-            rel = _path_str(entry[key], f"class {class_id}: {key}")
+            rel = _path_str(entry[key], f"{what} {key}")
             try:
                 return _mask_runs(load_mask(base / rel, view=View.PA, label_id=class_id,
                                             _digests=inputs, _name=rel))
@@ -44,9 +40,9 @@ def run(args) -> int:
         return class_id, runs("pred_path"), runs("ref_path")
 
     def pairs(reader):      # the next class is read while this one is scored, no further
-        ahead = reader.submit(read_class, doc[0])
-        for entry in doc[1:]:
-            current, ahead = ahead, reader.submit(read_class, entry)
+        ahead = reader.submit(read_class, 0)
+        for n in range(1, len(doc)):
+            current, ahead = ahead, reader.submit(read_class, n)
             yield current.result()
         yield ahead.result()
 

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 
 from ._cmd_common import (SCHEMA_VERSION, _atomic_write_text, _dump_json, _effective_config,
-                          _json_list, _provenance)
-from .io import Mask2D, ValidationError, View, _load_json_file, _nonneg_int, _repeated, load_mask
+                          _provenance)
+from .io import (_MAX_ID, Mask2D, ValidationError, View, _json_dict, _json_list, _load_json_file,
+                 _nonneg_int, _repeated, load_mask)
 from .measurement import (Condition, _excluded, cardiothoracic_ratio, compose_thorax,
                           kyphosis_angle, scoliosis_angle)
 
@@ -21,14 +22,13 @@ _CONDITION_INPUTS = {
 _ROLE_KEYS = {role for _, roles in _CONDITION_INPUTS.values() for role in roles}
 
 
-def _load_mapping(path: Path, hashes: dict[str, str]) -> dict[str, list[int]]:
-    doc = _load_json_file(path, hashes, "mapping.json")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: mapping must be a JSON object")
-    unknown = set(doc) - _ROLE_KEYS
-    if unknown:
-        raise ValidationError(f"{path}: unknown roles {sorted(unknown)}")
-    mapping = {role: [_nonneg_int(i, f"{path}: role {role!r} label id")
+def _load_mapping(path: Path, hashes: dict[str, str],
+                  conditions: list[Condition]) -> dict[str, list[int]]:
+    # Each condition measured needs its roles; any other role may be left out.
+    needed = dict.fromkeys(role for c in conditions for role in _CONDITION_INPUTS[c][1])
+    doc = _json_dict(_load_json_file(path, hashes, "mapping.json"), f"{path}: mapping",
+                     _ROLE_KEYS, required=needed)
+    mapping = {role: [_nonneg_int(i, f"{path}: role {role!r} label id", hi=_MAX_ID)
                       for i in _json_list(ids, f"{path}: role {role!r}")]
                for role, ids in doc.items()}
     # A mask listed twice would count twice, say toward the vertebra minimum.
@@ -48,10 +48,6 @@ def _measure_condition(condition: Condition, study_dir: Path,
                        mapping: dict[str, list[int]], min_component_px: int,
                        hashes: dict[str, str], loaded: dict[tuple[View, int], Mask2D]) -> dict:
     view, roles = _CONDITION_INPUTS[condition]
-    for role in roles:
-        if role not in mapping:
-            raise ValidationError(
-                f"condition {condition.value!r} needs role {role!r} in the mapping")
     # Every mask the condition reads must share the first one's grid; a
     # missing mask file is skipped, and a role left empty excludes below.
     # A mask another condition or role already read comes from ``loaded``.
@@ -97,14 +93,14 @@ def run(args) -> int:
     study_dir = Path(args.study)
     if not study_dir.is_dir():
         raise FileNotFoundError(f"study directory not found: {study_dir}")
-    inputs: dict[str, str] = {}
-    mapping = _load_mapping(Path(args.mapping), inputs)
-
-    min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
-                         "min_component_px")
     # argparse lower-cased and checked each name; a repeated one counts once.
     conditions = [Condition(name) for name in
                   dict.fromkeys(args.conditions or [c.value for c in Condition])]
+    inputs: dict[str, str] = {}
+    mapping = _load_mapping(Path(args.mapping), inputs, conditions)
+
+    min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
+                         "min_component_px")
     # --out holds one run's reports: a report of another condition there
     # would sit beside this run's as if the two were one run.
     out_dir = Path(args.out)

@@ -5,14 +5,13 @@ from __future__ import annotations
 import errno
 import os
 import shutil
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
-from ._cmd_common import (_create_fresh, _dump_json, _effective_config, _json_list, _path_str,
-                          _provenance)
-from .io import (ValidationError, _load_json_file, _nonneg_int, _read_pair, load_volume,
-                 save_mask, save_projection)
+from ._cmd_common import _create_fresh, _dump_json, _effective_config, _provenance
+from .io import (_MAX_ID, ValidationError, _json_dict, _json_list, _load_json_file, _nonneg_int,
+                 _path_str, _read_pair, load_volume, save_mask, save_projection)
 from .projection import _SLAB_ROWS, ProjectionConfig, _Footprints, _label_footprints, project_study
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
@@ -46,38 +45,34 @@ def _check_study_id(study_id) -> str:
     return study_id
 
 
-def _parse_label_entry(entry) -> tuple[int | None, str]:
+def _parse_label_entry(entry, what: str) -> tuple[int | None, str]:
     if isinstance(entry, str):
-        return None, _path_str(entry, "label path")
-    if not isinstance(entry, dict) or set(entry) - {"label_id", "path"}:
-        raise ValidationError(f"label entry must be a path or {{label_id, path}}, got {entry!r}")
+        return None, _path_str(entry, f"{what} path")
+    entry = _json_dict(entry, what, {"label_id", "path"}, required=("path",))
     lid = entry.get("label_id")
-    return (None if lid is None else _nonneg_int(lid, "label_id"),
-            _path_str(entry.get("path"), "label path"))
+    return (None if lid is None else _nonneg_int(lid, f"{what} label_id", hi=_MAX_ID),
+            _path_str(entry["path"], f"{what} path"))
 
 
 def _load_manifest(path: Path) -> list[dict]:
     doc = _load_json_file(path)
-    if isinstance(doc, dict) and (unknown := sorted(set(doc) - {"studies"})):
-        raise ValidationError(f"{path}: manifest has unknown keys {unknown}")
-    studies = _json_list(doc.get("studies") if isinstance(doc, dict) else doc,
-                         f"{path}: manifest 'studies'", nonempty=True)
+    if not isinstance(doc, list):
+        doc = _json_dict(doc, f"{path}: manifest", {"studies"}, required=("studies",))["studies"]
+    studies = _json_list(doc, f"{path}: manifest 'studies'", nonempty=True)
     seen = set()
     base = path.parent
     out = []
-    for entry in studies:
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{path}: each study must be an object")
-        study_id = _check_study_id(entry.get("id"))
-        unknown = sorted(set(entry) - {"id", "volume", "labels"})
-        if unknown:
-            raise ValidationError(f"{path}: study {study_id!r} has unknown keys {unknown}")
+    for i, entry in enumerate(studies):
+        entry = _json_dict(entry, f"{path}: studies[{i}]", {"id", "volume", "labels"},
+                           required=("id", "volume"))
+        study_id = _check_study_id(entry["id"])
         if study_id in seen:
             raise ValidationError(f"{path}: duplicate study id {study_id!r}")
         seen.add(study_id)
-        volume = _path_str(entry.get("volume"), f"study {study_id!r} volume")
-        labels = [_parse_label_entry(e) for e in
-                  _json_list(entry.get("labels", []), f"study {study_id!r} labels")]
+        what = f"{path}: study {study_id!r}"
+        volume = _path_str(entry["volume"], f"{what} volume")
+        labels = [_parse_label_entry(e, f"{what} labels[{j}]") for j, e in
+                  enumerate(_json_list(entry.get("labels", []), f"{what} labels"))]
         out.append({"id": study_id,
                     "volume": volume,
                     "volume_path": base / volume,
@@ -85,19 +80,17 @@ def _load_manifest(path: Path) -> list[dict]:
     return out
 
 
-def _read_label(entry) -> tuple[_Footprints, dict[str, str]]:
+def _read_label(entry, inputs: dict[str, str]) -> _Footprints:
     """One label file end to end, on a label worker: its sidecar is checked,
-    then its payload is read in row slabs, each hashed and reduced to both
-    footprints before the next is read, so the payload is never whole in
-    memory. Returns the footprints and the two files' digests under their
-    manifest names."""
+    then its payload is read in row slabs, each hashed into ``inputs`` under
+    its manifest name and reduced to both footprints before the next is read,
+    so the payload is never whole in memory."""
     declared_id, rel, lpath = entry
-    digests: dict[str, str] = {}
-    meta, slabs = _read_pair(lpath, "u8", _SLAB_ROWS, digests, rel)
+    meta, slabs = _read_pair(lpath, "u8", _SLAB_ROWS, inputs, rel)
     label_id = meta["label_id"]
     if declared_id is not None and declared_id != label_id:
         raise ValidationError(f"manifest says label_id {declared_id} but {rel} holds {label_id}")
-    return _Footprints(label_id, tuple(meta["dims"]), _label_footprints(slabs)), digests
+    return _Footprints(label_id, tuple(meta["dims"]), _label_footprints(slabs))
 
 
 def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) -> None:
@@ -106,27 +99,20 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
     # this thread meanwhile. It takes the footprints in manifest order, so the
     # volume's error comes first, then the line integrals', then the first
     # failing label's in manifest order. A read that has finished holds only
-    # its footprints until then. Nothing is written before project_study
-    # returns, so a missing or bad file leaves no partial output.
+    # its footprints until then. Every read hashes into ``inputs``, whose keys
+    # provenance.json sorts. Nothing is written before project_study returns,
+    # so a missing or bad file leaves no partial output.
     inputs: dict[str, str] = {}
-
-    def labels(pending):
-        while pending:
-            footprints, digests = pending.popleft().result()
-            inputs.update(digests)
-            yield footprints
-
     with ThreadPoolExecutor(max_workers=2) as workers:
-        pending = deque(workers.submit(_read_label, e) for e in study["labels"])
+        labels = workers.map(_read_label, study["labels"], repeat(inputs))
         try:
             vol = load_volume(study["volume_path"], _digests=inputs, _name=study["volume"])
             try:
-                result = project_study(vol, labels(pending), config)
+                result = project_study(vol, labels, config)
             except ValidationError as exc:
                 raise ValidationError(f"study {study['id']}: {exc}") from exc
-        finally:
-            for fut in pending:     # after a failure, the reads not yet begun
-                fut.cancel()
+        finally:     # after a failure, the reads not yet begun are cancelled
+            workers.shutdown(cancel_futures=True)
 
     provenance = _provenance("project", study_id=study["id"],
                              config={"projection": config.to_json_dict()}, inputs=inputs)
@@ -150,15 +136,14 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
 
 
 def run(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _nonneg_int(args.jobs, "--jobs", lo=1)
     manifest = _load_manifest(Path(args.manifest))
     config = ProjectionConfig.from_dict(_effective_config(args, "projection"))
 
     out_root = Path(args.out)
     # Every study runs and results are read in manifest order, so --jobs cannot
     # change the outputs or the error; Executor.map would cancel pending studies.
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_project_one_study, study, out_root, config)
                    for study in manifest]
         for fut in futures:

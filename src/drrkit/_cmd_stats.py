@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._cmd_common import _atomic_write_text, _dump_json, _effective_config, _json_list, _provenance
-from .io import FormatError, ValidationError, _load_json_file, _read_input, _real, _repeated
+from ._cmd_common import _atomic_write_text, _dump_json, _effective_config, _provenance
+from .io import (FormatError, ValidationError, _json_dict, _json_list, _load_json_file, _read_input,
+                 _real, _repeated)
 from .measurement import Grade
 from .stats import (PairwiseComparison, confusion_from_labels, ordinal_metrics,
                     pairwise_model_comparison, weighted_kappa)
@@ -88,11 +89,11 @@ def _read_ordinal(path: str, hashes: dict[str, str]) -> np.ndarray:
     """Truth-by-prediction counts: a given matrix, or tallied from grade lists.
     The input is named by its file name, as in _read_scores."""
     doc = _load_json_file(path, hashes, Path(path).name)
-    # A key beside the input read, say grade lists beside a matrix, is refused.
-    if isinstance(doc, dict) and (unknown := sorted(
-            set(doc) - ({"matrix"} if "matrix" in doc else {"truth", "pred"}))):
-        raise ValidationError(f"{path}: ordinal input has unknown keys {unknown}")
-    if isinstance(doc, dict) and "matrix" in doc:
+    # Either a matrix or two grade lists; a key beside the input read, say
+    # grade lists beside a matrix, is refused.
+    keys = ("matrix",) if isinstance(doc, dict) and "matrix" in doc else ("truth", "pred")
+    doc = _json_dict(doc, f"{path}: ordinal input", keys, required=keys)
+    if "matrix" in doc:
         try:
             cells = np.asarray(doc["matrix"], dtype=object)
             # JSON integers only: true is not 1, and 1.0 is not a count.
@@ -101,10 +102,8 @@ def _read_ordinal(path: str, hashes: dict[str, str]) -> np.ndarray:
         except (ValueError, OverflowError):
             pass
         raise ValidationError(f"{path}: 'matrix' must be a table of integer counts")
-    if isinstance(doc, dict) and {"truth", "pred"} <= set(doc):
-        return confusion_from_labels(_parse_grade_list(doc["truth"], "truth"),
-                                     _parse_grade_list(doc["pred"], "pred"), len(Grade))
-    raise ValidationError(f"{path}: ordinal input needs either 'matrix' or 'truth'+'pred'")
+    return confusion_from_labels(*(_parse_grade_list(doc[key], f"{path}: {key!r}")
+                                   for key in keys), len(Grade))
 
 
 def _csv_cell(value):

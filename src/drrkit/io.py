@@ -8,6 +8,9 @@ Each input rule has one body here: ``_file_chunks`` reads and hashes every
 input file, ``_load_json_file`` decodes every JSON one, ``_read_pair`` is the
 one sidecar/payload reader, and ``_occupancy`` is the one u8 label rule, for
 whole label files and for the slabs that ``project`` reduces as it reads.
+Each field read from a JSON input follows one rule too: ``_json_dict`` for an
+object, ``_json_list`` for a list, ``_path_str`` for a path, and ``_real`` and
+``_nonneg_int`` for numbers, ids up to ``_MAX_ID`` included.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class LabelVolume:
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"label volume must be nonempty 3D, got shape {arr.shape}")
         _freeze(self, "data", arr)
-        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id"))
+        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id", hi=_MAX_ID))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -199,7 +202,7 @@ class Mask2D:
         _freeze(self, "data", arr)
         object.__setattr__(self, "view", View(self.view))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, 2))
-        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id"))
+        object.__setattr__(self, "label_id", _nonneg_int(self.label_id, "label id", hi=_MAX_ID))
 
 
 def _as_binary(mask, name: str = "mask") -> np.ndarray:
@@ -359,6 +362,37 @@ def _nonneg_int(value, what: str, *, lo: int = 0, hi: int | None = None) -> int:
     return int(value)
 
 
+# The largest label or class id: an int64, so every writer can print it, where
+# an integer past Python's digit limit cannot be.
+_MAX_ID = 2 ** 63 - 1
+
+
+def _json_dict(doc, what: str, keys, required=()) -> Mapping:
+    """The one rule for a JSON object read from an input: a mapping whose
+    keys are all among ``keys`` and include every one of ``required``."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    # Sorted by their reprs, so keys of mixed types sort too.
+    if unknown := sorted(_shown(key) for key in doc if key not in keys):
+        raise ValidationError(f"{what} has unknown keys [{', '.join(unknown)}]")
+    if missing := [key for key in required if key not in doc]:
+        raise ValidationError(f"{what} needs {missing}")
+    return doc
+
+
+def _json_list(value, what: str, *, nonempty: bool = False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        kind = "a nonempty JSON list" if nonempty else "a JSON list"
+        raise ValidationError(f"{what} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def _path_str(value, what: str) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValidationError(f"{what} must be a nonempty path, got {_shown(value)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # volume files: <name>.json sidecar + <name>.raw payload
 
@@ -401,7 +435,7 @@ def _read_pair(path, dtype: str, rows: int | None, digests: dict | None = None,
         raise FormatError(f"{json_path}: {kind} dtype must be {dtype!r}, "
                           f"got {meta.get('dtype')!r}")
     if kind == "label":
-        _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'")
+        _nonneg_int(meta.get("label_id"), f"{json_path}: 'label_id'", hi=_MAX_ID)
     h, w, d = dims
     row_bytes = w * d * np.dtype(payload).itemsize
     # C order with k fastest, matching the (H, W, D) reshape.

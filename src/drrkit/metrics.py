@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ._rowruns import _boundary_points, _component_sizes, _intersect, _label_runs, _runs
-from .io import ValidationError, _Record, _as_binary, _nonneg_int, _real
+from .io import _MAX_ID, ValidationError, _Record, _as_binary, _nonneg_int, _real
 from .stats import BootstrapCI, _check_resampling, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
@@ -365,7 +365,7 @@ def evaluate_class_set(pairs: Iterable[tuple[int, object, object]], *,
     _check_resampling(n_resamples, seed)
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:
-        class_id = _nonneg_int(class_id, "class id")
+        class_id = _nonneg_int(class_id, "class id", hi=_MAX_ID)
         if class_id in per_class:
             raise ValidationError(f"duplicate class id {class_id}")
         try:

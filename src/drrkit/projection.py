@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _nonneg_int,
-                 _occupancy, _real, _Record, _shown)
+from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _json_dict,
+                 _nonneg_int, _occupancy, _real, _Record, _shown)
 
 
 def _round_half_up(x):
@@ -50,10 +50,7 @@ class ProjectionConfig(_Record):
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProjectionConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown projection config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_json_dict(d, "projection config", {f.name for f in fields(cls)}))
 
 
 def attenuation_transform(vol: Volume) -> Volume:

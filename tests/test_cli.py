@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drrkit
-from drrkit import (LabelVolume, Mask2D, View, Volume, _cmd_common, _cmd_evaluate, _cmd_project,
-                    cli, projection, save_label_volume, save_mask, save_volume)
+from drrkit import (LabelVolume, Mask2D, ProjectionConfig, ValidationError, View, Volume,
+                    _cmd_common, _cmd_evaluate, _cmd_project, cli, projection, save_label_volume,
+                    save_mask, save_volume)
 
 
 def _collect_bytes(root):
@@ -402,9 +403,9 @@ def test_project_reports_the_volume_error_though_a_label_worker_failed_first(
     failed = threading.Event()
     real_read, real_load = _cmd_project._read_label, _cmd_project.load_volume
 
-    def read_label(entry):
+    def read_label(entry, inputs):
         try:
-            return real_read(entry)
+            return real_read(entry, inputs)
         except OSError:
             failed.set()
             raise
@@ -441,9 +442,9 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
         # busy when the second read is queued, however fast a label is read.
         meet, real_read = threading.Barrier(2, timeout=10), _cmd_project._read_label
 
-        def read_label(entry):
+        def read_label(entry, inputs):
             meet.wait()
-            return real_read(entry)
+            return real_read(entry, inputs)
 
         monkeypatch.setattr(_cmd_project, "_read_label", read_label)
     else:
@@ -492,6 +493,29 @@ def test_each_command_hashes_each_file_on_the_thread_that_reads_it(tmp_path, mon
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), name
 
 
+def test_project_label_workers_hash_into_one_dict_without_losing_a_digest(tmp_path):
+    # A study's volume read and its two label workers all add their digests
+    # to one dict. With three studies at once, nine threads on two cores, and
+    # a thread switch every microsecond, every file's digest still lands.
+    manifest = _write_study_inputs(tmp_path, n_labels=12)
+    doc = json.loads(manifest.read_text())
+    doc["studies"] = [dict(doc["studies"][0], id=f"case{i}") for i in range(3)]
+    manifest.write_text(json.dumps(doc))
+    expected = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir() if path.suffix in (".json", ".raw")
+                and path != manifest}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main(["project", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                         "--jobs", "3"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(3):
+        prov = json.loads((tmp_path / "out" / f"case{i}" / "provenance.json").read_text())
+        assert prov["inputs"] == expected
+
+
 def test_project_cancels_the_label_reads_queued_behind_a_failure(tmp_path, monkeypatch,
                                                                   capsys):
     # The first of eight labels is missing. Every other read waits until the
@@ -505,11 +529,11 @@ def test_project_cancels_the_label_reads_queued_behind_a_failure(tmp_path, monke
     shut = threading.Event()
     real_read, begun = _cmd_project._read_label, []
 
-    def read_label(entry):
+    def read_label(entry, inputs):
         begun.append(entry[1])
         if entry[1] != "missing.json":
             assert shut.wait(10)
-        return real_read(entry)
+        return real_read(entry, inputs)
 
     class Pool(_cmd_project.ThreadPoolExecutor):
         def shutdown(self, *args, **kwargs):
@@ -712,7 +736,7 @@ def test_project_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
                      "--jobs", jobs]) == 1
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert f"--jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -807,9 +831,9 @@ def test_project_unknown_config_key_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("config,message", [
-    ({"projecton": {"target_pixel_spacing": 2.0}}, "unknown config section 'projecton'"),
+    ({"projecton": {"target_pixel_spacing": 2.0}}, "config file has unknown keys ['projecton']"),
     ([{"projection": {"target_pixel_spacing": 2.0}}], "config file must be a JSON object"),
-    ({"projection": [2.0]}, "section 'projection' must be an object"),
+    ({"projection": [2.0]}, "config section 'projection' must be a JSON object, got list"),
 ], ids=["misspelt-section", "config-not-object", "section-not-object"])
 def test_project_config_not_sections_of_settings_exits_1(tmp_path, capsys, config, message):
     manifest = _write_study_inputs(tmp_path, n_labels=0)
@@ -842,7 +866,7 @@ def test_project_unknown_study_key_exits_1(tmp_path, capsys):
     doc["studies"][0]["lables"] = doc["studies"][0].pop("labels")
     path.write_text(json.dumps(doc))
     assert cli.main(argv) == 1
-    assert "study 'case01' has unknown keys ['lables']" in capsys.readouterr().err
+    assert "studies[0] has unknown keys ['lables']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -859,7 +883,7 @@ def test_project_unknown_manifest_key_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command,doc,message", [
     # A class weight would otherwise be ignored.
     ("evaluate", [{"class_id": 1, "pred_path": "pred1.pgm", "ref_path": "ref1.pgm",
-                   "weight": 2}], "class 1 entry has unknown keys ['weight']"),
+                   "weight": 2}], "entry 0 has unknown keys ['weight']"),
     # Grade lists beside a matrix would otherwise be ignored as the matrix is scored.
     ("ordinal", {"matrix": [[1, 0], [0, 1]], "truth": [0, 1, 2], "pred": [3, 3, 3], "extra": 1},
      "ordinal input has unknown keys ['extra', 'pred', 'truth']"),
@@ -1738,7 +1762,7 @@ def test_bad_config_value_exits_1(tmp_path, capsys, config):
     assert err.startswith("error:")
     (key,) = config[section]
     if key in _GONE_KEYS:
-        assert f"unknown config key {key!r}" in err
+        assert f"config section {section!r} has unknown keys [{key!r}]" in err
     else:
         assert f"{section}.{key}" in err
     if key not in (*_GONE_KEYS, "output_size"):     # the numeric keys
@@ -1829,14 +1853,19 @@ _BAD_DOCUMENTS = {
     "labels-scalar": ("project", _studies(labels=5)),
     "labels-null": ("project", _studies(labels=None)),
     "label-id-bool": ("project", _studies(labels=[{"label_id": True, "path": "lab1.json"}])),
+    # An id is an int64, which every writer can print.
+    "label-id-past-int64": ("project", _studies(labels=[{"label_id": 2 ** 63,
+                                                          "path": "lab1.json"}])),
     "study-id-dotdot": ("project", _studies(id="..")),
     "volume-nul": ("project", _studies(volume="vol\0.json")),
     "volume-lone-surrogate": ("project", _studies(volume="\ud800.json")),
     "manifest-not-utf8": ("project", b'{"studies": "\xff"}'),
     "role-id-bool": ("measure", {"heart": [True], "thorax": [2], "vertebrae": [4, 5]}),
+    "role-id-past-int64": ("measure", {"heart": [2 ** 63], "thorax": [2], "vertebrae": [4, 5]}),
     "pred-path-int": ("evaluate", _entry(pred_path=5)),
     "pred-path-empty": ("evaluate", _entry(pred_path="")),
     "class-id-bool": ("evaluate", _entry(class_id=True)),
+    "class-id-past-int64": ("evaluate", _entry(class_id=2 ** 63)),
     "scores-scalar": ("pairwise", {"a": 5, "b": [0.5, 0.4, 0.6]}),
     # Models map straight to their scores; no wrapper object is unwrapped.
     "scores-wrapped": ("pairwise", {"models": {"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}}),
@@ -1876,6 +1905,98 @@ def test_bad_document_exits_1(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
+# --- the one object rule ---------------------------------------------------------
+# Every JSON object a command reads goes through io._json_dict. Each place one
+# sits: the input that holds it, where in that input's valid document, how the
+# refusal names it after the file's name, a key it does not take, and a key
+# it needs, if any.
+_OBJECT_PLACES = {
+    "config-file": ("config", (), "config file", "projecton", None),
+    "config-section": ("config", ("projection",), "config section 'projection'", "pitch", None),
+    # Each command checks every section of the file, not only its own.
+    "config-other-section": ("config", ("measure",), "config section 'measure'", "min_px", None),
+    "manifest": ("project", (), "manifest", "labels", "studies"),
+    "study": ("project", ("studies", 0), "studies[0]", "lables", "volume"),
+    "label-entry": ("project", ("studies", 0, "labels", 0), "study 'case01' labels[0]",
+                    "weight", "path"),
+    "evaluate-entry": ("evaluate", (0,), "entry 0", "weight", "ref_path"),
+    # Each condition measured needs its roles; the default measures all three.
+    "mapping": ("measure", (), "mapping", "lungs", "thorax"),
+    "ordinal": ("ordinal", (), "ordinal input", "weights", "pred"),
+}
+_NOT_OBJECTS = {"list": ([1, 2], "list"), "null": (None, "NoneType"), "number": (5, "int")}
+
+
+def _at(doc, where):
+    for step in where:
+        doc = doc[step]
+    return doc
+
+
+def _put(doc, where, value):
+    """doc with value put at where, a path of keys and indices."""
+    if not where:
+        return value
+    _at(doc, where[:-1])[where[-1]] = value
+    return doc
+
+
+def _take(doc, where, key):
+    """doc without the key of the object at where."""
+    del _at(doc, where)[key]
+    return doc
+
+
+# (place, the bad document's edit of the valid one, the refusal's message).
+_OBJECT_REFUSALS = {
+    **{f"{place}-{kind}": (place, lambda doc, where, v=value: _put(doc, where, v),
+                           f"must be a JSON object, got {type_name}")
+       for place in _OBJECT_PLACES for kind, (value, type_name) in _NOT_OBJECTS.items()
+       # A manifest may be the bare list of its studies.
+       if (place, kind) != ("manifest", "list")},
+    **{f"{place}-unknown": (place, lambda doc, where, k=unknown: _put(doc, (*where, k), 1),
+                            f"has unknown keys [{unknown!r}]")
+       for place, (*_, unknown, _) in _OBJECT_PLACES.items()},
+    **{f"{place}-missing": (place, lambda doc, where, k=needed: _take(doc, where, k),
+                            f"needs [{needed!r}]")
+       for place, (*_, needed) in _OBJECT_PLACES.items() if needed},
+    "ordinal-matrix-beside-grades": ("ordinal", lambda doc, where: {**doc, "matrix": [[1]]},
+                                     "has unknown keys ['pred', 'truth']"),
+}
+
+
+@pytest.mark.parametrize("place,edit,message", _OBJECT_REFUSALS.values(), ids=_OBJECT_REFUSALS)
+def test_a_bad_object_exits_1_and_names_its_file_and_place(tmp_path, capsys, place, edit,
+                                                            message):
+    command, where, name, _, _ = _OBJECT_PLACES[place]
+    if command == "config":
+        argv, _, _ = _cli_input(tmp_path, "project")
+        path, doc = tmp_path / "cfg.json", {"projection": {"target_pixel_spacing": 2.0},
+                                            "measure": {}}
+        argv += ["--config", str(path)]
+    else:
+        argv, path, doc = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(edit(doc, where)))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {name} {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "projection config must be a JSON object, got list"),
+    (None, "projection config must be a JSON object, got NoneType"),
+    (5, "projection config must be a JSON object, got int"),
+    # Keys of mixed types sort by their reprs, where sorted() would raise TypeError.
+    ({1: 2, "b": 3}, "projection config has unknown keys ['b', 1]"),
+    ({"views": ["PA"], "output_size": (4, 4)}, "projection config has unknown keys ['views']"),
+], ids=["list", "null", "number", "mixed-keys", "unknown"])
+def test_projection_config_from_dict_follows_the_object_rule(doc, message):
+    # The library's one object read follows the rule the commands' inputs do.
+    with pytest.raises(ValidationError) as refusal:
+        ProjectionConfig.from_dict(doc)
+    assert str(refusal.value) == message
+
+
 # JSON true is not 1 and 1.0 is not a count, though numpy reads them so.
 @pytest.mark.parametrize("command,doc", [
     ("ordinal", {"matrix": [[True, False], [False, True]]}),
@@ -1899,6 +2020,14 @@ def test_bad_volume_spacing_names_its_sidecar(tmp_path, capsys, spacing):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "out").exists()
 
+
+def test_label_sidecar_id_past_int64_exits_1(tmp_path, capsys):
+    argv, _, _ = _cli_input(tmp_path, "project")
+    sidecar = tmp_path / "lab1.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "label_id": 2 ** 63}))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: study case01: {sidecar}: 'label_id' must ")
+    assert not (tmp_path / "out").exists()
 
 def test_huge_label_dims_exit_1(tmp_path, capsys):
     # Dims implying 256 TiB beside an 8-byte payload are a format error
@@ -1934,7 +2063,7 @@ def test_projection_orientation_key_is_gone(tmp_path, capsys, orientation):
     out = tmp_path / "out"
     argv = ["project", "--manifest", str(manifest), "--out", str(out)]
     assert cli.main(argv + ["--config", str(cfg)]) == 1
-    assert "unknown config key 'orientation'" in capsys.readouterr().err
+    assert "config section 'projection' has unknown keys ['orientation']" in capsys.readouterr().err
     assert not out.exists()
     assert cli.main(argv) == 0
     prov = json.loads(next(out.glob("*/provenance.json")).read_text())
@@ -1948,7 +2077,7 @@ def test_stats_n_classes_key_is_gone(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"stats": {"n_classes": 4}}))
     assert cli.main(argv + ["--config", str(cfg)]) == 1
-    assert "unknown config key 'n_classes'" in capsys.readouterr().err
+    assert "config section 'stats' has unknown keys ['n_classes']" in capsys.readouterr().err
     assert cli.main(argv) == 0
     prov = json.loads((tmp_path / "out").read_text())
     assert prov["config"] == {"stats": {"n_classes": 4}}

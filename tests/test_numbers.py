@@ -4,6 +4,7 @@ does what it does for the plain number that value stands for, or refuses the
 value with ValidationError, and never raises anything else."""
 
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -18,7 +19,8 @@ from drrkit import (Condition, LabelVolume, Mask2D, Projection, ProjectionConfig
                     boundary_distance_metrics, cardiothoracic_ratio, clean_mask,
                     component_detection, confusion_from_labels, endpoint_tangent_angle,
                     evaluate_class_set, evaluate_pair, fit_spine_curve, grade, kyphosis_angle,
-                    pairwise_model_comparison, scoliosis_angle)
+                    load_label_volume, pairwise_model_comparison, save_label_volume,
+                    scoliosis_angle)
 
 
 def _box(r0, r1, c0, c1, shape=(24, 24)):
@@ -33,6 +35,8 @@ _HEART, _THORAX = _box(8, 16, 8, 14), _box(4, 22, 3, 21)
 _SPINE = [_box(4 * i, 4 * i + 3, 10 + i % 3, 13 + i % 3) for i in range(6)]
 _POINTS = [(11.0 + i % 3, 4.0 * i + 1) for i in range(6)]
 _SCORES = {"a": [0.9, 0.8, 0.7, 0.95], "b": [0.5, 0.8, 0.6, 0.7]}
+# The largest label or class id: an int64, which every writer can print.
+_MAX_ID = 2 ** 63 - 1
 
 # Each argument: the call that passes it, its rule, and whether the rule's
 # range holds the plain number. A number in range may still be refused for
@@ -53,6 +57,9 @@ _ARGUMENTS = {
     "evaluate_class_set.n_resamples": (
         lambda v: evaluate_class_set([(1, _PRED, _REF)], n_resamples=v),
         _COUNT, lambda x: 1 <= x <= 10 ** 7),
+    "evaluate_class_set.class_id": (
+        lambda v: evaluate_class_set([(v, _PRED, _REF)], n_resamples=5),
+        _COUNT, lambda x: x <= _MAX_ID),
     "evaluate_class_set.seed": (
         lambda v: evaluate_class_set([(1, _PRED, _REF)], n_resamples=5, seed=v),
         _COUNT, lambda x: x >= 0),
@@ -91,10 +98,10 @@ _ARGUMENTS = {
         _REAL, lambda x: x > 0),
     "Mask2D.label_id": (
         lambda v: Mask2D(data=_PRED, view=View.PA, spacing=(1, 1), label_id=v).label_id,
-        _COUNT, lambda x: x >= 0),
+        _COUNT, lambda x: x <= _MAX_ID),
     "LabelVolume.label_id": (
         lambda v: LabelVolume(data=np.zeros((1, 1, 1)), label_id=v).label_id,
-        _COUNT, lambda x: x >= 0),
+        _COUNT, lambda x: x <= _MAX_ID),
     "clean_mask.min_component_px": (lambda v: clean_mask(_PRED, v), _COUNT, lambda x: x >= 0),
     "cardiothoracic_ratio.min_component_px": (
         lambda v: cardiothoracic_ratio(_HEART, _THORAX, min_component_px=v),
@@ -178,6 +185,9 @@ _HUGE = {
     "spacing": lambda: Mask2D(data=_PRED, view=View.PA, spacing=(1, -10 ** 5000)),
     "count": lambda: clean_mask(_PRED, -10 ** 5000),
     "capped-count": lambda: confusion_from_labels([0], [0], 10 ** 5000),
+    # An id past Python's digit limit could be held but never written.
+    "label-id": lambda: LabelVolume(data=np.ones((1, 1, 1)), label_id=10 ** 5000),
+    "class-id": lambda: evaluate_class_set([(10 ** 5000, _PRED, _PRED)], n_resamples=5),
 }
 
 
@@ -188,3 +198,16 @@ def test_a_refusal_names_a_huge_number_without_its_digits(call):
         call()
     limit = sys.get_int_max_str_digits()
     assert str(refusal.value).endswith(f"got a number of more than {limit} digits")
+
+
+def test_an_id_up_to_its_bound_is_written_and_one_past_it_refused(tmp_path):
+    label = LabelVolume(data=np.ones((1, 1, 1)), label_id=_MAX_ID)
+    save_label_volume(label, tmp_path / "lab.json")
+    assert load_label_volume(tmp_path / "lab.json").label_id == _MAX_ID
+    report = evaluate_class_set([(_MAX_ID, _PRED, _REF)], n_resamples=5)
+    assert str(_MAX_ID) in json.dumps(report.to_json_dict())
+    bound = re.escape(f"<= {_MAX_ID}, got {_MAX_ID + 1}")
+    with pytest.raises(ValidationError, match=f"label id .*{bound}"):
+        LabelVolume(data=np.ones((1, 1, 1)), label_id=_MAX_ID + 1)
+    with pytest.raises(ValidationError, match=f"class id .*{bound}"):
+        evaluate_class_set([(_MAX_ID + 1, _PRED, _REF)], n_resamples=5)

@@ -725,9 +725,10 @@ def test_config_validation_and_round_trip():
         ProjectionConfig.from_dict({"bogus": 1})
     # The orientation and views settings are gone: every study is projected
     # into both views, each with the one transpose.
-    with pytest.raises(ValidationError, match=r"unknown projection config keys: \['orientation'\]"):
+    with pytest.raises(ValidationError,
+                       match=r"projection config has unknown keys \['orientation'\]"):
         ProjectionConfig.from_dict({"orientation": {"PA": ["transpose"]}})
-    with pytest.raises(ValidationError, match=r"unknown projection config keys: \['views'\]"):
+    with pytest.raises(ValidationError, match=r"projection config has unknown keys \['views'\]"):
         ProjectionConfig.from_dict({"views": ["PA"]})
 
 
