@@ -10,7 +10,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .io import _json_dict, _load_json_file, _nonneg_int, _real
+from .io import ValidationError, _json_dict, _load_json_file, _nonneg_int, _real
 from .projection import ProjectionConfig
 
 SCHEMA_VERSION = 1
@@ -62,25 +62,34 @@ _SETTINGS = {
 }
 
 
-def _effective_config(args, section: str) -> dict:
+def _effective_config(args, section: str, check=None) -> dict:
     # Precedence: CLI flags > config file > defaults. argparse leaves a flag
     # None unless the user passed it, and types it when passed. Every section
     # of the file is checked, whichever command reads it. A file value for a
     # numeric default follows the rule of its kind: io._nonneg_int for an int,
     # io._real for a float, which turns a JSON integer into the float it
-    # echoes, so no command casts again.
+    # echoes, so no command casts again. ``check``, when given, is the
+    # section's own rule: it is called with each value a file or flag set,
+    # alone, and its refusal is prefixed with that file or flag.
     cfg = _json_dict(_load_json_file(args.config) if args.config else {},
                      f"{args.config}: config file", _SETTINGS)
     for name, sect in cfg.items():
         _json_dict(sect, f"{args.config}: config section {name!r}", _SETTINGS[name])
     defaults = _SETTINGS[section]
-    out = dict(defaults)
+    out, source = dict(defaults), {}
     for key, value in cfg.get(section, {}).items():
         if type(defaults[key]) is int:
             value = _nonneg_int(value, f"{args.config}: config {section}.{key}")
         elif type(defaults[key]) is float:
             value = _real(value, f"{args.config}: config {section}.{key}")
-        out[key] = value
-    out.update({key: getattr(args, key) for key in defaults
-                if getattr(args, key) is not None})
+        out[key], source[key] = value, f"{args.config}: config"
+    for key in defaults:
+        if getattr(args, key) is not None:
+            out[key], source[key] = getattr(args, key), f"{args.flags[key]}:"
+    if check is not None:
+        for key, where in source.items():
+            try:
+                check({key: out[key]})
+            except ValidationError as exc:
+                raise ValidationError(f"{where} {exc}") from None
     return out

@@ -37,11 +37,11 @@ def _replace_dir(new: Path, target: Path) -> None:
     shutil.rmtree(aside)
 
 
-def _check_study_id(study_id) -> str:
+def _check_study_id(study_id, what: str = "study id") -> str:
     if not isinstance(study_id, str) or study_id in ("", ".", ".."):
-        raise ValidationError(f"study id must be a nonempty name, got {study_id!r}")
+        raise ValidationError(f"{what} must be a nonempty name, got {study_id!r}")
     if not set(study_id) <= _ID_CHARS:
-        raise ValidationError(f"study id {study_id!r} has characters outside [A-Za-z0-9._-]")
+        raise ValidationError(f"{what} {study_id!r} has characters outside [A-Za-z0-9._-]")
     return study_id
 
 
@@ -65,7 +65,7 @@ def _load_manifest(path: Path) -> list[dict]:
     for i, entry in enumerate(studies):
         entry = _json_dict(entry, f"{path}: studies[{i}]", {"id", "volume", "labels"},
                            required=("id", "volume"))
-        study_id = _check_study_id(entry["id"])
+        study_id = _check_study_id(entry["id"], f"{path}: studies[{i}] id")
         if study_id in seen:
             raise ValidationError(f"{path}: duplicate study id {study_id!r}")
         seen.add(study_id)
@@ -138,7 +138,8 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
 def run(args) -> int:
     jobs = _nonneg_int(args.jobs, "--jobs", lo=1)
     manifest = _load_manifest(Path(args.manifest))
-    config = ProjectionConfig.from_dict(_effective_config(args, "projection"))
+    config = ProjectionConfig.from_dict(
+        _effective_config(args, "projection", check=ProjectionConfig.from_dict))
 
     out_root = Path(args.out)
     # Every study runs and results are read in manifest order, so --jobs cannot

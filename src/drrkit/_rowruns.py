@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_RUN_BLOCK = 1 << 16    # pixels per block of rows in _runs; changes speed only
+_RUN_BLOCK = 1 << 16    # least pixels per block of rows in _runs; changes speed only
 
 
 def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,8 +27,10 @@ def _runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One background column before each row, and one after the last, so
     # every run starts and stops at a transition and the two alternate. The
     # rows pass through one small buffer a block at a time, which is faster
-    # than two full-size temporaries, each paged in afresh.
-    rows = max(1, _RUN_BLOCK // stride)
+    # than two full-size temporaries, each paged in afresh. A block is at
+    # least a sixteenth of the mask, so a large mask takes few numpy calls;
+    # up to 1024 x 1024 that is _RUN_BLOCK's block.
+    rows = max(1, max(_RUN_BLOCK, h * w // 16) // stride)
     buf = np.zeros(rows * stride + 1, dtype=bool)
     edges = []
     for r0 in range(0, h, rows):

@@ -105,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_stats)
     for sub in subs.choices.values():
         sub.add_argument("--config", help="JSON config file; flags override its values")
+        # The flag of each setting, which a refusal of its value names.
+        sub.set_defaults(flags={a.dest: a.option_strings[0] for a in sub._actions})
     return parser
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rowruns import _boundary_points, _component_sizes, _intersect, _label_runs, _runs
 from .io import _MAX_ID, ValidationError, _Record, _as_binary, _nonneg_int, _real
-from .stats import BootstrapCI, _check_resampling, bootstrap_ci
+from .stats import BootstrapCI, _check_resampling, _percentile, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
                      "precision", "recall", "f1")
@@ -112,11 +112,11 @@ def _directed_distances(src_pts: np.ndarray, dst_pts: np.ndarray) -> np.ndarray:
 
 
 def _nearest_sq(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    # Rows y, y - 1, y + 1, ... are searched for every src point at once: one
-    # np.searchsorted over the dst keys finds a point's nearest dst column in
-    # a row. Once rows within dy are done, a point whose best squared
-    # distance is at most (dy + 1)^2 is resolved; points still open after
-    # _RING_ROWS rows go to the cell search.
+    # Rows y, then y + dy and y - dy for dy = 1, 2, ..., are searched for
+    # every src point at once: one np.searchsorted over the dst keys finds a
+    # point's nearest dst column in both rows of a ring. Once rows within dy
+    # are done, a point whose best squared distance is at most (dy + 1)^2 is
+    # resolved; points still open after _RING_ROWS rows go to the cell search.
     h = int(max(src[:, 0].max(), dst[:, 0].max())) + 1
     w = int(max(src[:, 1].max(), dst[:, 1].max())) + 1
     cap = h + w         # longer than any distance in the frame
@@ -128,13 +128,14 @@ def _nearest_sq(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     q = src[:, 0] * stride + src[:, 1]
     cur = np.full(len(src), cap * cap, dtype=np.int64)     # best so far of each open point
     for dy in range(_RING_ROWS + 1):
-        for shift in ((dy, -dy) if dy else (0,)):
-            qq = q + shift * stride
-            i = np.searchsorted(keys, qq)
-            # A gap of cap or more means no dst point in that row; capped, it
-            # costs more than any real distance, so it never wins.
-            dx = np.minimum(np.minimum(keys[i] - qq, qq - keys[i - 1]), cap)
-            np.minimum(cur, dx * dx + dy * dy, out=cur)
+        qq = np.concatenate((q + dy * stride, q - dy * stride)) if dy else q
+        i = np.searchsorted(keys, qq)
+        # A gap of cap or more means no dst point in that row; capped, it
+        # costs more than any real distance, so it never wins.
+        dx = np.minimum(np.minimum(keys[i] - qq, qq - keys[i - 1]), cap)
+        if dy:
+            dx = np.minimum(dx[:len(q)], dx[len(q):])
+        np.minimum(cur, dx * dx + dy * dy, out=cur)
         done = cur <= (dy + 1) ** 2
         best[todo[done]] = cur[done]
         todo, q, cur = todo[~done], q[~done], cur[~done]
@@ -225,10 +226,6 @@ def _cell_search(pts: np.ndarray, ub: np.ndarray, dst: np.ndarray, ncol: int) ->
     return out
 
 
-def _percentile95(d: np.ndarray) -> float:
-    return float(np.percentile(d, 95.0))    # linear interpolation
-
-
 def _boundary_distances(shape, runs_p, runs_r, nsd_tolerance_px: float,
                         ) -> tuple[float, float, float]:
     # A nonempty mask always has a boundary pixel: its topmost row does.
@@ -236,7 +233,7 @@ def _boundary_distances(shape, runs_p, runs_r, nsd_tolerance_px: float,
     d_pr = _directed_distances(bp, br)
     d_rp = _directed_distances(br, bp)
     pooled = np.concatenate([d_pr, d_rp])
-    hd95 = max(_percentile95(d_pr), _percentile95(d_rp))
+    hd95 = max(_percentile(d_pr, 95.0), _percentile(d_rp, 95.0))
     asd = float(pooled.mean())
     nsd = float(np.count_nonzero(pooled <= nsd_tolerance_px) / len(pooled))
     return hd95, asd, nsd

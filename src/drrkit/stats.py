@@ -80,6 +80,29 @@ def _signed_rank_sums(d: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarr
     return float(ranks[d > 0].sum()), float(ranks[d < 0].sum()), ranks, tie_counts
 
 
+def _percentile(a: np.ndarray, q):
+    """np.percentile(a, q) with its default linear method, bit for bit, for a
+    nonempty 1-D float64 array and q a number in [0, 100] or a sequence of
+    them: a float, or a list of floats. It repeats numpy's steps (1.24 to 2.x)
+    one operation at a time, and its partition takes numpy's kth, so equal
+    keys such as -0.0 and 0.0 land where numpy puts them. np.percentile itself
+    imports numpy.ma, which costs every evaluate 10-16 ms."""
+    n = len(a)
+    vis = [(n - 1) * (p / 100) for p in (q if np.ndim(q) else [q])]
+    # The order statistics on either side of vi. At or past the last, numpy
+    # makes both -1, the last, and its weight vi - (-1) then takes the lerp's
+    # x1 side, which keeps the sign of a last -0.0.
+    lo = [-1 if vi >= n - 1 else math.floor(vi) for vi in vis]
+    hi = [-1 if k == -1 else k + 1 for k in lo]
+    part = np.partition(a, sorted({0, -1, *lo, *hi}))
+    out = []
+    for vi, i, j in zip(vis, lo, hi):
+        x0, x1 = float(part[i]), float(part[j])
+        t, d = vi - i, x1 - x0
+        out.append(x1 - d * (1 - t) if t >= 0.5 else x0 + d * t)
+    return out if np.ndim(q) else out[0]
+
+
 _BOOTSTRAP_CHUNK = 1 << 20     # resample indices held at once
 _MAX_RESAMPLES = 10 ** 7
 
@@ -120,9 +143,9 @@ def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
         idx = rng.integers(0, arr.size, size=(stop - start, arr.size))
         means[start:stop] = arr[idx].mean(axis=1)
     alpha = (1.0 - level) / 2.0
-    lower, upper = np.percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
-    return BootstrapCI(mean=float(arr.mean()), lower=float(lower),
-                       upper=float(upper), n_resamples=n_resamples, level=level)
+    lower, upper = _percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return BootstrapCI(mean=float(arr.mean()), lower=lower, upper=upper,
+                       n_resamples=n_resamples, level=level)
 
 
 @dataclass(frozen=True)

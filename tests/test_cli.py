@@ -847,6 +847,41 @@ def test_project_config_not_sections_of_settings_exits_1(tmp_path, capsys, confi
     assert not out.exists()
 
 
+# A projection setting that the file-level check passes and ProjectionConfig
+# refuses: its flag, its config value and the refusal.
+_PROJECTION_REFUSALS = {
+    "output-size": (["--output-size", "0", "4"], {"output_size": [0, 4]},
+                    "projection.output_size entry must be an integer in [1, 67108864], got 0"),
+    "target-spacing": (["--target-spacing", "0"], {"target_pixel_spacing": 0},
+                       "projection.target_pixel_spacing must be a finite real number > 0, "
+                       "got 0.0"),
+}
+
+
+@pytest.mark.parametrize("flag,setting,message", _PROJECTION_REFUSALS.values(),
+                         ids=_PROJECTION_REFUSALS)
+def test_project_config_value_refusal_names_its_file(tmp_path, capsys, flag, setting, message):
+    argv, _, _ = _cli_input(tmp_path, "project")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"projection": setting}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: config {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,setting,message", _PROJECTION_REFUSALS.values(),
+                         ids=_PROJECTION_REFUSALS)
+def test_project_flag_value_refusal_names_its_flag(tmp_path, capsys, flag, setting, message):
+    # The flag's value is refused even where the config file's is valid.
+    argv, _, _ = _cli_input(tmp_path, "project")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"projection": {"target_pixel_spacing": 2.0,
+                                              "output_size": [4, 4]}}))
+    assert cli.main(argv + ["--config", str(cfg)] + flag) == 1
+    assert capsys.readouterr().err == f"error: {flag[0]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_one_config_file_serves_every_command(tmp_path):
     # Another command's section is no unknown section.
     manifest = _write_study_inputs(tmp_path, n_labels=0)
@@ -920,7 +955,7 @@ def test_each_config_key_is_the_dest_of_its_flag():
 
 
 def _loaded(argv=(), *, as_main=False):
-    """Exit code and the scipy, concurrent and drrkit modules, by top-level
+    """Exit code and the scipy, concurrent, drrkit and numpy modules, by top-level
     package, loaded by a fresh interpreter that imports drrkit.cli and, given
     argv, runs it through cli.main; or, as_main, that runs drrkit.cli as
     ``python -m drrkit.cli`` does, as ``__main__``."""
@@ -929,12 +964,12 @@ def _loaded(argv=(), *, as_main=False):
     code = ("import json, runpy, sys\n"
             f"try:\n    {run}\nexcept SystemExit as exc:\n    rc = exc.code\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent', 'drrkit'))]))")
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'drrkit', 'numpy'))]))")
     env = dict(os.environ, PYTHONPATH=str(Path(drrkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
-    loaded = {"scipy": [], "concurrent": [], "drrkit": []}
+    loaded = {"scipy": [], "concurrent": [], "drrkit": [], "numpy": []}
     for name in modules:
         loaded[name.split(".")[0]].append(name)
     return rc, loaded
@@ -1001,6 +1036,22 @@ def test_each_command_loads_only_its_own_module(tmp_path, command):
     assert _command_modules(loaded) == {"drrkit._cmd_common", f"drrkit.{own}"}
     assert ("concurrent.futures" in loaded["concurrent"]) == pool
     assert "drrkit.cli" not in loaded["drrkit"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_no_command_loads_numpy_ma(tmp_path, command):
+    # HD95 and the bootstrap CIs take drrkit's own percentile, because
+    # np.percentile imports numpy.ma: 10-16 ms of every evaluate. numpy 1.x
+    # loads numpy.ma at import, so only where import numpy alone leaves it
+    # unloaded can a command be held to that.
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    at_import = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                               check=True).stdout.strip() == "True"
+    argv, path, doc = _cli_input(tmp_path, command)
+    path.write_text(json.dumps(doc))
+    rc, loaded = _loaded(argv)
+    assert rc == 0
+    assert at_import or "numpy.ma" not in loaded["numpy"]
 
 
 @pytest.mark.parametrize("command,name", [("project", "cmd_project"), ("measure", "cmd_measure"),
@@ -1979,6 +2030,21 @@ def test_a_bad_object_exits_1_and_names_its_file_and_place(tmp_path, capsys, pla
     path.write_text(json.dumps(edit(doc, where)))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: {name} {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("study_id,message", [
+    ("a/b", "id 'a/b' has characters outside [A-Za-z0-9._-]"),
+    ("..", "id must be a nonempty name, got '..'"),
+    (5, "id must be a nonempty name, got 5"),
+], ids=["slash", "dot-dot", "number"])
+def test_a_bad_study_id_exits_1_and_names_its_manifest_and_place(tmp_path, capsys, study_id,
+                                                                message):
+    argv, path, doc = _cli_input(tmp_path, "project")
+    doc["studies"].append({**doc["studies"][0], "id": study_id})
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: studies[1] {message}\n"
     assert not (tmp_path / "out").exists()
 
 

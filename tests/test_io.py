@@ -716,6 +716,9 @@ def test_label8_run_block_changes_no_result(block, fg):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_rowruns, "_RUN_BLOCK", block)
         _check_label8(fg)
+        # Stacked sixteen times, a mask's sixteenth is fg.size pixels, so its
+        # blocks come from the one-sixteenth rule once that passes the block.
+        _check_label8(np.tile(fg, (16, 1)))
 
 
 def test_as_binary_views_a_mask_without_copying():

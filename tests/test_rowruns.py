@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from drrkit._rowruns import _overlaps, _runs
+from drrkit._rowruns import _RUN_BLOCK, _overlaps, _runs
 
 # Intervals [first, first + length) in any order, overlapping one another or
 # not, some reaching past either end of the runs they are matched against.
@@ -22,3 +22,18 @@ def test_overlaps_matches_double_loop_on_unsorted_intervals(intervals, fg):
             if max(first_a[i], first_b[k]) < min(end_a[i], end_b[k])]
     i, k = _overlaps((first_a, end_a), (first_b, end_b))
     assert list(zip(i.tolist(), k.tolist())) == want
+
+
+def test_runs_of_a_mask_past_sixteen_blocks_match_one_pass():
+    # Past 16 * _RUN_BLOCK pixels a block is a sixteenth of the mask, here
+    # not a whole number of rows; the runs are those of one full-size pass.
+    h, w = 1031, 1029
+    assert h * w // 16 > _RUN_BLOCK
+    fg = np.random.default_rng(3).random((h, w)) < 0.3
+    fg[:, -1] = fg[-1] = True
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, 1:] = fg
+    flat = np.concatenate((padded.ravel(), [False]))
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    first, end = _runs(fg)
+    assert np.array_equal(first, edges[0::2]) and np.array_equal(end, edges[1::2])

@@ -13,6 +13,7 @@ from drrkit import (KappaResult, PairedSample, ValidationError, bonferroni,
                     bootstrap_ci, confusion_from_labels, effect_sizes,
                     ordinal_metrics, pairwise_model_comparison,
                     weighted_kappa, wilcoxon_signed_rank)
+from drrkit.stats import _percentile
 
 
 # --- bootstrap -----------------------------------------------------------------
@@ -89,6 +90,52 @@ def test_score_coercion_errors_are_validation_errors(values):
         pairwise_model_comparison({"a": values, "b": [1.0, 2.0]})
     with pytest.raises(ValidationError):
         wilcoxon_signed_rank(values, [1.0, 2.0])
+
+
+# --- the percentile ----------------------------------------------------------------
+# HD95 and the bootstrap's cuts take np.percentile's linear method, repeated
+# step by step without its numpy.ma import. Both agree bit for bit, the sign
+# of a zero included, under every numpy the package supports.
+
+_QS = [0, 2.5, 5, 50, 95, 97.5, 100]
+# Few distinct values, so ties are common, both zeros, and both signs.
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("q", _QS)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(values=st.lists(_VALUES, min_size=1, max_size=300))
+def test_percentile_is_numpys_bit_for_bit(q, values):
+    a = np.array(values)
+    assert _bits(_percentile(a, q)) == _bits(np.percentile(a, q))
+
+
+# Several at once, as bootstrap_ci cuts both tails: numpy partitions for all
+# of them in one call, so the zeros may land elsewhere than for each alone.
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(values=st.lists(_VALUES, min_size=1, max_size=300),
+       qs=st.lists(st.sampled_from(_QS) | st.floats(0, 100), min_size=1, max_size=4))
+def test_percentiles_at_once_are_numpys_bit_for_bit(values, qs):
+    a = np.array(values)
+    assert _bits(_percentile(a, qs)) == _bits(np.percentile(a, qs))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_percentile_of_ten_thousand_values_is_numpys(seed):
+    # As many as bootstrap_ci's default resample means, with ties and zeros.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-50, 50, size=10_000) / 8.0
+    a[rng.random(a.size) < 0.1] = -0.0
+    before = a.copy()
+    for q in _QS:
+        assert _bits(_percentile(a, q)) == _bits(np.percentile(a, q))
+    assert _bits(_percentile(a, [2.5, 97.5])) == _bits(np.percentile(a, [2.5, 97.5]))
+    assert _bits(a) == _bits(before)
 
 
 # --- Wilcoxon ------------------------------------------------------------------
