@@ -10,8 +10,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .io import ValidationError, _json_dict, _load_json_file, _nonneg_int, _real
-from .projection import ProjectionConfig
+from .io import _SETTINGS, _json_dict, _load_json_file, _setting
 
 SCHEMA_VERSION = 1
 
@@ -52,44 +51,28 @@ def _atomic_write_text(text: str, target: Path) -> None:
         raise
 
 
-# Each config section's settings and their defaults. A setting has one name:
-# its config key is also the dest of the one flag that sets it.
-_SETTINGS = {
-    "projection": ProjectionConfig().to_json_dict(),
-    "measure": {"min_component_px": 8},
-    "evaluate": {"nsd_tolerance_px": 2.0, "match_iou": 0.5, "n_resamples": 10000},
-    "stats": {"alpha": 0.05},
-}
+# Each config section's settings and their defaults, from io._SETTINGS.
+_SECTIONS = {section: {key: default for key, (name, default, *_) in _SETTINGS.items()
+                       if name == section} for section, *_ in _SETTINGS.values()}
 
 
-def _effective_config(args, section: str, check=None) -> dict:
-    # Precedence: CLI flags > config file > defaults. argparse leaves a flag
-    # None unless the user passed it, and types it when passed. Every section
-    # of the file is checked, whichever command reads it. A file value for a
-    # numeric default follows the rule of its kind: io._nonneg_int for an int,
-    # io._real for a float, which turns a JSON integer into the float it
-    # echoes, so no command casts again. ``check``, when given, is the
-    # section's own rule: it is called with each value a file or flag set,
-    # alone, and its refusal is prefixed with that file or flag.
+def _effective_config(args, section: str) -> dict:
+    # Precedence: CLI flags > config file > defaults. argparse takes a flag
+    # passed as its kind and leaves it None otherwise; a file value is taken
+    # as its kind first too, so a JSON integer becomes the float it echoes.
+    # Every value in every section, whichever command reads it, and every flag
+    # passed then meets its setting's rule, and a refusal names its source.
     cfg = _json_dict(_load_json_file(args.config) if args.config else {},
-                     f"{args.config}: config file", _SETTINGS)
+                     f"{args.config}: config file", _SECTIONS)
+    out = dict(_SECTIONS[section])
     for name, sect in cfg.items():
-        _json_dict(sect, f"{args.config}: config section {name!r}", _SETTINGS[name])
-    defaults = _SETTINGS[section]
-    out, source = dict(defaults), {}
-    for key, value in cfg.get(section, {}).items():
-        if type(defaults[key]) is int:
-            value = _nonneg_int(value, f"{args.config}: config {section}.{key}")
-        elif type(defaults[key]) is float:
-            value = _real(value, f"{args.config}: config {section}.{key}")
-        out[key], source[key] = value, f"{args.config}: config"
-    for key in defaults:
+        for key, value in _json_dict(sect, f"{args.config}: config section {name!r}",
+                                     _SECTIONS[name]).items():
+            where = f"{args.config}: config {name}.{key}"
+            value = _setting(key, _SETTINGS[key][2](value, where), where)
+            if name == section:
+                out[key] = value
+    for key in out:
         if getattr(args, key) is not None:
-            out[key], source[key] = getattr(args, key), f"{args.flags[key]}:"
-    if check is not None:
-        for key, where in source.items():
-            try:
-                check({key: out[key]})
-            except ValidationError as exc:
-                raise ValidationError(f"{where} {exc}") from None
+            out[key] = _setting(key, getattr(args, key), f"{args.flags[key]}: {section}.{key}")
     return out

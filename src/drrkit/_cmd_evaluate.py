@@ -17,6 +17,7 @@ def run(args) -> int:
                      f"{manifest_path}: manifest of {{class_id, pred_path, ref_path}}",
                      nonempty=True)
     eff = _effective_config(args, "evaluate")
+    seed = _nonneg_int(args.seed, "--seed")
 
     base = manifest_path.parent
     inputs: dict[str, str] = {}
@@ -47,10 +48,10 @@ def run(args) -> int:
         yield ahead.result()
 
     with ThreadPoolExecutor(max_workers=1) as reader:
-        report = evaluate_class_set(pairs(reader), **eff, seed=args.seed)
+        report = evaluate_class_set(pairs(reader), **eff, seed=seed)
 
-    out = _provenance("evaluate", seed=args.seed,
-                      config={"evaluate": {k: eff[k] for k in sorted(eff)}},
+    out = _provenance("evaluate", seed=seed,
+                      config={"evaluate": eff},
                       inputs=inputs, **report.to_json_dict())
     _atomic_write_text(_dump_json(out), Path(args.out))
     return 0

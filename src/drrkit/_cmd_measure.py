@@ -99,8 +99,7 @@ def run(args) -> int:
     inputs: dict[str, str] = {}
     mapping = _load_mapping(Path(args.mapping), inputs, conditions)
 
-    min_px = _nonneg_int(_effective_config(args, "measure")["min_component_px"],
-                         "min_component_px")
+    min_px = _effective_config(args, "measure")["min_component_px"]
     # --out holds one run's reports: a report of another condition there
     # would sit beside this run's as if the two were one run.
     out_dir = Path(args.out)

@@ -138,8 +138,7 @@ def _project_one_study(study: dict, out_root: Path, config: ProjectionConfig) ->
 def run(args) -> int:
     jobs = _nonneg_int(args.jobs, "--jobs", lo=1)
     manifest = _load_manifest(Path(args.manifest))
-    config = ProjectionConfig.from_dict(
-        _effective_config(args, "projection", check=ProjectionConfig.from_dict))
+    config = ProjectionConfig(**_effective_config(args, "projection"))
 
     out_root = Path(args.out)
     # Every study runs and results are read in manifest order, so --jobs cannot

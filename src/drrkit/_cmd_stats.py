@@ -12,7 +12,7 @@ import numpy as np
 
 from ._cmd_common import _atomic_write_text, _dump_json, _effective_config, _provenance
 from .io import (FormatError, ValidationError, _json_dict, _json_list, _load_json_file, _read_input,
-                 _real, _repeated)
+                 _repeated)
 from .measurement import Grade
 from .stats import (PairwiseComparison, confusion_from_labels, ordinal_metrics,
                     pairwise_model_comparison, weighted_kappa)
@@ -124,8 +124,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def run(args) -> int:
-    # Checked in ordinal mode too, where nothing else reads it.
-    alpha = _real(_effective_config(args, "stats")["alpha"], "alpha", lo=0, hi=1, open=True)
+    alpha = _effective_config(args, "stats")["alpha"]      # checked in ordinal mode too
     inputs: dict[str, str] = {}
     # Each mode reads its input and builds its report fields, echoed config
     # and CSV table; one writer below emits whichever --format asks for.

@@ -18,9 +18,7 @@ import argparse
 import sys
 
 from . import __version__
-from .io import ValidationError
-from .measurement import Condition
-from .stats import _MAX_RESAMPLES
+from .io import _SETTINGS, ValidationError, _interval
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-size", type=int, nargs=2, metavar=("W", "H"),
                    help="final resize, width height")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for independent studies (default 1)")
+                   help="worker threads for independent studies (default %(default)s)")
     p.set_defaults(func=cmd_project)
 
     m = subs.add_parser("measure", help="derive graded measurements from a projected study")
@@ -74,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mapping", required=True,
                    help="JSON mapping of roles (heart/thorax/vertebrae) to label ids")
     m.add_argument("--conditions", nargs="*", type=str.lower,
-                   choices=[c.value for c in Condition],
-                   help="subset of: cardiomegaly scoliosis kyphosis (default all)")
+                   choices=("cardiomegaly", "scoliosis", "kyphosis"),
+                   help="subset of: %(choices)s (default all)")
     m.add_argument("--out", required=True, help="output directory for report JSONs")
     m.add_argument("--min-component-px", type=int, help="mask cleaning threshold in pixels")
     m.set_defaults(func=cmd_measure)
@@ -85,11 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON list of {class_id, pred_path, ref_path}")
     e.add_argument("--out", required=True, help="output report JSON path")
     e.add_argument("--nsd-tolerance", type=float, dest="nsd_tolerance_px",
-                   help="NSD tolerance in pixels (default 2)")
-    e.add_argument("--match-iou", type=float, help="component match threshold (default 0.5)")
-    e.add_argument("--resamples", type=int, dest="n_resamples",
-                   help=f"bootstrap resample count, 1 to {_MAX_RESAMPLES:,} (default 10000)")
-    e.add_argument("--seed", type=int, default=0, help="bootstrap seed (default 0)")
+                   help="NSD tolerance in pixels")
+    e.add_argument("--match-iou", type=float, help="component match threshold")
+    e.add_argument("--resamples", type=int, dest="n_resamples", help="bootstrap resample count")
+    e.add_argument("--seed", type=int, default=0, help="bootstrap seed (default %(default)s)")
     e.set_defaults(func=cmd_evaluate)
 
     s = subs.add_parser("stats", help="pairwise model comparison or ordinal agreement")
@@ -98,13 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairwise: CSV/JSON of per-class scores per model; "
                         "ordinal: JSON with truth/pred grades or a confusion matrix")
     s.add_argument("--out", required=True, help="output path")
-    s.add_argument("--alpha", type=float,
-                   help="significance level after correction (default 0.05)")
+    s.add_argument("--alpha", type=float, help="significance level after correction")
     s.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="output format (default json)")
+                   help="output format (default %(default)s)")
     s.set_defaults(func=cmd_stats)
     for sub in subs.choices.values():
         sub.add_argument("--config", help="JSON config file; flags override its values")
+        for action in sub._actions:     # a setting's range and default, from its one entry
+            if action.dest in _SETTINGS:
+                _, default, _, bounds = _SETTINGS[action.dest]
+                action.help += f"{_interval(**bounds)} (default {default})"
         # The flag of each setting, which a refusal of its value names.
         sub.set_defaults(flags={a.dest: a.option_strings[0] for a in sub._actions})
     return parser

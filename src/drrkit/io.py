@@ -10,7 +10,9 @@ one sidecar/payload reader, and ``_occupancy`` is the one u8 label rule, for
 whole label files and for the slabs that ``project`` reduces as it reads.
 Each field read from a JSON input follows one rule too: ``_json_dict`` for an
 object, ``_json_list`` for a list, ``_path_str`` for a path, and ``_real`` and
-``_nonneg_int`` for numbers, ids up to ``_MAX_ID`` included.
+``_nonneg_int`` for numbers, ids up to ``_MAX_ID`` included. Each setting, a
+config value and the flag that sets it, has one entry in ``_SETTINGS``: its
+default and its rule, which ``_setting`` applies.
 """
 
 from __future__ import annotations
@@ -326,7 +328,7 @@ def _shown(value) -> str:
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
-def _interval(lo, hi, open: bool = False) -> str:
+def _interval(lo=None, hi=None, open: bool = False) -> str:
     if hi is None:
         return "" if lo is None else f" {'>' if open else '>='} {lo}"
     if lo is None:
@@ -391,6 +393,44 @@ def _path_str(value, what: str) -> str:
     if not isinstance(value, str) or not value or "\0" in value:
         raise ValidationError(f"{what} must be a nonempty path, got {_shown(value)}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# settings: every config value and flag, with its default and its one rule
+
+# The most pixels any grid of a view may hold, 8192² (512 MB as float64): far
+# above a radiograph, and well below what a tiny target spacing or a huge
+# output_size would ask for.
+_MAX_GRID_PX = 8192 ** 2
+
+
+def _grid_size(value, what: str):
+    """None, or a (width, height) of two integers in [1, _MAX_GRID_PX]: no grid side is longer."""
+    if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValidationError(f"{what} must be two positive integers, got {_shown(value)}")
+    return None if value is None else tuple(
+        _nonneg_int(v, f"{what} entry", lo=1, hi=_MAX_GRID_PX) for v in value)
+
+
+# Each setting by its key, which is also its flag's dest: its config section,
+# its default, and its rule, a kind (_real, _nonneg_int or _grid_size) and the
+# range passed to it. Library signatures repeat the defaults, held to these by a test.
+_SETTINGS = {
+    "target_pixel_spacing": ("projection", 1.0, _real, {"lo": 0, "open": True}),
+    "output_size": ("projection", None, _grid_size, {}),
+    "min_component_px": ("measure", 8, _nonneg_int, {"lo": 0}),
+    "nsd_tolerance_px": ("evaluate", 2.0, _real, {"lo": 0}),
+    "match_iou": ("evaluate", 0.5, _real, {"lo": 0, "hi": 1}),
+    # At most 10**7, which bounds a bootstrap's means array at 80 MB.
+    "n_resamples": ("evaluate", 10000, _nonneg_int, {"lo": 1, "hi": 10 ** 7}),
+    "alpha": ("stats", 0.05, _real, {"lo": 0, "hi": 1, "open": True}),
+}
+
+
+def _setting(key: str, value, what: str | None = None):
+    """``value`` by the rule of setting ``key``, refused as ``what``, or else as ``key``."""
+    _, _, kind, bounds = _SETTINGS[key]
+    return kind(value, what or key, **bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rowruns import _component_sizes, _label_runs, _paint_runs, _runs
-from .io import ValidationError, _Record, _as_binary, _nonneg_int, _real
+from .io import ValidationError, _Record, _as_binary, _nonneg_int, _real, _setting
 
 
 class Condition(str, Enum):
@@ -109,7 +109,7 @@ def _clean(mask, min_px: int) -> tuple[np.ndarray, np.ndarray]:
 
 def clean_mask(mask, min_component_px: int = 8) -> np.ndarray:
     """Drop 8-connected components smaller than min_component_px pixels."""
-    return _clean(mask, _nonneg_int(min_component_px, "min_component_px"))[0]
+    return _clean(mask, _setting("min_component_px", min_component_px))[0]
 
 
 def centroid(mask) -> tuple[float, float]:
@@ -176,7 +176,7 @@ def cardiothoracic_ratio(heart, thorax, *, min_component_px: int = 8) -> Measure
     excludes the study.
     """
     cond = Condition.CARDIOMEGALY
-    min_component_px = _nonneg_int(min_component_px, "min_component_px")
+    min_component_px = _setting("min_component_px", min_component_px)
     heart, thorax = _of_one_shape((heart, thorax))
     h, h_sizes = _clean(heart, min_component_px)
     t = clean_mask(thorax, min_component_px)
@@ -259,7 +259,7 @@ def scoliosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 4,
     """
     cond = Condition.SCOLIOSIS
     min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae", hi=_MAX_VERTEBRAE)
-    min_component_px = _nonneg_int(min_component_px, "min_component_px")
+    min_component_px = _setting("min_component_px", min_component_px)
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
         return _excluded(cond, reason)
@@ -313,7 +313,7 @@ def kyphosis_angle(vertebrae: Sequence, *, min_vertebrae: int = 5,
     cond = Condition.KYPHOSIS
     fit_degree = _nonneg_int(fit_degree, "fit_degree")     # an error, not an exclusion
     min_vertebrae = _nonneg_int(min_vertebrae, "min_vertebrae", hi=_MAX_VERTEBRAE)
-    min_component_px = _nonneg_int(min_component_px, "min_component_px")
+    min_component_px = _setting("min_component_px", min_component_px)
     pts, reason = _spine_centroids(vertebrae, min_vertebrae, min_component_px)
     if reason:
         return _excluded(cond, reason)

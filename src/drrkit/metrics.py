@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from ._rowruns import _boundary_points, _component_sizes, _intersect, _label_runs, _runs
-from .io import _MAX_ID, ValidationError, _Record, _as_binary, _nonneg_int, _real
-from .stats import BootstrapCI, _check_resampling, _percentile, bootstrap_ci
+from .io import _MAX_ID, ValidationError, _Record, _as_binary, _nonneg_int, _setting
+from .stats import BootstrapCI, _percentile, bootstrap_ci
 
 AGGREGATE_METRICS = ("dice", "iou", "hd95", "asd", "nsd",
                      "precision", "recall", "f1")
@@ -246,7 +246,7 @@ def boundary_distance_metrics(pred, ref, *, nsd_tolerance_px: float = 2.0,
     hd95 is the max of the two directed 95th percentiles, asd the mean over
     both directions pooled, nsd the pooled fraction within tolerance.
     """
-    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
+    nsd_tolerance_px = _setting("nsd_tolerance_px", nsd_tolerance_px)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     if not len(runs_p[0]) or not len(runs_r[0]):
         raise ValidationError("boundary metrics are undefined for empty masks; "
@@ -302,7 +302,7 @@ def component_detection(pred, ref, *, match_iou: float = 0.5,
     broken on (pred index, ref index); a pair counts only at IoU at or above
     match_iou. Returns (precision, recall, f1, n_pred, n_ref, n_matched).
     """
-    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
+    match_iou = _setting("match_iou", match_iou)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     return _detection(shape, runs_p, runs_r, _intersect(runs_p, runs_r), match_iou)
 
@@ -315,8 +315,8 @@ def evaluate_pair(pred, ref, *, nsd_tolerance_px: float = 2.0,
     side 0; only the boundary distances need the conventions. Each mask's
     runs are found once, and the two are intersected once.
     """
-    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
-    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
+    nsd_tolerance_px = _setting("nsd_tolerance_px", nsd_tolerance_px)
+    match_iou = _setting("match_iou", match_iou)
     shape, runs_p, runs_r = _pair_runs(pred, ref)
     pieces = _intersect(runs_p, runs_r)
     dice, iou = _dice_iou(runs_p, runs_r, pieces)
@@ -357,9 +357,9 @@ def evaluate_class_set(pairs: Iterable[tuple[int, object, object]], *,
     Aggregates are 95% percentile-bootstrap CIs of the mean over per-class
     values; a single class collapses the interval onto its value.
     """
-    nsd_tolerance_px = _real(nsd_tolerance_px, "nsd_tolerance_px", lo=0)
-    match_iou = _real(match_iou, "match_iou", lo=0, hi=1)
-    _check_resampling(n_resamples, seed)
+    nsd_tolerance_px = _setting("nsd_tolerance_px", nsd_tolerance_px)
+    match_iou = _setting("match_iou", match_iou)
+    n_resamples, seed = _setting("n_resamples", n_resamples), _nonneg_int(seed, "seed")
     per_class: dict[int, MetricsReport] = {}
     for class_id, pred, ref in pairs:
         class_id = _nonneg_int(class_id, "class id", hi=_MAX_ID)

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .io import (LabelVolume, Mask2D, Projection, ValidationError, View, Volume, _json_dict,
-                 _nonneg_int, _occupancy, _real, _Record, _shown)
+from .io import (_MAX_GRID_PX, LabelVolume, Mask2D, Projection, ValidationError, View, Volume,
+                 _json_dict, _occupancy, _Record, _setting)
 
 
 def _round_half_up(x):
@@ -36,17 +36,9 @@ class ProjectionConfig(_Record):
     output_size: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target_pixel_spacing", _real(
-            self.target_pixel_spacing, "projection.target_pixel_spacing", lo=0, open=True))
-        size = self.output_size
-        if size is not None:
-            if not isinstance(size, (list, tuple)) or len(size) != 2:
-                raise ValidationError(
-                    f"projection.output_size must be two positive integers, got {_shown(size)}")
-            # No side of a grid _grids takes is longer, and its refusal formats sides as floats.
-            object.__setattr__(self, "output_size", tuple(
-                _nonneg_int(v, "projection.output_size entry", lo=1, hi=_MAX_GRID_PX)
-                for v in size))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _setting(f.name, getattr(self, f.name),
+                                                      f"projection.{f.name}"))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProjectionConfig":
@@ -135,12 +127,6 @@ def _resample_bilinear(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     """Source index of each of n_out nearest samples of n_in pixels (arange if equal)."""
     return np.clip(_round_half_up(_sample_coords(n_in, n_out)), 0, n_in - 1).astype(np.intp)
-
-
-# The most pixels any grid of a view may hold, 8192² (512 MB as float64): far
-# above a radiograph, and well below what a tiny target spacing or a huge
-# output_size would ask for.
-_MAX_GRID_PX = 8192 ** 2
 
 
 def _grids(view: View, shape: tuple[int, int], spacing, config: ProjectionConfig

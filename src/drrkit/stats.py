@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .io import ValidationError, _Record, _freeze, _nonneg_int, _real
+from .io import ValidationError, _Record, _freeze, _nonneg_int, _real, _setting
 
 
 def _as_1d(values, name: str) -> np.ndarray:
@@ -104,7 +104,6 @@ def _percentile(a: np.ndarray, q):
 
 
 _BOOTSTRAP_CHUNK = 1 << 20     # resample indices held at once
-_MAX_RESAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -116,23 +115,16 @@ class BootstrapCI(_Record):
     level: float
 
 
-def _check_resampling(n_resamples, seed) -> tuple[int, int]:
-    """The resample count and seed of a bootstrap, each an integer, not a bool."""
-    return (_nonneg_int(n_resamples, "n_resamples", lo=1, hi=_MAX_RESAMPLES),
-            _nonneg_int(seed, "seed"))
-
-
 def bootstrap_ci(values, *, n_resamples: int = 10000, level: float = 0.95,
                  seed: int = 0) -> BootstrapCI:
     """Percentile bootstrap CI of the mean.
 
     Resample means are ranked and cut at the (1-level)/2 tails with linear
     percentile interpolation. n = 1 collapses the interval onto the value.
-    n_resamples is at most 10**7, which bounds the means array at 80 MB.
     """
     arr = _as_1d(values, "values")
     level = _real(level, "level", lo=0, hi=1, open=True)
-    n_resamples, seed = _check_resampling(n_resamples, seed)
+    n_resamples, seed = _setting("n_resamples", n_resamples), _nonneg_int(seed, "seed")
     # Rows are drawn a chunk at a time; successive integers() calls continue
     # one PCG64 stream, so the means equal those of a single (B, n) draw.
     rng = np.random.default_rng(seed)
@@ -399,7 +391,7 @@ def pairwise_model_comparison(scores: Mapping[str, Sequence[float]], *,
 
     Models are ordered by name; effect sizes are signed first minus second.
     """
-    alpha = _real(alpha, "alpha", lo=0, hi=1, open=True)
+    alpha = _setting("alpha", alpha)
     names = sorted(scores)
     if len(names) < 2:
         raise ValidationError("need at least two models to compare")

@@ -4,8 +4,10 @@ import builtins
 import collections
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -23,9 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drrkit
-from drrkit import (LabelVolume, Mask2D, ProjectionConfig, ValidationError, View, Volume,
-                    _cmd_common, _cmd_evaluate, _cmd_project, cli, projection, save_label_volume,
-                    save_mask, save_volume)
+from drrkit import (Condition, LabelVolume, Mask2D, ProjectionConfig, ValidationError, View,
+                    Volume, _cmd_common, _cmd_evaluate, _cmd_project, bootstrap_ci,
+                    boundary_distance_metrics, cardiothoracic_ratio, clean_mask, cli,
+                    component_detection, evaluate_class_set, evaluate_pair, kyphosis_angle,
+                    pairwise_model_comparison, projection, save_label_volume, save_mask,
+                    save_volume, scoliosis_angle)
+from drrkit.io import _SETTINGS, _setting
 
 
 def _collect_bytes(root):
@@ -886,7 +892,7 @@ def test_one_config_file_serves_every_command(tmp_path):
     # Another command's section is no unknown section.
     manifest = _write_study_inputs(tmp_path, n_labels=0)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**{section: {} for section in _cmd_common._SETTINGS},
+    cfg.write_text(json.dumps({**{section: {} for section, *_ in _SETTINGS.values()},
                                "projection": {"target_pixel_spacing": 2.0}}))
     out = tmp_path / "out"
     assert cli.main(["project", "--manifest", str(manifest), "--out", str(out),
@@ -951,7 +957,39 @@ def test_each_config_key_is_the_dest_of_its_flag():
     assert set(subs.choices) == set(sections)
     for command, sub in subs.choices.items():
         dests = {a.dest for a in sub._actions} - _NOT_SETTINGS
-        assert dests == set(_cmd_common._SETTINGS[sections[command]]), command
+        assert dests == {key for key, (section, *_) in _SETTINGS.items()
+                         if section == sections[command]}, command
+
+
+def test_measure_conditions_are_the_condition_values():
+    # cli imports no layer but io, so it lists the conditions as literals.
+    (subs,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (conditions,) = [a for a in subs.choices["measure"]._actions if a.dest == "conditions"]
+    assert list(conditions.choices) == [c.value for c in Condition]
+
+
+# Each library signature that takes a setting, by the setting's key.
+_SETTING_TAKERS = {
+    "target_pixel_spacing": [ProjectionConfig],
+    "output_size": [ProjectionConfig],
+    "min_component_px": [clean_mask, cardiothoracic_ratio, scoliosis_angle, kyphosis_angle],
+    "nsd_tolerance_px": [boundary_distance_metrics, evaluate_pair, evaluate_class_set],
+    "match_iou": [component_detection, evaluate_pair, evaluate_class_set],
+    "n_resamples": [bootstrap_ci, evaluate_class_set],
+    "alpha": [pairwise_model_comparison],
+}
+
+
+def test_each_library_default_is_the_tables():
+    # Signatures repeat each default as public API; io._SETTINGS holds the one
+    # the command line uses, and each default passes its own rule.
+    assert set(_SETTING_TAKERS) == set(_SETTINGS)
+    for key, takers in _SETTING_TAKERS.items():
+        default = _SETTINGS[key][1]
+        assert _setting(key, default) == default, key
+        for taker in takers:
+            got = inspect.signature(taker).parameters[key].default
+            assert type(got) is type(default) and got == default, (key, taker)
 
 
 def _loaded(argv=(), *, as_main=False):
@@ -1357,7 +1395,7 @@ def test_evaluate_negative_seed_exits_1(tmp_path, capsys, seed):
     out = tmp_path / "report.json"
     assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out),
                      "--seed", seed]) == 1
-    assert f"seed must be a nonnegative integer, got {seed}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --seed must be a nonnegative integer, got {seed}\n"
     assert not out.exists()
 
 
@@ -1385,12 +1423,16 @@ def _write_eval_manifest(tmp_path, entries):
     return manifest
 
 
-def test_evaluate_checks_settings_before_reading_a_mask(tmp_path, capsys):
+@pytest.mark.parametrize("flag,message", [
+    (["--match-iou", "7"],
+     "--match-iou: evaluate.match_iou must be a finite real number in [0, 1], got 7.0"),
+    (["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+], ids=["match-iou", "seed"])
+def test_evaluate_checks_settings_before_reading_a_mask(tmp_path, capsys, flag, message):
     manifest = _write_eval_manifest(tmp_path, [(1, "missing.pgm", "missing.pgm")])
     out = tmp_path / "r.json"
-    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out),
-                     "--match-iou", "7"]) == 1
-    assert "match_iou must be a finite real number in [0, 1], got 7.0" in capsys.readouterr().err
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(out)] + flag) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -1748,102 +1790,108 @@ def test_stats_reports_do_not_depend_on_how_the_input_path_is_typed(tmp_path, mo
 
 # --- config values ----------------------------------------------------------
 
+_REAL_KIND, _COUNT_KIND = "must be a finite real number", "must be a nonnegative integer"
+_SIZE_ENTRY = "projection.output_size entry must be an integer in [1, 67108864]"
+
+# Each bad config and its refusal after "<file>: ".
 _BAD_CONFIG_VALUES = [
-    {"projection": {"output_size": [1]}},
-    {"projection": {"target_pixel_spacing": "x"}},
-    {"measure": {"min_component_px": "x"}},
-    {"measure": {"min_component_px": float("inf")}},
-    {"evaluate": {"n_resamples": "x"}},
-    {"evaluate": {"match_iou": None}},
-    {"stats": {"alpha": "x"}},
+    ({"projection": {"output_size": [1]}},
+     "config projection.output_size must be two positive integers, got [1]"),
+    ({"projection": {"target_pixel_spacing": "x"}},
+     f"config projection.target_pixel_spacing {_REAL_KIND}, got 'x'"),
+    ({"measure": {"min_component_px": "x"}},
+     f"config measure.min_component_px {_COUNT_KIND}, got 'x'"),
+    ({"measure": {"min_component_px": float("inf")}},
+     f"config measure.min_component_px {_COUNT_KIND}, got inf"),
+    ({"evaluate": {"n_resamples": "x"}}, f"config evaluate.n_resamples {_COUNT_KIND}, got 'x'"),
+    ({"evaluate": {"match_iou": None}}, f"config evaluate.match_iou {_REAL_KIND}, got None"),
+    ({"stats": {"alpha": "x"}}, f"config stats.alpha {_REAL_KIND}, got 'x'"),
     # A number of the wrong kind is refused, not converted: an int key takes
     # only a JSON integer, a float key any JSON number, and neither a bool.
-    {"measure": {"min_component_px": 8.0}},
-    {"measure": {"min_component_px": True}},
-    {"evaluate": {"n_resamples": 2.5}},
-    {"evaluate": {"n_resamples": True}},
-    {"evaluate": {"n_resamples": "200"}},
-    {"evaluate": {"n_resamples": 1e300}},
-    {"evaluate": {"match_iou": False}},
-    {"evaluate": {"nsd_tolerance_px": "2"}},
-    {"evaluate": {"nsd_tolerance_px": 10 ** 400}},
-    {"projection": {"target_pixel_spacing": True}},
-    {"stats": {"alpha": [0.05]}},
+    ({"measure": {"min_component_px": 8.0}},
+     f"config measure.min_component_px {_COUNT_KIND}, got 8.0"),
+    ({"measure": {"min_component_px": True}},
+     f"config measure.min_component_px {_COUNT_KIND}, got True"),
+    ({"evaluate": {"n_resamples": 2.5}}, f"config evaluate.n_resamples {_COUNT_KIND}, got 2.5"),
+    ({"evaluate": {"n_resamples": True}}, f"config evaluate.n_resamples {_COUNT_KIND}, got True"),
+    ({"evaluate": {"n_resamples": "200"}},
+     f"config evaluate.n_resamples {_COUNT_KIND}, got '200'"),
+    ({"evaluate": {"n_resamples": 1e300}},
+     f"config evaluate.n_resamples {_COUNT_KIND}, got 1e+300"),
+    ({"evaluate": {"match_iou": False}}, f"config evaluate.match_iou {_REAL_KIND}, got False"),
+    ({"evaluate": {"nsd_tolerance_px": "2"}},
+     f"config evaluate.nsd_tolerance_px {_REAL_KIND}, got '2'"),
+    ({"evaluate": {"nsd_tolerance_px": 10 ** 400}},
+     f"config evaluate.nsd_tolerance_px {_REAL_KIND}, got {10 ** 400}"),
+    ({"projection": {"target_pixel_spacing": True}},
+     f"config projection.target_pixel_spacing {_REAL_KIND}, got True"),
+    ({"stats": {"alpha": [0.05]}}, f"config stats.alpha {_REAL_KIND}, got [0.05]"),
     # The size takes two integers, not what a cast makes of other values.
-    {"projection": {"output_size": [64.9, True]}},
-    {"projection": {"output_size": ["64", "32"]}},
-    {"projection": {"output_size": [64.0, 32.0]}},
-    {"projection": {"output_size": [64, 32, 16]}},
-    {"projection": {"output_size": 64}},
+    ({"projection": {"output_size": [64.9, True]}}, f"config {_SIZE_ENTRY}, got 64.9"),
+    ({"projection": {"output_size": ["64", "32"]}}, f"config {_SIZE_ENTRY}, got '64'"),
+    ({"projection": {"output_size": [64.0, 32.0]}}, f"config {_SIZE_ENTRY}, got 64.0"),
+    ({"projection": {"output_size": [64, 32, 16]}},
+     "config projection.output_size must be two positive integers, got [64, 32, 16]"),
+    ({"projection": {"output_size": 64}},
+     "config projection.output_size must be two positive integers, got 64"),
     # Settings that are gone are unknown keys, whatever their value: every
     # study is projected into both views, and every CI is a 95% one.
-    {"projection": {"views": ["AP"]}},
-    {"projection": {"views": None}},
-    {"projection": {"views": "PA"}},
-    {"projection": {"views": [1]}},
-    {"projection": {"views": ["PA", "LL"]}},
-    {"evaluate": {"level": 0.9}},
+    *(({"projection": {"views": views}}, "config section 'projection' has unknown keys ['views']")
+      for views in (["AP"], None, "PA", [1], ["PA", "LL"])),
+    ({"evaluate": {"level": 0.9}}, "config section 'evaluate' has unknown keys ['level']"),
 ]
-_GONE_KEYS = ("views", "level")
+# The command that reads each section, and one that does not: any command
+# refuses a bad value in any section.
+_SECTION_READERS = {"projection": ("project", "measure"), "measure": ("measure", "pairwise"),
+                    "evaluate": ("evaluate", "project"), "stats": ("pairwise", "evaluate")}
 
 
-@pytest.mark.parametrize("config", _BAD_CONFIG_VALUES,
-                         ids=[json.dumps(c) for c in _BAD_CONFIG_VALUES])
-def test_bad_config_value_exits_1(tmp_path, capsys, config):
+@pytest.mark.parametrize("reads", [True, False], ids=["own-section", "other-section"])
+@pytest.mark.parametrize("config,message", _BAD_CONFIG_VALUES,
+                         ids=[json.dumps(c) for c, _ in _BAD_CONFIG_VALUES])
+def test_bad_config_value_exits_1(tmp_path, capsys, config, message, reads):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     (section,) = config
-    if section == "projection":
-        argv = ["project", "--manifest", str(_write_study_inputs(tmp_path)),
-                "--out", str(tmp_path / "out")]
-    elif section == "measure":
-        study, mapping = _make_measure_study(tmp_path)
-        argv = ["measure", "--study", str(study), "--mapping", str(mapping),
-                "--out", str(tmp_path / "r")]
-    elif section == "evaluate":
-        argv = ["evaluate", "--manifest", str(_make_eval_inputs(tmp_path)),
-                "--out", str(tmp_path / "r.json")]
-    else:
-        scores = tmp_path / "scores.json"
-        scores.write_text(json.dumps({"a": [0.9, 0.8, 0.7], "b": [0.5, 0.4, 0.6]}))
-        argv = ["stats", "--mode", "pairwise", "--scores", str(scores),
-                "--out", str(tmp_path / "p.json")]
+    argv, path, doc = _cli_input(tmp_path, _SECTION_READERS[section][not reads])
+    path.write_text(json.dumps(doc))
     assert cli.main(argv + ["--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    (key,) = config[section]
-    if key in _GONE_KEYS:
-        assert f"config section {section!r} has unknown keys [{key!r}]" in err
-    else:
-        assert f"{section}.{key}" in err
-    if key not in (*_GONE_KEYS, "output_size"):     # the numeric keys
-        assert f"config {section}.{key} " in err
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
-# (command, config key, flag, value); the stats modes share the section "stats".
+# (command, config key, flag, value, refusal of the flag's value); the stats
+# modes share the section "stats". A non-finite file value is refused as no
+# real number before its range is checked.
 _OUT_OF_RANGE = [
-    ("evaluate", "match_iou", "--match-iou", -0.1),
-    ("evaluate", "match_iou", "--match-iou", 1.5),
-    ("evaluate", "match_iou", "--match-iou", float("nan")),
-    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", -1.0),
-    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("inf")),
-    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("nan")),
-    ("pairwise", "alpha", "--alpha", 0.0),
-    ("pairwise", "alpha", "--alpha", 1.0),
-    ("pairwise", "alpha", "--alpha", 2.0),
-    ("pairwise", "alpha", "--alpha", float("nan")),
-    ("evaluate", "n_resamples", "--resamples", 10 ** 20),
+    ("evaluate", "match_iou", "--match-iou", -0.1, f"{_REAL_KIND} in [0, 1], got -0.1"),
+    ("evaluate", "match_iou", "--match-iou", 1.5, f"{_REAL_KIND} in [0, 1], got 1.5"),
+    ("evaluate", "match_iou", "--match-iou", float("nan"), f"{_REAL_KIND} in [0, 1], got nan"),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", -1.0, f"{_REAL_KIND} >= 0, got -1.0"),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("inf"),
+     f"{_REAL_KIND} >= 0, got inf"),
+    ("evaluate", "nsd_tolerance_px", "--nsd-tolerance", float("nan"),
+     f"{_REAL_KIND} >= 0, got nan"),
+    ("pairwise", "alpha", "--alpha", 0.0, f"{_REAL_KIND} in (0, 1), got 0.0"),
+    ("pairwise", "alpha", "--alpha", 1.0, f"{_REAL_KIND} in (0, 1), got 1.0"),
+    ("pairwise", "alpha", "--alpha", 2.0, f"{_REAL_KIND} in (0, 1), got 2.0"),
+    ("pairwise", "alpha", "--alpha", float("nan"), f"{_REAL_KIND} in (0, 1), got nan"),
+    ("evaluate", "n_resamples", "--resamples", 0, "must be an integer in [1, 10000000], got 0"),
+    ("evaluate", "n_resamples", "--resamples", 10 ** 20,
+     f"must be an integer in [1, 10000000], got {10 ** 20}"),
     # Cleaning would apply 1 and provenance record -1.
-    ("measure", "min_component_px", "--min-component-px", -1),
+    ("measure", "min_component_px", "--min-component-px", -1, f"{_COUNT_KIND}, got -1"),
     # Ordinal mode reads no alpha, but takes none out of range either.
-    ("ordinal", "alpha", "--alpha", 7),
+    ("ordinal", "alpha", "--alpha", 7, f"{_REAL_KIND} in (0, 1), got 7.0"),
+    ("project", "target_pixel_spacing", "--target-spacing", -2.0,
+     f"{_REAL_KIND} > 0, got -2.0"),
 ]
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
-@pytest.mark.parametrize("command,key,flag,value", _OUT_OF_RANGE,
-                         ids=[f"{k}={v}" for _, k, _, v in _OUT_OF_RANGE])
-def test_out_of_range_setting_exits_1(tmp_path, capsys, command, key, flag, value,
+@pytest.mark.parametrize("command,key,flag,value,message", _OUT_OF_RANGE,
+                         ids=[f"{k}={v}" for _, k, _, v, _ in _OUT_OF_RANGE])
+def test_out_of_range_setting_exits_1(tmp_path, capsys, command, key, flag, value, message,
                                       source):
     out = tmp_path / "out"
     if command == "evaluate":      # without the --resamples that _cli_input passes
@@ -1851,15 +1899,19 @@ def test_out_of_range_setting_exits_1(tmp_path, capsys, command, key, flag, valu
     else:
         argv, path, doc = _cli_input(tmp_path, command)
         path.write_text(json.dumps(doc))
+    section = _SETTINGS[key][0]
     if source == "config":
-        section = "stats" if command in ("pairwise", "ordinal") else command
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))    # NaN/Infinity literals
         argv += ["--config", str(cfg)]
+        where = f"{cfg}: config"
+        if not math.isfinite(value):
+            message = f"{_REAL_KIND}, got {value!r}"
     else:
         argv += [flag, str(value)]
+        where = f"{flag}:"
     assert cli.main(argv) == 1
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {where} {section}.{key} {message}\n"
     assert not out.exists()
 
 
